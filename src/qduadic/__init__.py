@@ -18,9 +18,8 @@ from .cyclic import (
 )
 from .distance import (
     DistanceResult,
-    min_odd_like_weight,
+    macwilliams,
     min_weight,
-    min_weight_diffset,
     support_search_min_weight,
     weight_distribution,
 )
@@ -50,6 +49,7 @@ from .stabilizer import (
     css_from_quartet,
     degeneracy_verdict,
     hermitian_from_quartet,
+    quartet_weights,
 )
 
 __version__ = "0.1.0"

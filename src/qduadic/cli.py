@@ -12,7 +12,7 @@ Subcommands:
 stdout is machine-parseable (JSON, or CSV with --format csv); progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
 2 mathematical nonexistence, 3 partial (interval) results, 4 assertion
-failure.
+failure (a violated property in `verify`, or an internal invariant).
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .cyclic import (
     ord_mod,
     quadratic_residue_witness,
 )
-from .distance import DEFAULT_BUDGET
+from .distance import DEFAULT_BUDGET, DistanceError
 from .duadic import (
     DuadicQuartet,
     Splitting,
+    SplittingError,
     build_quartet,
     default_splitting,
     degeneracy_certificate,
@@ -74,20 +75,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive(value: int) -> int:
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    return _positive(int(text))
+
+
 def parse_budget(text: str) -> int:
-    """Accepts plain integers and the 2^k shorthand."""
+    """Accepts positive plain integers and the 2^k shorthand."""
     if "^" in text:
         base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
-    return int(text)
+        return _positive(int(base) ** int(exp))
+    return _positive(int(text))
+
+
+def _validate_q(q: int) -> None:
+    if q < 2 or len(factorize(q)) != 1:
+        raise UsageError(f"q must be a prime power, got {q}")
 
 
 def _validate_nq(n: int, q: int) -> None:
     if n < 3 or n % 2 == 0:
         raise UsageError(f"length n must be odd and >= 3, got {n}")
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise UsageError(f"q must be a prime power, got {q}")
+    _validate_q(q)
     if gcd(n, q) != 1:
         raise UsageError(f"n and q must be coprime, got gcd({n}, {q}) > 1")
 
@@ -214,20 +229,24 @@ def cmd_build(args) -> int:
     return EXIT_OK if exact else EXIT_PARTIAL
 
 
+SURVEY_COLUMNS = ("n", "q", "exists", "ord_n_q", "mu_minus1_splits",
+                  "mu_minus_q_splits", "d_kind", "d_lo", "d_hi",
+                  "purity_kind", "purity_lo", "purity_hi", "degenerate",
+                  "bounds_ok")
+
+
 def _survey_row(n: int, q: int, construction: str, budget: int,
                 workers: int) -> dict:
     code_q = q * q if construction == "hermitian" else q
-    row = {
+    row = dict.fromkeys(SURVEY_COLUMNS)
+    row.update({
         "n": n,
         "q": q,
         "exists": duadic_exists(n, code_q),
         "ord_n_q": ord_mod(n, q),
         "mu_minus1_splits": splitting_by(n, code_q, n - 1) is not None,
         "mu_minus_q_splits": splitting_by(n, q * q, (-q) % n) is not None,
-        "d_kind": None, "d_lo": None, "d_hi": None,
-        "purity_kind": None, "purity_lo": None, "purity_hi": None,
-        "degenerate": None, "bounds_ok": None,
-    }
+    })
     if not row["exists"]:
         return row
     splitting = (splitting_by(n, code_q, (-q) % n)
@@ -255,6 +274,7 @@ def _survey_row(n: int, q: int, construction: str, budget: int,
 
 def cmd_survey(args) -> int:
     q = args.q
+    _validate_q(q)
     if args.max_n > 10**4:
         raise UsageError("--max-n beyond desk scale (cap 10^4)")
     rows = []
@@ -266,7 +286,7 @@ def cmd_survey(args) -> int:
                                 args.workers))
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=SURVEY_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
         _emit(buf.getvalue(), args.output)
@@ -278,6 +298,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _validate_q(args.q)
     result = run_suite(args.q, args.max_n, args.budget, args.workers)
     doc = {"schema_version": SCHEMA_VERSION, "q": args.q,
            "max_n": args.max_n, **result.to_dict()}
@@ -306,7 +327,7 @@ def build_parser() -> _Parser:
     p.add_argument("q", type=int)
     p.add_argument("--splitting-id")
     p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--output")
     p.set_defaults(func=cmd_build)
 
@@ -317,7 +338,7 @@ def build_parser() -> _Parser:
                    default="css")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--output")
     p.set_defaults(func=cmd_survey)
 
@@ -325,7 +346,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -345,7 +366,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError,) as exc:
+    except (SplittingError, ConstructionError, DistanceError,
+            AssertionError) as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_ASSERTION
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

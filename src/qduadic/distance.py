@@ -1,11 +1,14 @@
-"""Exact minimum-weight computation by exhaustive message-space enumeration.
+"""Exact weight distributions by exhaustive message-space enumeration.
 
-The engine reduces every GF(p^m) code to a prime-field message space: the
-generator rows are expanded by the polynomial basis of the field, so a
-k-dimensional code over GF(p^m) becomes a (k*m)-row code enumerated by a
-p-ary odometer.  For characteristic 2 the codewords are packed into machine
-words (one e-bit cell per coordinate, addition = XOR) and scanned in blocks
-with numpy popcounts; odd characteristic falls back to a plain odometer.
+The engine has one kernel product, the weight histogram of a code; minimum
+weights are read off it, and the MacWilliams transform turns it into the
+histogram of the dual code.  Every GF(p^m) code is reduced to a prime-field
+message space: the generator rows are expanded by the polynomial basis of the
+field, so a k-dimensional code over GF(p^m) becomes a (k*m)-row code
+enumerated by a p-ary odometer.  For characteristic 2 the codewords are
+packed into machine words (one e-bit cell per coordinate, addition = XOR) and
+scanned in blocks with numpy popcounts; otherwise a plain odometer runs.
+Beyond the budget, a low-weight support search bounds the minimum weight.
 
 Enumeration order is the canonical reflected Gray / odometer sequence, so
 work counters are reproducible and independent of the worker count.
@@ -26,7 +29,8 @@ _LOW_BLOCK_BITS = 16
 
 
 class DistanceError(ValueError):
-    """Invalid input to a minimum-weight computation."""
+    """Invalid input to a weight computation, or a violated invariant of its
+    result."""
 
 
 @dataclass(frozen=True)
@@ -107,23 +111,9 @@ def _cell_weights(words: np.ndarray, n: int, e: int) -> np.ndarray:
     return _popcount(y & cellmask)
 
 
-def _cell_sums(words: np.ndarray, n: int, e: int) -> np.ndarray:
-    """XOR-fold of all e-bit cells (the coordinate sum in a char-2 field)."""
-    s = words.copy()
-    width = 1
-    while width < n:
-        width *= 2
-    half = width // 2
-    while half:
-        s ^= s >> np.uint64(half * e)
-        half //= 2
-    return s & np.uint64((1 << e) - 1)
-
-
-def _scan_char2_range(packed_rows, e: int, n: int, mode: str,
-                      start: int, end: int):
-    """Scan high-part Gray indices [start, end); returns the block minimum
-    (modes 'min'/'min_odd') or a weight histogram (mode 'dist')."""
+def _scan_char2_range(packed_rows, e: int, n: int, start: int, end: int):
+    """Weight histogram of the codewords at high-part Gray indices
+    [start, end)."""
     K = len(packed_rows)
     h = min(K, _LOW_BLOCK_BITS)
     low = packed_rows[:h]
@@ -140,7 +130,6 @@ def _scan_char2_range(packed_rows, e: int, n: int, mode: str,
         acc ^= low[j]
         A[gray] = acc
     hist = np.zeros(n + 1, dtype=np.int64)
-    best = n + 1
     # initial high-part word for Gray code of `start`
     gstart = start ^ (start >> 1)
     gword = 0
@@ -148,200 +137,118 @@ def _scan_char2_range(packed_rows, e: int, n: int, mode: str,
         if gstart >> b & 1:
             gword ^= high[b]
     idx = start
-    gcode = gstart
     while idx < end:
-        words = A ^ np.uint64(gword)
-        w = _cell_weights(words, n, e)
-        if mode == "dist":
-            hist += np.bincount(w.astype(np.int64), minlength=n + 1)
-        else:
-            if mode == "min_odd":
-                if e == 1:
-                    keep = (w & np.uint64(1)).astype(bool)
-                else:
-                    keep = _cell_sums(words, n, e) != 0
-                w = w[keep]
-            elif idx == 0:
-                w = w.copy()
-                w[0] = n + 1  # exclude the zero codeword
-            if w.size:
-                m = int(w.min())
-                if m < best:
-                    best = m
+        w = _cell_weights(A ^ np.uint64(gword), n, e)
+        hist += np.bincount(w.astype(np.int64), minlength=n + 1)
         idx += 1
         if idx < end:
-            j = (idx & -idx).bit_length() - 1
-            gcode ^= 1 << j
-            gword ^= high[j]
-    if mode == "dist":
-        return hist
-    return best
+            gword ^= high[(idx & -idx).bit_length() - 1]
+    return hist
 
 
-def _scan_generic(rows, n: int, p: int, field, mode: str):
-    """Odometer enumeration for odd characteristic; rows are coordinate
-    tuples over the field.  Serial; used only at small scale."""
-    K = len(rows)
-    total = p**K
-    row_sums = []
-    for r in rows:
-        acc = 0
-        for x in r:
-            acc = field.add(acc, x)
-        row_sums.append(acc)
+def _scan_generic(rows, n: int, p: int, field) -> dict[int, int]:
+    """Odometer enumeration over the prime field; rows are coordinate tuples
+    over the field.  Serial; used only at small scale."""
     word = [0] * n
-    csum = 0
-    best = n + 1
-    hist = {0: 1} if mode == "dist" else None
-    for i in range(1, total):
+    hist = {0: 1}
+    for i in range(1, p ** len(rows)):
         j = 0
         ii = i
         while ii % p == 0:
             ii //= p
             j += 1
         for t in range(j + 1):
-            row = rows[t]
-            word = [field.add(a, b) for a, b in zip(word, row)]
-            csum = field.add(csum, row_sums[t])
+            word = [field.add(a, b) for a, b in zip(word, rows[t])]
         w = sum(1 for x in word if x)
-        if mode == "dist":
-            hist[w] = hist.get(w, 0) + 1
-        elif mode == "min_odd":
-            if csum != 0 and w < best:
-                best = w
-        else:
-            if w < best:
-                best = w
-    return hist if mode == "dist" else best
+        hist[w] = hist.get(w, 0) + 1
+    return hist
 
 
-def _full_enumeration(C: CyclicCode, mode: str, workers: int = 1):
-    f = C.field
-    rows = _expanded_rows(C)
-    K = len(rows)
-    if f.p == 2:
-        e = f.m
-        if C.n * e > 63:
-            raise DistanceError(
-                f"packed enumeration needs n*m <= 63 bits, got {C.n * e}"
-            )
-        packed = [_pack_row(r, e) for r in rows]
-        h = min(K, _LOW_BLOCK_BITS)
-        nblocks = 1 << (K - h)
-        if workers > 1 and nblocks >= 2 * workers:
-            chunk = (nblocks + workers - 1) // workers
-            ranges = [(s, min(s + chunk, nblocks))
-                      for s in range(0, nblocks, chunk)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    _scan_char2_range,
-                    *zip(*[(packed, e, C.n, mode, s, t) for s, t in ranges]),
-                ))
-            if mode == "dist":
-                result = parts[0]
-                for part in parts[1:]:
-                    result = result + part
-            else:
-                result = min(parts)
-        else:
-            result = _scan_char2_range(packed, e, C.n, mode, 0, nblocks)
-        if mode == "dist":
-            return {int(w): int(c) for w, c in enumerate(result) if c}
-        return int(result)
-    result = _scan_generic(rows, C.n, f.p, f, mode)
-    return result
-
-
-def enumerate_codewords_naive(C: CyclicCode):
-    """Re-encode every message directly (the slow oracle path)."""
-    f = C.field
-    for msg in itertools.product(range(f.order), repeat=C.k):
-        word = [0] * C.n
-        for m, row in zip(msg, C.G):
-            if m:
-                word = [f.add(a, f.mul(m, b)) for a, b in zip(word, row)]
-        yield tuple(word)
+def _packs(C: CyclicCode) -> bool:
+    """Whether the packed Gray kernel applies: characteristic 2 and a
+    codeword fits 63 bits."""
+    return C.field.p == 2 and C.n * C.field.m <= 63
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 
 
+def enumerable(C: CyclicCode, budget: int) -> bool:
+    """Whether C is enumerated exhaustively: q^k fits the budget and, in
+    characteristic 2, a codeword packs into 63 bits."""
+    return C.q**C.k <= budget and (C.field.p != 2 or _packs(C))
+
+
 def min_weight(C: CyclicCode, budget: int = DEFAULT_BUDGET,
                workers: int = 1) -> DistanceResult:
-    """Minimum nonzero weight; exhaustive if q^k fits the budget, otherwise a
-    low-weight support search producing an exact hit or a lower bound."""
+    """Minimum nonzero weight; exhaustive if C is enumerable within the
+    budget, otherwise a low-weight support search producing an exact hit or a
+    lower bound."""
     if budget <= 0:
         raise DistanceError("budget must be positive")
     if C.k == 0:
         raise DistanceError("zero code has no minimum weight")
-    total = C.q**C.k
-    if total <= budget and _enumerable(C):
-        val = _full_enumeration(C, "min", workers)
-        return DistanceResult.exact(val, "full_enumeration", total - 1)
-    return support_search_min_weight(C, budget)
-
-
-def min_odd_like_weight(D: CyclicCode, budget: int = DEFAULT_BUDGET,
-                        workers: int = 1) -> DistanceResult:
-    """Minimum weight over codewords with nonzero coordinate sum."""
-    if D.k == 0:
-        raise DistanceError("zero code has no odd-like words")
-    total = D.q**D.k
-    if total <= budget and _enumerable(D):
-        val = _full_enumeration(D, "min_odd", workers)
-        if val > D.n:
-            raise DistanceError("code contains no odd-like codeword")
-        return DistanceResult.exact(val, "full_enumeration", total - 1)
-    return DistanceResult("interval", 1, D.n, "full_enumeration", 0)
-
-
-def min_weight_diffset(D: CyclicCode, C: CyclicCode, budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> DistanceResult:
-    """Minimum weight over D \\ C for nested cyclic codes C subset D."""
-    if not D.genpoly.divides(C.genpoly):
-        raise DistanceError("C is not contained in D (genpoly divisibility fails)")
-    if C.T.as_set() == D.T.as_set():
-        raise DistanceError("D equals C; the difference set is empty")
-    if C.T.as_set() == D.T.as_set() | {0}:
-        # C is exactly the even-like subcode: membership is the coordinate sum
-        return min_odd_like_weight(D, budget, workers)
-    total = D.q**D.k
-    if total > budget:
-        return DistanceResult("interval", 1, D.n, "full_enumeration", 0)
-    best = D.n + 1
-    work = 0
-    for word in enumerate_codewords_naive(D):
-        work += 1
-        if any(word) and not C.contains(word):
-            w = sum(1 for x in word if x)
-            if w < best:
-                best = w
-    if best > D.n:
-        raise DistanceError("difference set is empty")
-    return DistanceResult.exact(best, "full_enumeration", work)
+    if not enumerable(C, budget):
+        return support_search_min_weight(C, budget)
+    val = min(w for w in weight_distribution(C, budget, workers) if w)
+    return DistanceResult.exact(val, "full_enumeration", C.q**C.k - 1)
 
 
 def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,
                         workers: int = 1) -> dict[int, int]:
-    """Full weight histogram {weight: count}."""
+    """Full weight histogram {weight: count}, by the packed Gray kernel where
+    it applies, otherwise by the odometer."""
     total = C.q**C.k
     if total > budget:
         raise DistanceError(f"q^k = {total} exceeds the budget {budget}")
     if C.k == 0:
         return {0: 1}
-    if _enumerable(C):
-        return _full_enumeration(C, "dist", workers)
-    hist: dict[int, int] = {}
-    for word in enumerate_codewords_naive(C):
-        w = sum(1 for x in word if x)
-        hist[w] = hist.get(w, 0) + 1
-    return hist
-
-
-def _enumerable(C: CyclicCode) -> bool:
     f = C.field
-    return f.p != 2 or C.n * f.m <= 63
+    rows = _expanded_rows(C)
+    if not _packs(C):
+        return dict(sorted(_scan_generic(rows, C.n, f.p, f).items()))
+    e = f.m
+    packed = [_pack_row(r, e) for r in rows]
+    nblocks = 1 << (len(rows) - min(len(rows), _LOW_BLOCK_BITS))
+    if workers > 1 and nblocks >= 2 * workers:
+        chunk = (nblocks + workers - 1) // workers
+        ranges = [(s, min(s + chunk, nblocks)) for s in range(0, nblocks, chunk)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            hist = sum(pool.map(
+                _scan_char2_range,
+                *zip(*[(packed, e, C.n, s, t) for s, t in ranges]),
+            ))
+    else:
+        hist = _scan_char2_range(packed, e, C.n, 0, nblocks)
+    return {int(w): int(c) for w, c in enumerate(hist) if c}
+
+
+def macwilliams(A: dict[int, int], n: int, q: int) -> dict[int, int]:
+    """Weight distribution of the Euclidean dual of a length-n code over GF(q)
+    with weight distribution A (MacWilliams identity):
+    B_j = (1/|C|) * sum_i A_i K_j(i), with the Krawtchouk polynomials
+    K_j(x) = sum_s (-1)^s (q-1)^(j-s) C(x, s) C(n-x, j-s), evaluated by their
+    three-term recurrence in exact integers."""
+    size = sum(A.values())
+    sums = [0] * (n + 1)
+    for x, a in A.items():
+        prev, cur = 0, 1  # K_{-1}(x), K_0(x)
+        for j in range(n + 1):
+            sums[j] += a * cur
+            prev, cur = cur, (((n - j) * (q - 1) + j - q * x) * cur
+                              - (q - 1) * (n - j + 1) * prev) // (j + 1)
+    B = {}
+    for j, total in enumerate(sums):
+        count, rem = divmod(total, size)
+        if rem or count < 0:
+            raise DistanceError(
+                f"MacWilliams transform gives A_{j} = {total}/{size}, not a "
+                "nonnegative integer: the input is no code's distribution"
+            )
+        if count:
+            B[j] = count
+    return B
 
 
 def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:

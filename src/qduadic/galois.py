@@ -278,10 +278,6 @@ class Field:
         self._exp = exp
         self._log = log
 
-    @property
-    def has_tables(self) -> bool:
-        return self._exp is not None
-
     # -- public arithmetic
 
     def add(self, a: int, b: int) -> int:
@@ -349,15 +345,6 @@ class Field:
         if self._log is None:
             raise FieldError("log tables not materialized for this field")
         return self._log[a]
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("zero has no multiplicative order")
-        t, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            t += 1
-        return t
 
     def elements(self):
         return range(self.order)

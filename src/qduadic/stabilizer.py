@@ -16,22 +16,18 @@ quantum state space.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd, isqrt
+from functools import reduce
+from math import isqrt
 
-from .cyclic import (
-    conjugate_matrix,
-    euclidean_dual,
-    hermitian_dual,
-    mu_apply,
-    null_space,
-    row_space_equal,
-)
+from .cyclic import CyclicCode, hermitian_dual
 from .distance import (
     DEFAULT_BUDGET,
+    DistanceError,
     DistanceResult,
-    min_odd_like_weight,
+    enumerable,
+    macwilliams,
     min_weight,
-    min_weight_diffset,
+    weight_distribution,
 )
 from .duadic import (
     DegeneracyCertificate,
@@ -40,10 +36,6 @@ from .duadic import (
     SquareRootBoundReport,
     check_square_root_bound,
 )
-
-# cross-check the distance against the direct set-difference route when the
-# four enumerations stay below this many codewords each
-CROSS_CHECK_CAP = 1 << 13
 
 
 class ConstructionError(ValueError):
@@ -125,33 +117,80 @@ def _refine_with_theory(d: DistanceResult, n: int, mu_minus1: bool) -> DistanceR
     return DistanceResult("interval", lo, hi, "defining_set_theory", d.work)
 
 
+@dataclass(frozen=True)
+class QuartetWeights:
+    """Odd-like distances of a duadic quartet C_i subset D_i, read off the
+    weight distributions of C0, C1 and, by MacWilliams, D0 and D1."""
+
+    d0: DistanceResult  # min weight of D0 \ C0
+    d1: DistanceResult | None  # min weight of D1 \ C1; None beyond the budget
+    distributions: dict[str, dict[int, int]] | None  # "C0", "C1", "D0", "D1"
+
+
+def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
+                    workers: int = 1) -> QuartetWeights:
+    """Enumerate C0 and C1 once each and get D0 and D1 from the dual
+    identification: C0^perp is D0 when mu_{-1} gives the splitting and D1
+    otherwise (C1^perp is the other one).  In a Hermitian quartet also
+    C_i^{perp_h} = D_i, and the Hermitian dual is the conjugate of the
+    Euclidean dual, so both identifications give the same distributions.
+    D_i \\ C_i is the set of odd-like words of D_i, so its minimum weight is
+    the least w with A_w(D_i) > A_w(C_i).  Beyond the budget d0 is the
+    vacuous interval [1, n] and d1 is None."""
+    n, q = quartet.n, quartet.q
+    C0, C1 = quartet.C0, quartet.C1
+    if not enumerable(C0, budget):  # C1 has the same length, field and k
+        return QuartetWeights(
+            DistanceResult("interval", 1, n, "full_enumeration", 0), None, None)
+    A = {"C0": weight_distribution(C0, budget, workers),
+         "C1": weight_distribution(C1, budget, workers)}
+    dual0, dual1 = (("D0", "D1") if quartet.splitting.is_given_by(n - 1)
+                    else ("D1", "D0"))
+    A[dual0] = macwilliams(A["C0"], n, q)
+    A[dual1] = macwilliams(A["C1"], n, q)
+    work = C0.q**C0.k - 1 + C1.q**C1.k - 1
+    d = []
+    for i in "01":
+        D, C = A["D" + i], A["C" + i]
+        k_D = getattr(quartet, "D" + i).k
+        if (D.get(0) != 1 or sum(D.values()) != q**k_D
+                or any(D.get(w, 0) < c for w, c in C.items())):
+            raise DistanceError(
+                f"transformed distribution of D{i} does not contain that of "
+                f"C{i} (internal bug)")
+        odd = min(w for w, c in D.items() if c > C.get(w, 0))
+        d.append(DistanceResult.exact(odd, "full_enumeration", work))
+    return QuartetWeights(d[0], d[1], A)
+
+
+def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
+            budget: int, workers: int) -> DistanceResult:
+    """Smallest nonzero weight over the named even-like codes: read off their
+    enumerated distributions, or by support search beyond the budget."""
+    results = []
+    for name, C in codes.items():
+        if weights.distributions is None:
+            results.append(min_weight(C, budget, workers))
+        else:
+            val = min(w for w in weights.distributions[name] if w)
+            results.append(DistanceResult.exact(val, "full_enumeration",
+                                                C.q**C.k - 1))
+    return reduce(_combine_min, results)
+
+
 def css_from_quartet(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
-                     workers: int = 1, cross_check: bool | None = None) -> StabilizerParams:
+                     workers: int = 1) -> StabilizerParams:
     """CSS stabilizer parameters from C_i subset D_i."""
     n, q = quartet.n, quartet.q
     for D, C in ((quartet.D0, quartet.C0), (quartet.D1, quartet.C1)):
         if not D.genpoly.divides(C.genpoly):
             raise ConstructionError("containment C_i subset D_i fails")
     k = quartet.D0.k - quartet.C0.k
-    d0 = min_odd_like_weight(quartet.D0, budget, workers)
-    d1 = min_odd_like_weight(quartet.D1, budget, workers) if d0.is_exact else None
-    if cross_check is None:
-        cross_check = q**quartet.D0.k <= CROSS_CHECK_CAP
-    if cross_check and d0.is_exact:
-        direct = _combine_min(
-            min_weight_diffset(quartet.D0, quartet.C0, budget),
-            min_weight_diffset(euclidean_dual(quartet.C0),
-                               euclidean_dual(quartet.D0), budget),
-        )
-        if direct.value != d0.value:
-            raise ConstructionError(
-                f"odd-like route ({d0.value}) and set-difference route "
-                f"({direct.value}) disagree (internal bug)"
-            )
-    report = check_square_root_bound(quartet, d0, d1)
-    d = _refine_with_theory(d0, n, report.mu_minus1)
-    purity = _combine_min(min_weight(quartet.C0, budget, workers),
-                          min_weight(quartet.C1, budget, workers))
+    weights = quartet_weights(quartet, budget, workers)
+    report = check_square_root_bound(quartet, weights.d0, weights.d1)
+    d = _refine_with_theory(weights.d0, n, report.mu_minus1)
+    purity = _purity(weights, {"C0": quartet.C0, "C1": quartet.C1},
+                     budget, workers)
     return StabilizerParams(
         n=n, k=k, q=q, construction="CSS", d=d, purity=purity,
         degenerate=_degeneracy_tristate(purity, d), bound_report=report,
@@ -187,11 +226,10 @@ def hermitian_from_quartet(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
             raise ConstructionError(
                 "C_0^{perp_h} != D_0 despite the splitting condition (internal bug)"
             )
-    d0 = min_odd_like_weight(quartet.D0, budget, workers)
-    d1 = min_odd_like_weight(quartet.D1, budget, workers) if d0.is_exact else None
-    report = check_square_root_bound(quartet, d0, d1)
-    d = _refine_with_theory(d0, n, report.mu_minus1)
-    purity = min_weight(quartet.C0, budget, workers)
+    weights = quartet_weights(quartet, budget, workers)
+    report = check_square_root_bound(quartet, weights.d0, weights.d1)
+    d = _refine_with_theory(weights.d0, n, report.mu_minus1)
+    purity = _purity(weights, {"C0": quartet.C0}, budget, workers)
     return StabilizerParams(
         n=n, k=quartet.D0.k - quartet.C0.k, q=q0, construction="Hermitian",
         d=d, purity=purity,

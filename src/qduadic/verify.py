@@ -15,11 +15,7 @@ from .cyclic import (
     mu_apply,
     ord_mod,
 )
-from .distance import (
-    DEFAULT_BUDGET,
-    min_odd_like_weight,
-    weight_distribution,
-)
+from .distance import DEFAULT_BUDGET, weight_distribution
 from .duadic import (
     build_quartet,
     check_square_root_bound,
@@ -28,6 +24,7 @@ from .duadic import (
     splitting_by,
 )
 from .galois import FieldError, field_from_order
+from .stabilizer import quartet_weights
 
 
 @dataclass
@@ -47,7 +44,9 @@ class SuiteResult:
 
     @property
     def all_passed(self) -> bool:
-        return not self.failures
+        """No check failed and at least one passed."""
+        return not self.failures and any(
+            t["passed"] for t in self.tallies.values())
 
     def to_dict(self) -> dict:
         return {"tallies": self.tallies, "failures": self.failures,
@@ -81,9 +80,9 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
                   f"n={n}")
 
         # (b), (c) odd-like weight equality and square-root bounds
-        if q**quartet.D0.k <= budget:
-            d0 = min_odd_like_weight(quartet.D0, budget, workers)
-            d1 = min_odd_like_weight(quartet.D1, budget, workers)
+        weights = quartet_weights(quartet, budget, workers)
+        if weights.distributions is not None:
+            d0, d1 = weights.d0, weights.d1
             res.check("odd_like_weights_equal", d0.value == d1.value, f"n={n}")
             res.check("square_root_bound", d0.value**2 >= n,
                       f"n={n} d_o={d0.value}")
@@ -107,9 +106,13 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
             except Exception as exc:  # pragma: no cover - bug detector
                 res.record("dual_defining_set_matches_matrix", "failed", str(exc))
 
-        # (e) mu_a images are equivalent: identical weight distributions
+        # (e) mu_a images are equivalent: identical weight distributions;
+        # the direct distribution of D0 also checks the MacWilliams route
         if n <= 21 and q**quartet.D0.k <= budget:
             wd = weight_distribution(quartet.D0, budget, workers)
+            if weights.distributions is not None:
+                res.check("macwilliams_matches_enumeration",
+                          wd == weights.distributions["D0"], f"n={n}")
             for a in sorted({s.a, n - 1}):
                 img = code_under_mu(quartet.D0, a)
                 wd2 = weight_distribution(img, budget, workers)

@@ -167,6 +167,14 @@ class TestSurvey:
             for key, val in want.items():
                 assert got[key] == ("" if val is None else str(val))
 
+    def test_csv_without_rows_is_header_only(self, capsys):
+        code, out, _ = run(capsys, "survey", "--q", "2", "--max-n", "1",
+                           "--format", "csv")
+        assert code == EXIT_OK
+        assert out == ("n,q,exists,ord_n_q,mu_minus1_splits,mu_minus_q_splits,"
+                       "d_kind,d_lo,d_hi,purity_kind,purity_lo,purity_hi,"
+                       "degenerate,bounds_ok\r\n")
+
     def test_max_n_cap(self, capsys):
         assert run(capsys, "survey", "--q", "2", "--max-n", "99999")[0] == \
             EXIT_USAGE
@@ -184,10 +192,68 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "--q", "3", "--max-n", "13")
         assert code == EXIT_OK and doc["all_passed"] is True
 
+    def test_macwilliams_tally(self, capsys):
+        _, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "23")
+        # n = 7 and 17 are the lengths <= 21 with a binary splitting
+        assert doc["tallies"]["macwilliams_matches_enumeration"] == \
+            {"passed": 2, "failed": 0, "skipped": 0}
+
+    def test_no_check_is_not_a_pass(self, capsys):
+        code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "1")
+        assert doc["tallies"] == {} and doc["all_passed"] is False
+        assert code == EXIT_ASSERTION
+
+
+class TestInvariantFailures:
+    def test_bad_transform_exits_4(self, capsys, monkeypatch):
+        import qduadic.stabilizer
+        monkeypatch.setattr(qduadic.stabilizer, "macwilliams",
+                            lambda A, n, q: {0: 1, 1: q**n - 1})
+        code, out, err = run(capsys, "build", "css", "7", "2")
+        assert code == EXIT_ASSERTION and out == ""
+        assert "internal error" in err
+
+    @pytest.mark.parametrize("exc", ["SplittingError", "ConstructionError",
+                                     "DistanceError", "AssertionError"])
+    def test_each_invariant_error_exits_4(self, capsys, monkeypatch, exc):
+        import qduadic.cli
+        import qduadic.distance
+        import qduadic.duadic
+        import qduadic.stabilizer
+        error = {"SplittingError": qduadic.duadic.SplittingError,
+                 "ConstructionError": qduadic.stabilizer.ConstructionError,
+                 "DistanceError": qduadic.distance.DistanceError,
+                 "AssertionError": AssertionError}[exc]
+
+        def broken(*args, **kwargs):
+            raise error("broken invariant")
+
+        monkeypatch.setattr(qduadic.cli, "css_from_quartet", broken)
+        assert run(capsys, "build", "css", "7", "2")[0] == EXIT_ASSERTION
+
 
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--workers", "-3"),
+        ("--budget", "0"), ("--budget", "-5"), ("--budget", "0^3"),
+    ])
+    def test_nonpositive_workers_and_budget(self, capsys, flag, value):
+        code, out, err = run(capsys, "build", "css", "7", "2", flag, value)
+        assert code == EXIT_USAGE and out == ""
+        assert "usage:" in err and "positive integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--q", "6", "--max-n", "9"),
+        ("survey", "--q", "6", "--max-n", "9"),
+        ("survey", "--q", "1", "--max-n", "9"),
+    ])
+    def test_q_must_be_prime_power(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "prime power" in err
 
     def test_bad_construction(self, capsys):
         assert run(capsys, "build", "steane", "7", "2")[0] == EXIT_USAGE

@@ -1,18 +1,23 @@
 import pytest
 
+from oracles import (
+    min_weight_diffset,
+    naive_distribution,
+    naive_min_odd_like,
+    naive_min_weight,
+)
 from qduadic.cyclic import DefiningSet, cyclotomic_cosets, make_cyclic_code
 from qduadic.distance import (
     DistanceError,
     DistanceResult,
-    enumerate_codewords_naive,
-    min_odd_like_weight,
+    macwilliams,
     min_weight,
-    min_weight_diffset,
     support_search_min_weight,
     weight_distribution,
 )
 from qduadic.duadic import build_quartet, default_splitting, splitting_by
 from qduadic.galois import field_from_order, make_field
+from qduadic.stabilizer import quartet_weights
 
 
 def _code(n, q, leaders):
@@ -24,29 +29,12 @@ def _code(n, q, leaders):
     return make_cyclic_code(n, f, DefiningSet(n, q, tuple(members)))
 
 
-def _naive_min_weight(C):
-    return min(sum(1 for x in w if x)
-               for w in enumerate_codewords_naive(C) if any(w))
-
-
-def _naive_min_odd(C):
-    f = C.field
-    best = C.n + 1
-    for w in enumerate_codewords_naive(C):
-        s = 0
-        for x in w:
-            s = f.add(s, x)
-        if s:
-            best = min(best, sum(1 for x in w if x))
-    return best
-
-
-def _naive_distribution(C):
-    hist = {}
-    for w in enumerate_codewords_naive(C):
-        wt = sum(1 for x in w if x)
-        hist[wt] = hist.get(wt, 0) + 1
-    return hist
+def _odd_like_from_distributions(D):
+    """The engine's odd-like route on a single code: D minus its even-like
+    subcode (defining set T union {0}), compared weight by weight."""
+    C = make_cyclic_code(D.n, D.field, D.T.union({0}))
+    A_D, A_C = weight_distribution(D), weight_distribution(C)
+    return min(w for w, c in A_D.items() if c > A_C.get(w, 0))
 
 
 class TestResult:
@@ -77,18 +65,18 @@ class TestAgainstNaiveOracle:
     @pytest.mark.parametrize("n,q,leaders", CASES)
     def test_min_weight(self, n, q, leaders):
         C = _code(n, q, leaders)
-        assert min_weight(C).value == _naive_min_weight(C)
+        assert min_weight(C).value == naive_min_weight(C)
 
     @pytest.mark.parametrize("n,q,leaders", CASES)
     def test_distribution(self, n, q, leaders):
         C = _code(n, q, leaders)
-        assert weight_distribution(C) == _naive_distribution(C)
+        assert weight_distribution(C) == naive_distribution(C)
 
     @pytest.mark.parametrize("n,q,leaders", [(7, 2, [1]), (15, 2, [1, 3]),
                                              (7, 4, [1]), (11, 3, [1])])
     def test_min_odd_like(self, n, q, leaders):
         C = _code(n, q, leaders)
-        assert min_odd_like_weight(C).value == _naive_min_odd(C)
+        assert _odd_like_from_distributions(C) == naive_min_odd_like(C)
 
 
 class TestKnownValues:
@@ -118,8 +106,7 @@ class TestParallel:
 
     def test_parallel_odd_like(self):
         qt = build_quartet(default_splitting(31, 2), make_field(2))
-        assert min_odd_like_weight(qt.D0, workers=4) == \
-            min_odd_like_weight(qt.D0, workers=1)
+        assert quartet_weights(qt, workers=4) == quartet_weights(qt, workers=1)
 
     def test_parallel_distribution(self):
         C = _code(31, 2, [1, 3, 5])
@@ -145,16 +132,19 @@ class TestSupportSearch:
 
 
 class TestDiffset:
+    """The set-difference oracle itself, against known values and the
+    engine's odd-like route."""
+
     def test_even_like_fast_path(self):
         qt = build_quartet(splitting_by(7, 2, 6), make_field(2))
-        r = min_weight_diffset(qt.D0, qt.C0)
-        assert r.value == 3 == min_odd_like_weight(qt.D0).value
+        assert min_weight_diffset(qt.D0, qt.C0) == 3 == \
+            quartet_weights(qt).d0.value
 
     def test_general_path(self):
         # D = full space, C = Hamming: min weight outside Hamming is 1
         D = _code(7, 2, [])
         C = _code(7, 2, [1])
-        assert min_weight_diffset(D, C).value == 1
+        assert min_weight_diffset(D, C) == 1
 
     def test_rejects_non_nested(self):
         with pytest.raises(DistanceError):
@@ -182,11 +172,41 @@ class TestEdgeCases:
             min_weight(_code(7, 2, [1]), budget=0)
 
     def test_odd_like_interval_when_infeasible(self):
-        C = _code(23, 2, [1])
-        r = min_odd_like_weight(C, budget=10)
-        assert r.kind == "interval" and (r.lo, r.hi) == (1, 23)
+        qt = build_quartet(default_splitting(23, 2), make_field(2))
+        r = quartet_weights(qt, budget=10)
+        assert r.d0.kind == "interval" and (r.d0.lo, r.d0.hi) == (1, 23)
+        assert r.d1 is None and r.distributions is None
 
     def test_odd_p_field_extension(self):
         # GF(9) exercises the generic odometer with a nontrivial extension
         C = _code(5, 9, [1])
-        assert min_weight(C).value == _naive_min_weight(C)
+        assert min_weight(C).value == naive_min_weight(C)
+
+    def test_char2_beyond_63_bits(self):
+        # 17 coordinates of 4 bits do not pack: the odometer takes over
+        C = _code(17, 16, [0, 2, 3, 4, 5, 6, 7, 8])  # k = 2
+        assert weight_distribution(C) == naive_distribution(C)
+
+
+class TestMacWilliams:
+    CASES = TestAgainstNaiveOracle.CASES
+
+    @pytest.mark.parametrize("n,q,leaders", CASES)
+    def test_matches_dual_enumeration(self, n, q, leaders):
+        from qduadic.cyclic import euclidean_dual
+        C = _code(n, q, leaders)
+        assert macwilliams(weight_distribution(C), n, q) == \
+            naive_distribution(euclidean_dual(C))
+
+    def test_hamming_to_simplex(self):
+        assert macwilliams({0: 1, 3: 7, 4: 7, 7: 1}, 7, 2) == {0: 1, 4: 7}
+
+    def test_involution(self):
+        A = weight_distribution(_code(11, 3, [1]))
+        assert macwilliams(macwilliams(A, 11, 3), 11, 3) == A
+
+    def test_rejects_non_code_distribution(self):
+        with pytest.raises(DistanceError):
+            macwilliams({0: 1, 1: 2}, 3, 2)  # 3 words: not a linear code
+        with pytest.raises(DistanceError):
+            macwilliams({0: 1, 2: 3}, 2, 2)  # gives A_1 = -1

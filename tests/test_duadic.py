@@ -3,7 +3,6 @@ from math import gcd
 import pytest
 
 from qduadic.cyclic import cyclotomic_cosets, is_quadratic_residue, mu_apply, ord_mod
-from qduadic.distance import min_odd_like_weight
 from qduadic.duadic import (
     Splitting,
     SplittingError,
@@ -17,6 +16,7 @@ from qduadic.duadic import (
     splitting_by,
 )
 from qduadic.galois import make_field
+from qduadic.stabilizer import quartet_weights
 
 
 class TestDuadicExists:
@@ -135,24 +135,24 @@ class TestQuartet:
 class TestSquareRootBound:
     def test_n7(self):
         qt = build_quartet(splitting_by(7, 2, 6), make_field(2))
-        r = check_square_root_bound(qt, min_odd_like_weight(qt.D0),
-                                    min_odd_like_weight(qt.D1))
+        w = quartet_weights(qt)
+        r = check_square_root_bound(qt, w.d0, w.d1)
         assert r.equal_across_pair and r.bound_sq
         assert r.mu_minus1 and r.bound_sq_strong  # 3^2 - 3 + 1 = 7 >= 7
         assert r.all_satisfied
 
     def test_n23_golay(self):
         qt = build_quartet(default_splitting(23, 2), make_field(2))
-        d = min_odd_like_weight(qt.D0)
-        assert d.value == 7
-        r = check_square_root_bound(qt, d, min_odd_like_weight(qt.D1))
+        w = quartet_weights(qt)
+        assert w.d0.value == 7
+        r = check_square_root_bound(qt, w.d0, w.d1)
         assert r.bound_sq and r.mu_minus1 and r.bound_sq_strong
 
     def test_n17_mu_minus1_not_applicable(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        d = min_odd_like_weight(qt.D0)
-        assert d.value == 5
-        r = check_square_root_bound(qt, d, min_odd_like_weight(qt.D1))
+        w = quartet_weights(qt)
+        assert w.d0.value == 5
+        r = check_square_root_bound(qt, w.d0, w.d1)
         assert r.bound_sq and not r.mu_minus1 and r.bound_sq_strong is None
 
     def test_interval_input_vacuous(self):

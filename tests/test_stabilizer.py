@@ -1,5 +1,9 @@
+from math import gcd
+
 import pytest
 
+from oracles import min_weight_diffset, naive_distribution, naive_min_weight
+from qduadic.cyclic import euclidean_dual
 from qduadic.distance import DistanceResult
 from qduadic.duadic import (
     build_quartet,
@@ -15,6 +19,7 @@ from qduadic.stabilizer import (
     degeneracy_verdict,
     hermitian_from_quartet,
     hermitian_params_from_splitting,
+    quartet_weights,
     theory_distance_interval,
     verify_hermitian_condition,
 )
@@ -46,10 +51,11 @@ class TestCSS:
         assert p.bound_report.equal_across_pair
 
     def test_cross_check_runs_clean(self):
-        # both routes enabled explicitly: odd-like and set-difference agree
+        # the MacWilliams odd-like route and the set-difference oracle agree
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        p = css_from_quartet(qt, cross_check=True)
-        assert p.d.value == 5
+        p = css_from_quartet(qt)
+        assert p.d.value == 5 == min_weight_diffset(qt.D0, qt.C0) == \
+            min_weight_diffset(euclidean_dual(qt.C0), euclidean_dual(qt.D0))
 
     def test_gf4_css(self):
         qt = build_quartet(default_splitting(7, 4), field_from_order(4))
@@ -162,3 +168,50 @@ class TestVerdictReconciliation:
         assert d["degenerate"] == "yes"
         assert d["bound_checks"]["mu_minus1_splitting"] is True
         assert d["certificate"]["purity_bound"] == 7
+
+
+def _oracle_quartets():
+    """Every default and mu_{-1} quartet whose D0 has at most 2^16 words:
+    CSS over GF(q) and Hermitian over GF(q^2), for q in {2, 3, 4}."""
+    cases = []
+    for q in (2, 3, 4):
+        for construction, code_q in (("css", q), ("hermitian", q * q)):
+            for n in range(3, 64, 2):
+                if gcd(n, code_q) != 1 or code_q ** ((n + 1) // 2) > 2**16:
+                    continue
+                found = [default_splitting(n, code_q),
+                         splitting_by(n, code_q, n - 1)]
+                if construction == "hermitian":
+                    found = [s for s in found + [splitting_by(n, code_q, (-q) % n)]
+                             if s is not None and verify_hermitian_condition(s)]
+                seen = set()
+                for s in found:
+                    if s is not None and s.splitting_id not in seen:
+                        seen.add(s.splitting_id)
+                        cases.append(pytest.param(
+                            construction, s,
+                            id=f"{construction}-{n}-{code_q}-{s.splitting_id}"))
+    return cases
+
+
+class TestEngineAgainstOracles:
+    """d0, d1 and purity from one enumeration of C0 and C1 plus MacWilliams
+    equal the set difference D_i minus C_i and the minimum weights found by
+    re-encoding every message."""
+
+    @pytest.mark.parametrize("construction,s", _oracle_quartets())
+    def test_quartet(self, construction, s):
+        qt = build_quartet(s, field_from_order(s.q))
+        w = quartet_weights(qt)
+        for name in ("C0", "C1", "D0", "D1"):
+            assert w.distributions[name] == \
+                naive_distribution(getattr(qt, name)), name
+        assert w.d0.value == min_weight_diffset(qt.D0, qt.C0)
+        assert w.d1.value == min_weight_diffset(qt.D1, qt.C1)
+        if construction == "css":
+            p = css_from_quartet(qt)
+            purity = min(naive_min_weight(qt.C0), naive_min_weight(qt.C1))
+        else:
+            p = hermitian_from_quartet(qt)
+            purity = naive_min_weight(qt.C0)
+        assert p.d.value == w.d0.value and p.purity.value == purity
