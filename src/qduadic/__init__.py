@@ -33,6 +33,7 @@ from .duadic import (
     degeneracy_certificate,
     duadic_exists,
     find_splittings,
+    iter_splittings,
     splitting_by,
 )
 from .galois import (
@@ -40,7 +41,6 @@ from .galois import (
     FieldError,
     Poly,
     coerce_to_base,
-    frobenius,
     make_field,
     primitive_nth_root,
 )

@@ -40,7 +40,7 @@ from .duadic import (
     default_splitting,
     degeneracy_certificate,
     duadic_exists,
-    find_splittings,
+    iter_splittings,
     splitting_by,
 )
 from .galois import FieldError, factorize, field_from_order
@@ -155,12 +155,10 @@ def _splitting_doc(s: Splitting) -> dict:
 def _select_splitting(n: int, code_q: int, construction: str,
                       splitting_id: str | None) -> Splitting | None:
     if splitting_id:
-        for s in find_splittings(n, code_q, limit=4096):
-            if s.splitting_id == splitting_id:
-                return s
-            sw = s.swapped()
-            if sw.splitting_id == splitting_id:
-                return sw
+        for s in iter_splittings(n, code_q):
+            for cand in (s, s.swapped()):
+                if cand.splitting_id == splitting_id:
+                    return cand
         raise UsageError(f"no splitting with id {splitting_id} found")
     if construction == "hermitian":
         import math

@@ -10,37 +10,20 @@ everything here uses the root-exponent convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .galois import (
+from .galois import (  # ord_mod is re-exported from here
     Field,
-    FieldError,
     Poly,
     coerce_to_base,
-    field_from_order,
+    ord_mod,
     primitive_nth_root,
 )
 
 
 class CyclicCodeError(ValueError):
     """Invalid defining set, code construction, or dual computation."""
-
-
-def ord_mod(n: int, a: int) -> int:
-    """Smallest t >= 1 with a^t = 1 mod n."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    if gcd(a, n) != 1:
-        raise ValueError(f"gcd({a}, {n}) != 1")
-    if n == 1:
-        return 1
-    a %= n
-    t, x = 1, a
-    while x != 1:
-        x = x * a % n
-        t += 1
-    return t
 
 
 def is_quadratic_residue(q: int, n: int) -> bool:
@@ -77,12 +60,17 @@ class CosetStructure:
     q: int
     cosets: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _index(self) -> tuple[int, ...]:
+        """Residue -> position of its coset in `cosets`."""
+        index = [0] * self.n
+        for i, c in enumerate(self.cosets):
+            for r in c:
+                index[r] = i
+        return tuple(index)
+
     def coset_of(self, r: int) -> tuple[int, ...]:
-        r %= self.n
-        for c in self.cosets:
-            if r in c:
-                return c
-        raise KeyError(r)
+        return self.cosets[self._index[r % self.n]]
 
     @property
     def nonzero_cosets(self) -> tuple[tuple[int, ...], ...]:
@@ -175,27 +163,6 @@ def _sqrt_exact(q: int) -> int:
 # Linear algebra over a Field (matrices as tuples of row-tuples of indices)
 
 
-def mat_mul(A, B, f: Field):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                if A[i][t] and B[t][j]:
-                    acc = f.add(acc, f.mul(A[i][t], B[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def transpose(A):
-    return tuple(zip(*A)) if A else ()
-
-
 def rref(A, f: Field):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     rows = [list(r) for r in A]
@@ -219,10 +186,6 @@ def rref(A, f: Field):
         if r == nrows:
             break
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
-def rank(A, f: Field) -> int:
-    return len(rref(A, f)[0])
 
 
 def null_space(A, f: Field):
@@ -366,14 +329,3 @@ def hermitian_dual(C: CyclicCode) -> CyclicCode:
                 "hermitian dual formula disagrees with conjugated null space"
             )
     return D
-
-
-def even_like_subcode_matrix(C: CyclicCode):
-    """Generator matrix of {c in C : sum(c) = 0}, computed by linear algebra
-    (the alternative to the defining-set route, for cross-checks)."""
-    f = C.field
-    # one linear constraint: sum of coordinates of m*G equals 0
-    row_sums = tuple(C.coordinate_sum(row) for row in C.G)
-    constraint = (row_sums,)
-    msgs = null_space(constraint, f)
-    return mat_mul(msgs, C.G, f) if msgs else ()

@@ -10,8 +10,10 @@ and their even-like subcodes C_i (defining set S_i union {0}).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
-from math import gcd, isqrt
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import islice
+from math import gcd
 
 from .cyclic import (
     CosetStructure,
@@ -56,11 +58,9 @@ class Splitting:
             raise SplittingError(f"gcd(a={self.a}, {n}) != 1")
         if mu_apply(s0, self.a, n) != s1 or mu_apply(s1, self.a, n) != s0:
             raise SplittingError(f"mu_{self.a} does not swap S0 and S1")
-        cs = cyclotomic_cosets(n, q)
-        for side in (s0, s1):
-            for r in side:
-                if not set(cs.coset_of(r)) <= side:
-                    raise SplittingError("sides are not unions of cosets")
+        # a set closed under r -> q*r mod n is a union of q-ary cosets
+        if any(r * q % n not in side for side in (s0, s1) for r in side):
+            raise SplittingError("sides are not unions of cosets")
 
     @property
     def splitting_id(self) -> str:
@@ -136,16 +136,16 @@ def splitting_by(n: int, q: int, a: int) -> Splitting | None:
     return Splitting(n=n, q=q, S0=tuple(S0), S1=tuple(S1), a=a)
 
 
-def find_splittings(n: int, q: int, limit: int | None = None) -> list[Splitting]:
-    """All splittings of n, enumerated deterministically: multipliers a in
-    increasing order, and for each valid a every per-orbit assignment (the
-    canonical alternation first, then its per-orbit flips in binary order)."""
+def iter_splittings(n: int, q: int) -> Iterator[Splitting]:
+    """All splittings of n, enumerated lazily and deterministically:
+    multipliers a in increasing order, and for each valid a every per-orbit
+    assignment (the canonical alternation first, then its per-orbit flips in
+    binary order)."""
     if n % 2 == 0:
         raise ValueError("length n must be odd")
     if gcd(n, q) != 1:
         raise ValueError(f"gcd({n}, {q}) != 1")
     cs = cyclotomic_cosets(n, q)
-    out: list[Splitting] = []
     for a in range(2, n):
         if gcd(a, n) != 1:
             continue
@@ -159,10 +159,12 @@ def find_splittings(n: int, q: int, limit: int | None = None) -> list[Splitting]
                 flip = flips >> bit & 1
                 for i, coset in enumerate(orbit):
                     (S0 if i % 2 == flip else S1).extend(coset)
-            out.append(Splitting(n=n, q=q, S0=tuple(S0), S1=tuple(S1), a=a))
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
+            yield Splitting(n=n, q=q, S0=tuple(S0), S1=tuple(S1), a=a)
+
+
+def find_splittings(n: int, q: int, limit: int | None = None) -> list[Splitting]:
+    """The first `limit` (default: all) splittings of `iter_splittings`."""
+    return list(islice(iter_splittings(n, q), limit))
 
 
 def default_splitting(n: int, q: int) -> Splitting | None:

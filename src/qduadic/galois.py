@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 # Hard cap on field cardinality; construction beyond this is refused.
 FIELD_SIZE_CAP = 1 << 24
-# Log/antilog tables are only materialized up to this cardinality; larger
-# fields fall back to direct polynomial arithmetic.
-TABLE_CAP = 1 << 20
+# Log/antilog tables are only materialized up to this cardinality, which
+# covers the code alphabets GF(q) and GF(q^2) for q <= 64; splitting fields
+# above it use direct polynomial arithmetic, since building a quartet needs
+# only about n^2 multiplications there.
+TABLE_CAP = 1 << 12
 
 
 class FieldError(ValueError):
@@ -53,15 +56,19 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _mult_order(a: int, n: int) -> int:
-    """Multiplicative order of a modulo n (gcd(a, n) must be 1)."""
+def ord_mod(n: int, a: int) -> int:
+    """Smallest t >= 1 with a^t = 1 mod n."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    if gcd(a, n) != 1:
+        raise ValueError(f"gcd({a}, {n}) != 1")
+    if n == 1:
+        return 1
     a %= n
     t, x = 1, a
     while x != 1:
         x = x * a % n
         t += 1
-        if t > n:
-            raise ValueError(f"{a} has no order mod {n} (not coprime?)")
     return t
 
 
@@ -374,21 +381,6 @@ def field_from_order(q: int) -> Field:
     return make_field(p, m)
 
 
-def frobenius(f: Field, x: int, q: int) -> int:
-    """The conjugation x -> x^q on GF(q^2) (or any field containing GF(q))."""
-    if f.order == q:
-        return f.pow(x, q)  # identity on the field itself
-    t = 0
-    order = f.order
-    qq = q
-    while qq < order:
-        qq *= q
-        t += 1
-    if qq != order:
-        raise FieldError(f"GF(q) with q={q} is not a subfield of {f}")
-    return f.pow(x, q)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over a Field
 
@@ -510,11 +502,9 @@ def primitive_nth_root(n: int, base_q: int) -> tuple[Field, int]:
     base = field_from_order(base_q)
     if n == 1:
         return base, 1
-    from math import gcd
-
     if gcd(n, base_q) != 1:
         raise FieldError(f"gcd({n}, {base_q}) != 1; no primitive n-th root")
-    t = _mult_order(base_q, n)
+    t = ord_mod(n, base_q)
     ext = make_field(base.p, base.m * t)
     alpha = ext.pow(ext.generator, (ext.order - 1) // n)
     return ext, alpha
@@ -554,20 +544,3 @@ def coerce_to_base(poly: Poly, base: Field) -> Poly:
         return poly
     coeffs = [embed_subfield_element(ext, base, c) for c in poly.coeffs]
     return Poly.make(coeffs, base)
-
-
-def embed_into_extension(poly: Poly, ext: Field) -> Poly:
-    """Inverse direction of coerce_to_base: lift a base-field polynomial into
-    an extension via the canonical subfield embedding."""
-    base = poly.field
-    if base == ext:
-        return poly
-    if base.p != ext.p or ext.m % base.m != 0:
-        raise FieldError(f"{base} is not a subfield of {ext}")
-    if base.m == 1:
-        return Poly.make(poly.coeffs, ext)
-    step = (ext.order - 1) // (base.order - 1)
-    out = []
-    for c in poly.coeffs:
-        out.append(0 if c == 0 else ext.exp(step * base.log(c)))
-    return Poly.make(out, ext)

@@ -1,15 +1,19 @@
-"""Slow, direct routes that the tests check the distance engine against.
+"""Slow, direct routes that the tests check the library against.
 
-They re-encode every message with the field's own addition and
-multiplication tables and compare codewords as sets, sharing no code with the
-packed Gray kernel, the odometer or the MacWilliams transform.
+The distance oracles re-encode every message with the field's own addition
+and multiplication tables and compare codewords as sets, sharing no code with
+the packed Gray kernel, the odometer or the MacWilliams transform.  The
+linear-algebra and field helpers below them serve the cyclic-code and field
+tests only.
 """
 
 import itertools
 
 import numpy as np
 
+from qduadic.cyclic import CyclicCode, null_space, rref
 from qduadic.distance import DistanceError
+from qduadic.galois import Field, FieldError, Poly
 
 
 def enumerate_codewords_naive(C) -> np.ndarray:
@@ -67,3 +71,79 @@ def min_weight_diffset(D, C) -> int:
     outer = enumerate_codewords_naive(D)
     keep = np.array([w.tobytes() not in inner for w in outer])
     return int(_weights(outer[keep]).min())
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra over a Field (matrices as tuples of row-tuples of indices)
+
+
+def mat_mul(A, B, f: Field):
+    rows = len(A)
+    inner = len(B)
+    cols = len(B[0]) if inner else 0
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = 0
+            for t in range(inner):
+                if A[i][t] and B[t][j]:
+                    acc = f.add(acc, f.mul(A[i][t], B[t][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def transpose(A):
+    return tuple(zip(*A)) if A else ()
+
+
+def rank(A, f: Field) -> int:
+    return len(rref(A, f)[0])
+
+
+def even_like_subcode_matrix(C: CyclicCode):
+    """Generator matrix of {c in C : sum(c) = 0}, computed by linear algebra
+    (the alternative to the defining-set route, for cross-checks)."""
+    f = C.field
+    # one linear constraint: sum of coordinates of m*G equals 0
+    row_sums = tuple(C.coordinate_sum(row) for row in C.G)
+    constraint = (row_sums,)
+    msgs = null_space(constraint, f)
+    return mat_mul(msgs, C.G, f) if msgs else ()
+
+
+# ---------------------------------------------------------------------------
+# Field helpers
+
+
+def frobenius(f: Field, x: int, q: int) -> int:
+    """The conjugation x -> x^q on GF(q^2) (or any field containing GF(q))."""
+    if f.order == q:
+        return f.pow(x, q)  # identity on the field itself
+    t = 0
+    order = f.order
+    qq = q
+    while qq < order:
+        qq *= q
+        t += 1
+    if qq != order:
+        raise FieldError(f"GF(q) with q={q} is not a subfield of {f}")
+    return f.pow(x, q)
+
+
+def embed_into_extension(poly: Poly, ext: Field) -> Poly:
+    """Inverse direction of coerce_to_base: lift a base-field polynomial into
+    an extension via the canonical subfield embedding."""
+    base = poly.field
+    if base == ext:
+        return poly
+    if base.p != ext.p or ext.m % base.m != 0:
+        raise FieldError(f"{base} is not a subfield of {ext}")
+    if base.m == 1:
+        return Poly.make(poly.coeffs, ext)
+    step = (ext.order - 1) // (base.order - 1)
+    out = []
+    for c in poly.coeffs:
+        out.append(0 if c == 0 else ext.exp(step * base.log(c)))
+    return Poly.make(out, ext)

@@ -105,6 +105,15 @@ class TestBuild:
             assert doc2["splitting"][key] == doc["splitting"][key]
         assert doc2["stabilizer"] == doc["stabilizer"]
 
+    def test_splitting_id_beyond_the_first_4096(self, capsys):
+        # 88200776026d is splitting #6272 of the 16,640 of 85 over GF(4)
+        code, doc = run_json(capsys, "build", "css", "85", "4",
+                             "--splitting-id", "88200776026d",
+                             "--budget", "2^10")
+        assert code == EXIT_PARTIAL
+        assert doc["splitting"]["id"] == "88200776026d"
+        assert doc["splitting"]["a"] == 42
+
     def test_unknown_splitting_id(self, capsys):
         assert run(capsys, "build", "css", "7", "2",
                    "--splitting-id", "ffffffffffff")[0] == EXIT_USAGE

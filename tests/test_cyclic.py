@@ -1,4 +1,11 @@
 import pytest
+from oracles import (
+    embed_into_extension,
+    even_like_subcode_matrix,
+    mat_mul,
+    rank,
+    transpose,
+)
 
 from qduadic.cyclic import (
     CyclicCodeError,
@@ -8,20 +15,16 @@ from qduadic.cyclic import (
     cyclotomic_cosets,
     dual_defining_set,
     euclidean_dual,
-    even_like_subcode_matrix,
     hermitian_dual,
     hermitian_dual_defining_set,
     is_quadratic_residue,
     make_cyclic_code,
-    mat_mul,
     mu_apply,
     mu_defining_set,
     null_space,
     ord_mod,
-    rank,
     row_space_equal,
     rref,
-    transpose,
 )
 from qduadic.distance import weight_distribution
 from qduadic.galois import make_field
@@ -38,6 +41,11 @@ class TestCosets:
     def test_q_congruent_1_gives_singletons(self):
         cs = cyclotomic_cosets(5, 11)  # 11 = 1 mod 5
         assert cs.cosets == tuple((r,) for r in range(5))
+
+    def test_coset_of_matches_scan(self):
+        cs = cyclotomic_cosets(85, 4)
+        for r in range(-85, 170):
+            assert cs.coset_of(r) == next(c for c in cs.cosets if r % 85 in c)
 
     def test_partition(self):
         for n, q in [(9, 2), (15, 2), (21, 4), (11, 3)]:
@@ -191,7 +199,7 @@ class TestMakeCyclicCode:
             assert row == tuple(first[(j - i) % n] for j in range(n))
 
     def test_roots_are_exactly_defining_set(self):
-        from qduadic.galois import primitive_nth_root, embed_into_extension
+        from qduadic.galois import primitive_nth_root
         n, q, T = 15, 2, (1, 2, 4, 8, 3, 6, 12, 9)
         C = make_cyclic_code(n, make_field(2), DefiningSet(n, q, T))
         ext, alpha = primitive_nth_root(n, q)

@@ -12,6 +12,7 @@ from qduadic.duadic import (
     degeneracy_certificate,
     duadic_exists,
     find_splittings,
+    iter_splittings,
     p_adic_valuation,
     splitting_by,
 )
@@ -93,6 +94,10 @@ class TestFindSplittings:
     def test_limit_respected(self):
         assert len(find_splittings(7, 2, limit=3)) == 3
 
+    def test_lazy_enumeration_is_the_same_order(self):
+        lazy = iter_splittings(85, 4)
+        assert [next(lazy) for _ in range(5)] == find_splittings(85, 4, limit=5)
+
     def test_splitting_id_stable(self):
         a = splitting_by(7, 2, 6).splitting_id
         b = splitting_by(7, 2, 6).splitting_id
@@ -112,6 +117,23 @@ class TestQuartet:
         assert qt.D0.k == (n + 1) // 2 and qt.D1.k == (n + 1) // 2
         assert qt.C0.k == (n - 1) // 2 and qt.C1.k == (n - 1) // 2
         assert qt.D0.k - qt.C0.k == 1
+
+    # pinned before these splitting fields, GF(2^20) and GF(3^11), lost their
+    # log tables
+    @pytest.mark.parametrize("n,q,sid,D0,C0", [
+        (41, 2, "bae4f09ef3c1",
+         (1, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1),
+         (1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1)),
+        (23, 3, "423d09fe0a9c",
+         (2, 0, 0, 1, 0, 1, 0, 2, 2, 1, 1, 1),
+         (1, 2, 0, 2, 1, 2, 1, 1, 0, 1, 0, 0, 1)),
+    ])
+    def test_golden_generator_polynomials(self, n, q, sid, D0, C0):
+        s = default_splitting(n, q)
+        assert s.splitting_id == sid
+        qt = build_quartet(s, make_field(q))
+        assert qt.D0.genpoly.coeffs == D0
+        assert qt.C0.genpoly.coeffs == C0
 
     def test_n17_dimensions(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
