@@ -41,6 +41,7 @@ from .duadic import (
     degeneracy_certificate,
     duadic_exists,
     iter_splittings,
+    side_id,
     splitting_by,
 )
 from .galois import FieldError, factorize, field_from_order
@@ -90,6 +91,9 @@ def parse_budget(text: str) -> int:
     """Accepts positive plain integers and the 2^k shorthand."""
     if "^" in text:
         base, _, exp = text.partition("^")
+        if int(exp) < 0:  # a negative power is a fraction, not a budget
+            raise argparse.ArgumentTypeError(
+                f"must be a positive integer, got {text}")
         return _positive(int(base) ** int(exp))
     return _positive(int(text))
 
@@ -155,10 +159,14 @@ def _splitting_doc(s: Splitting) -> dict:
 def _select_splitting(n: int, code_q: int, construction: str,
                       splitting_id: str | None) -> Splitting | None:
     if splitting_id:
+        # the id hashes S0 alone: hash each side once, swap only on a match
+        seen = set()
         for s in iter_splittings(n, code_q):
-            for cand in (s, s.swapped()):
-                if cand.splitting_id == splitting_id:
-                    return cand
+            for swap, side in enumerate((s.S0, s.S1)):
+                if side not in seen:
+                    seen.add(side)
+                    if side_id(n, code_q, side) == splitting_id:
+                        return s.swapped() if swap else s
         raise UsageError(f"no splitting with id {splitting_id} found")
     if construction == "hermitian":
         import math

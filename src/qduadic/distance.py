@@ -16,9 +16,9 @@ work counters are reproducible and independent of the worker count.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -251,38 +251,129 @@ def macwilliams(A: dict[int, int], n: int, q: int) -> dict[int, int]:
     return B
 
 
+def _pair_sums(syn: np.ndarray, p: int) -> np.ndarray:
+    """Digits of h_j + u*h_k, one row per j < k and unit u, in the order of
+    the level-2 candidates."""
+    n, nu, L = syn.shape
+    J, K = np.triu_indices(n, 1)  # the pairs in combinations order
+    return ((syn[J, :1] + syn[K]) % p).reshape(-1, L)
+
+
+def _pair_table(sums: np.ndarray, n: int) -> tuple:
+    """Index the rows of `_pair_sums`: the table maps the digit bytes of a
+    row to the first row with them, chain[r] is the next row after r with
+    the same bytes (None at the end), and row r belongs to the pair
+    (J[r // (q-1)], K[r // (q-1)])."""
+    raw, size = sums.tobytes(), sums.shape[1] * sums.itemsize
+    table: dict[bytes, int] = {}
+    chain: list[int | None] = [None] * len(sums)
+    for r in reversed(range(len(sums))):
+        key = raw[r * size:(r + 1) * size]
+        chain[r] = table.get(key)
+        table[key] = r
+    J, K = np.triu_indices(n, 1)
+    return table, chain, J.tolist(), K.tolist()
+
+
+def _first_codewords(neg: np.ndarray, p: int, pairs: tuple, w: int,
+                     prefix: tuple, acc: np.ndarray) -> list:
+    """Every weight-w codeword on the first (w-2)-column prefix, in
+    combinations order from `prefix` on, that extends to one, as (support,
+    unit scalars) with the scalar at j equal to 1; [] if no prefix does.
+    The prefix sum c_1*h_{i_1} + ... + c_{w-2}*h_{i_{w-2}} completes to a
+    codeword through each row h_j + u*h_k of the pair table, j beyond the
+    prefix, under the key of -(prefix sum).  `neg` holds the digits of
+    -u*h_j, and `acc` those of -(sum over `prefix`), one row per scalar
+    vector in product order."""
+    n, nu, L = neg.shape
+    lo = prefix[-1] + 1 if prefix else 0
+    if len(prefix) < w - 3:
+        for i in range(lo, n - w + len(prefix) + 1):
+            words = _first_codewords(
+                neg, p, pairs, w, prefix + (i,),
+                ((acc[:, None] + neg[i]) % p).reshape(-1, L))
+            if words:
+                return words
+        return []
+    table, chain, J, K = pairs
+    # the last prefix position i, for every i at once
+    block = (acc[None, :, None] + neg[lo:n - 2, None]) % p
+    per_i = block.shape[1] * nu
+    raw, size = block.tobytes(), L * block.itemsize
+    r = 0
+    for i in range(lo, n - 2):
+        words = []
+        for s in range(per_i):
+            row = table.get(raw[r * size:(r + 1) * size])
+            while row is not None:
+                pair, u = divmod(row, nu)
+                if J[pair] > i:
+                    c = np.unravel_index(s, (nu,) * (w - 2))
+                    words.append((prefix + (i, J[pair], K[pair]),
+                                  tuple(int(x) + 1 for x in c) + (1, u + 1)))
+                row = chain[row]
+            r += 1
+        if words:
+            return words
+    return []
+
+
+def _candidate_index(f, n: int, support: tuple, scalars: tuple) -> int:
+    """Position, within its level, of the candidate on `support` whose
+    scalars are `scalars` scaled to begin with 1: the rank of the support
+    in itertools.combinations(range(n), w), then of the scalars in
+    itertools.product(units, repeat=w-1)."""
+    w = len(support)
+    index, lo = 0, 0
+    for i, s in enumerate(support):
+        index += sum(comb(n - 1 - v, w - 1 - i) for v in range(lo, s))
+        lo = s + 1
+    inv = f.inv(scalars[0])
+    for u in scalars[1:]:
+        index = index * (f.order - 1) + f.mul(inv, u) - 1
+    return index
+
+
 def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:
     """Search weight-w vectors against the check matrix for w = 1, 2, ...
     First hit at level w is exact (all lower levels were exhausted); running
-    out of budget certifies a lower bound."""
-    f = C.field
-    n, q = C.n, C.q
-    cols = [tuple(row[j] for row in C.H) for j in range(n)]
-    hlen = len(C.H)
-    units = list(range(1, q))
-    work = 0
-    from math import comb
+    out of budget certifies a lower bound.
 
+    Level w holds comb(n, w)*(q-1)^(w-1) candidates: the supports in
+    combinations order, each with its scalars in product order, the first
+    scalar fixed to 1.  `work` counts the candidates up to the first hit, as
+    a loop over them would.  Syndromes are the GF(p) digits of u*h_j for each
+    column h_j of H and unit u: level 1 looks for a zero column, level 2 for
+    a zero pair sum h_j + u*h_k, and level w >= 3 looks up each (w-2)-prefix
+    with every scalar vector among those pair sums."""
+    f = C.field
+    n, q, p = C.n, C.q, f.p
+    nu = q - 1
+    digits = [[[c for row in C.H for c in f.element_to_coeffs(f.mul(u, row[j]))]
+               for u in range(1, q)] for j in range(n)]
+    syn = np.array(digits, dtype=np.min_scalar_type(2 * (p - 1))).reshape(
+        n, nu, len(C.H) * f.m)
+    neg = (p - syn) % p
+    work = 0
     for w in range(1, n + 1):
-        level = comb(n, w) * (q - 1) ** (w - 1)
+        level = comb(n, w) * nu ** (w - 1)
         if work + level > budget:
             lo = w  # levels 1..w-1 exhausted with no hit
             if lo == 1:
                 return DistanceResult("interval", 1, n, "support_search", work)
             return DistanceResult("lower_bound", lo, None, "support_search", work)
-        for support in itertools.combinations(range(n), w):
-            # first nonzero scalar fixed to 1 (codes are scale-invariant)
-            for scalars in itertools.product(units, repeat=w - 1):
-                work += 1
-                syndrome_zero = True
-                for r in range(hlen):
-                    acc = cols[support[0]][r]
-                    for pos, u in zip(support[1:], scalars):
-                        if cols[pos][r]:
-                            acc = f.add(acc, f.mul(u, cols[pos][r]))
-                    if acc:
-                        syndrome_zero = False
-                        break
-                if syndrome_zero:
-                    return DistanceResult.exact(w, "support_search", work)
+        if w <= 2:
+            sums = syn[:, 0] if w == 1 else _pair_sums(syn, p)
+            zero = np.flatnonzero(~sums.any(axis=1))
+            hit = int(zero[0]) if len(zero) else None
+        else:
+            if w == 3:  # the level-2 pair sums, indexed once level 3 fits
+                pairs = _pair_table(sums, n)
+            words = _first_codewords(neg, p, pairs, w, (),
+                                     np.zeros((1, syn.shape[2]), syn.dtype))
+            hit = min((_candidate_index(f, n, *word) for word in words),
+                      default=None)
+        if hit is not None:
+            return DistanceResult.exact(w, "support_search", work + hit + 1)
+        work += level
     raise DistanceError("no nonzero codeword found (zero code?)")

@@ -65,8 +65,7 @@ class Splitting:
     @property
     def splitting_id(self) -> str:
         """Stable identifier: hash of (n, q, sorted S0)."""
-        payload = f"{self.n}:{self.q}:" + ",".join(map(str, self.S0))
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return side_id(self.n, self.q, self.S0)
 
     def swapped(self) -> "Splitting":
         return Splitting(self.n, self.q, self.S1, self.S0, self.a)
@@ -76,6 +75,12 @@ class Splitting:
         if gcd(a, self.n) != 1:
             return False
         return mu_apply(self.S0, a, self.n) == frozenset(self.S1)
+
+
+def side_id(n: int, q: int, side: tuple[int, ...]) -> str:
+    """The splitting id of any splitting whose sorted S0 is `side`."""
+    payload = f"{n}:{q}:" + ",".join(map(str, side))
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def duadic_exists(n: int, q: int) -> bool:

@@ -3,8 +3,9 @@
 The distance oracles re-encode every message with the field's own addition
 and multiplication tables and compare codewords as sets, sharing no code with
 the packed Gray kernel, the odometer or the MacWilliams transform.  The
-linear-algebra and field helpers below them serve the cyclic-code and field
-tests only.
+support-search loop tests every candidate against the check matrix one by
+one, as the library did before its pair-table search.  The linear-algebra and
+field helpers below them serve the cyclic-code and field tests only.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import itertools
 import numpy as np
 
 from qduadic.cyclic import CyclicCode, null_space, rref
-from qduadic.distance import DistanceError
+from qduadic.distance import DistanceError, DistanceResult
 from qduadic.galois import Field, FieldError, Poly
 
 
@@ -71,6 +72,43 @@ def min_weight_diffset(D, C) -> int:
     outer = enumerate_codewords_naive(D)
     keep = np.array([w.tobytes() not in inner for w in outer])
     return int(_weights(outer[keep]).min())
+
+
+def support_search_loop(C: CyclicCode, budget: int) -> DistanceResult:
+    """Search weight-w vectors against the check matrix for w = 1, 2, ...
+    First hit at level w is exact (all lower levels were exhausted); running
+    out of budget certifies a lower bound."""
+    f = C.field
+    n, q = C.n, C.q
+    cols = [tuple(row[j] for row in C.H) for j in range(n)]
+    hlen = len(C.H)
+    units = list(range(1, q))
+    work = 0
+    from math import comb
+
+    for w in range(1, n + 1):
+        level = comb(n, w) * (q - 1) ** (w - 1)
+        if work + level > budget:
+            lo = w  # levels 1..w-1 exhausted with no hit
+            if lo == 1:
+                return DistanceResult("interval", 1, n, "support_search", work)
+            return DistanceResult("lower_bound", lo, None, "support_search", work)
+        for support in itertools.combinations(range(n), w):
+            # first nonzero scalar fixed to 1 (codes are scale-invariant)
+            for scalars in itertools.product(units, repeat=w - 1):
+                work += 1
+                syndrome_zero = True
+                for r in range(hlen):
+                    acc = cols[support[0]][r]
+                    for pos, u in zip(support[1:], scalars):
+                        if cols[pos][r]:
+                            acc = f.add(acc, f.mul(u, cols[pos][r]))
+                    if acc:
+                        syndrome_zero = False
+                        break
+                if syndrome_zero:
+                    return DistanceResult.exact(w, "support_search", work)
+    raise DistanceError("no nonzero codeword found (zero code?)")
 
 
 # ---------------------------------------------------------------------------

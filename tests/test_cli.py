@@ -8,9 +8,11 @@ from qduadic.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_USAGE,
+    _select_splitting,
     main,
     parse_budget,
 )
+from qduadic.duadic import iter_splittings
 
 
 def run(capsys, *argv):
@@ -114,9 +116,34 @@ class TestBuild:
         assert doc["splitting"]["id"] == "88200776026d"
         assert doc["splitting"]["a"] == 42
 
+    @pytest.mark.parametrize("n,q", [(7, 2), (31, 2), (21, 4)])
+    def test_splitting_id_lookup_matches_scan(self, n, q):
+        # every id, S0 and S1 sides alike, resolves to the first match of a
+        # plain scan over each splitting and its swap, `a` included
+        first = {}
+        for s in iter_splittings(n, q):
+            for cand in (s, s.swapped()):
+                first.setdefault(cand.splitting_id, cand)
+        for sid, cand in first.items():
+            assert _select_splitting(n, q, "css", sid) == cand
+
     def test_unknown_splitting_id(self, capsys):
         assert run(capsys, "build", "css", "7", "2",
                    "--splitting-id", "ffffffffffff")[0] == EXIT_USAGE
+
+    def test_beyond_budget_golden(self, capsys):
+        # values recorded before the support search was rewritten: the
+        # purity bound comes from 2,306,654 candidates of C0 and C1
+        code, doc = run_json(capsys, "build", "css", "73", "2",
+                             "--budget", "2^22")
+        assert code == EXIT_PARTIAL
+        assert doc["splitting"]["id"] == "db957ff01314"
+        st = doc["stabilizer"]
+        assert st["d"] == {"kind": "interval", "lo": 9, "hi": 73,
+                           "method": "defining_set_theory", "work": 0}
+        assert st["purity"] == {"kind": "lower_bound", "lo": 5, "hi": None,
+                                "method": "support_search", "work": 2306654}
+        assert st["degenerate"] == "undecided"
 
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -248,6 +275,7 @@ class TestUsage:
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"), ("--workers", "-3"),
         ("--budget", "0"), ("--budget", "-5"), ("--budget", "0^3"),
+        ("--budget", "2^-1"), ("--budget", "0^-1"),
     ])
     def test_nonpositive_workers_and_budget(self, capsys, flag, value):
         code, out, err = run(capsys, "build", "css", "7", "2", flag, value)

@@ -1,3 +1,6 @@
+from math import comb
+from types import SimpleNamespace
+
 import pytest
 
 from oracles import (
@@ -5,6 +8,7 @@ from oracles import (
     naive_distribution,
     naive_min_odd_like,
     naive_min_weight,
+    support_search_loop,
 )
 from qduadic.cyclic import DefiningSet, cyclotomic_cosets, make_cyclic_code
 from qduadic.distance import (
@@ -129,6 +133,63 @@ class TestSupportSearch:
         C = _code(23, 2, [1])
         r = min_weight(C, budget=100)
         assert r.method == "support_search"
+
+    # default quartets; C1 and D1 carry other scalars than C0 and D0 for q > 2
+    ORACLE_CASES = [(7, 2), (17, 2), (23, 2), (7, 4), (5, 4), (9, 4),
+                    (11, 3), (13, 3), (13, 4), (11, 9)]
+    ORACLE_CAP = 30_000  # the loop oracle runs at about 200k candidates/s
+
+    @staticmethod
+    def _level_budgets(n, q, cap):
+        """Every budget at which a further level fits, and its neighbours."""
+        budgets, total = set(), 0
+        for w in range(1, n + 1):
+            total += comb(n, w) * (q - 1) ** (w - 1)
+            if total > cap:
+                break
+            budgets |= {total - 1, total, total + 1}
+        return sorted(budgets)
+
+    @pytest.mark.parametrize("n,q", ORACLE_CASES)
+    def test_matches_loop_oracle(self, n, q):
+        qt = build_quartet(default_splitting(n, q), field_from_order(q))
+        kinds = set()
+        for C in (qt.C0, qt.C1, qt.D0, qt.D1):
+            for budget in self._level_budgets(n, q, self.ORACLE_CAP):
+                r = support_search_min_weight(C, budget)
+                assert r.to_dict() == support_search_loop(C, budget).to_dict()
+                kinds.add(r.kind)
+        assert {"interval", "lower_bound"} <= kinds
+        if (n, q) not in {(23, 2), (13, 4), (11, 9)}:  # hits beyond the cap
+            assert "exact" in kinds
+
+    @pytest.mark.parametrize("n,q", [(7, 2), (5, 4), (7, 3), (7, 5)])
+    def test_full_space_hits_at_weight_one(self, n, q):
+        C = _code(n, q, [])  # k = n: H has no rows
+        assert len(C.H) == 0
+        r = support_search_min_weight(C, budget=10**6)
+        assert r == support_search_loop(C, 10**6)
+        assert r.to_dict() == {"kind": "exact", "lo": 1, "hi": 1,
+                               "method": "support_search", "work": 1}
+
+    @pytest.mark.parametrize("n,q,work", [(7, 2, 8), (5, 4, 6), (7, 3, 9),
+                                          (7, 5, 11), (5, 9, 7)])
+    def test_even_weight_code_scalar_rank(self, n, q, work):
+        # [n, n-1]: the first hit is x_0 - x_1, after all n weight-1
+        # candidates; its scalar -1 is the element p - 1, the (p-1)-th unit
+        C = _code(n, q, [0])
+        r = support_search_min_weight(C, budget=10**6)
+        assert r == support_search_loop(C, 10**6)
+        assert r.kind == "exact" and r.value == 2 and r.work == work
+
+    def test_digit_sums_past_255(self):
+        # 130*x0 + 126*x1 + x2 = 0 over GF(131): the first codeword is
+        # (1, 26, 0), while 130 + 126 = 256 wraps to 0 in a byte
+        code = SimpleNamespace(field=make_field(131), n=3, q=131,
+                               H=((130, 126, 1),))
+        r = support_search_min_weight(code, budget=1000)
+        assert r == support_search_loop(code, 1000)
+        assert r.kind == "exact" and r.value == 2 and r.work == 3 + 25 + 1
 
 
 class TestDiffset:
