@@ -251,37 +251,57 @@ def macwilliams(A: dict[int, int], n: int, q: int) -> dict[int, int]:
     return B
 
 
-def _pair_sums(syn: np.ndarray, p: int) -> np.ndarray:
-    """Digits of h_j + u*h_k, one row per j < k and unit u, in the order of
-    the level-2 candidates."""
+def _unit_multiples(f, base: np.ndarray) -> np.ndarray:
+    """Digits of u*h_j for every column h_j and unit u, shape (n, q-1, L),
+    from the digits `base` of H, shape (n, rows, m): multiplication by u is
+    GF(p)-linear on the digits, with row i of its matrix the digits of u*x^i."""
+    n, rows, m = base.shape
+    p = f.p
+    powers = [f.coeffs_to_element((0,) * i + (1,)) for i in range(m)]
+    syn = np.empty((n, f.order - 1, rows * m), np.min_scalar_type(2 * (p - 1)))
+    for u in range(1, f.order):
+        M = np.array([f.element_to_coeffs(f.mul(u, x)) for x in powers])
+        syn[:, u - 1] = (base @ M % p).reshape(n, -1)
+    return syn
+
+
+def _zero_pair_sums(syn: np.ndarray, j: int, m: int, p: int) -> np.ndarray:
+    """Indices of the zero pair sums h_j + u*h_k among all k > j and units
+    u, in level-2 candidate order, found as a test of each candidate would
+    find them: one row of H (m digits) at a time, each only for the sums
+    that are still zero."""
+    rest = syn[j + 1:].reshape(-1, syn.shape[2])
+    alive = np.arange(len(rest))
+    for c in range(0, syn.shape[2], m):
+        part = (syn[j, 0, c:c + m] + rest[alive, c:c + m]) % p
+        alive = alive[~part.any(axis=1)]
+        if not len(alive):
+            break
+    return alive
+
+
+def _pair_table(syn: np.ndarray, p: int) -> dict:
+    """The level-2 pair sums h_j + u*h_k (j < k) indexed by their digit
+    bytes: each key maps to its (j, k, u) in candidate order."""
     n, nu, L = syn.shape
-    J, K = np.triu_indices(n, 1)  # the pairs in combinations order
-    return ((syn[J, :1] + syn[K]) % p).reshape(-1, L)
+    size = L * syn.itemsize
+    table: dict[bytes, list] = {}
+    for j in range(n - 1):
+        raw = ((syn[j, 0] + syn[j + 1:]) % p).tobytes()
+        for r in range((n - 1 - j) * nu):
+            k, u = divmod(r, nu)
+            table.setdefault(raw[r * size:(r + 1) * size], []).append(
+                (j, j + 1 + k, u + 1))
+    return table
 
 
-def _pair_table(sums: np.ndarray, n: int) -> tuple:
-    """Index the rows of `_pair_sums`: the table maps the digit bytes of a
-    row to the first row with them, chain[r] is the next row after r with
-    the same bytes (None at the end), and row r belongs to the pair
-    (J[r // (q-1)], K[r // (q-1)])."""
-    raw, size = sums.tobytes(), sums.shape[1] * sums.itemsize
-    table: dict[bytes, int] = {}
-    chain: list[int | None] = [None] * len(sums)
-    for r in reversed(range(len(sums))):
-        key = raw[r * size:(r + 1) * size]
-        chain[r] = table.get(key)
-        table[key] = r
-    J, K = np.triu_indices(n, 1)
-    return table, chain, J.tolist(), K.tolist()
-
-
-def _first_codewords(neg: np.ndarray, p: int, pairs: tuple, w: int,
+def _first_codewords(neg: np.ndarray, p: int, table: dict, w: int,
                      prefix: tuple, acc: np.ndarray) -> list:
     """Every weight-w codeword on the first (w-2)-column prefix, in
     combinations order from `prefix` on, that extends to one, as (support,
     unit scalars) with the scalar at j equal to 1; [] if no prefix does.
     The prefix sum c_1*h_{i_1} + ... + c_{w-2}*h_{i_{w-2}} completes to a
-    codeword through each row h_j + u*h_k of the pair table, j beyond the
+    codeword through each pair sum h_j + u*h_k of the table, j beyond the
     prefix, under the key of -(prefix sum).  `neg` holds the digits of
     -u*h_j, and `acc` those of -(sum over `prefix`), one row per scalar
     vector in product order."""
@@ -290,12 +310,11 @@ def _first_codewords(neg: np.ndarray, p: int, pairs: tuple, w: int,
     if len(prefix) < w - 3:
         for i in range(lo, n - w + len(prefix) + 1):
             words = _first_codewords(
-                neg, p, pairs, w, prefix + (i,),
+                neg, p, table, w, prefix + (i,),
                 ((acc[:, None] + neg[i]) % p).reshape(-1, L))
             if words:
                 return words
         return []
-    table, chain, J, K = pairs
     # the last prefix position i, for every i at once
     block = (acc[None, :, None] + neg[lo:n - 2, None]) % p
     per_i = block.shape[1] * nu
@@ -304,14 +323,11 @@ def _first_codewords(neg: np.ndarray, p: int, pairs: tuple, w: int,
     for i in range(lo, n - 2):
         words = []
         for s in range(per_i):
-            row = table.get(raw[r * size:(r + 1) * size])
-            while row is not None:
-                pair, u = divmod(row, nu)
-                if J[pair] > i:
+            for j, k, u in table.get(raw[r * size:(r + 1) * size], ()):
+                if j > i:
                     c = np.unravel_index(s, (nu,) * (w - 2))
-                    words.append((prefix + (i, J[pair], K[pair]),
-                                  tuple(int(x) + 1 for x in c) + (1, u + 1)))
-                row = chain[row]
+                    words.append((prefix + (i, j, k),
+                                  tuple(int(x) + 1 for x in c) + (1, u)))
             r += 1
         if words:
             return words
@@ -342,18 +358,17 @@ def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:
     Level w holds comb(n, w)*(q-1)^(w-1) candidates: the supports in
     combinations order, each with its scalars in product order, the first
     scalar fixed to 1.  `work` counts the candidates up to the first hit, as
-    a loop over them would.  Syndromes are the GF(p) digits of u*h_j for each
-    column h_j of H and unit u: level 1 looks for a zero column, level 2 for
-    a zero pair sum h_j + u*h_k, and level w >= 3 looks up each (w-2)-prefix
-    with every scalar vector among those pair sums."""
+    a loop over them would.  Syndromes are the GF(p) digits of the columns
+    h_j of H: level 1 looks for a zero column; once level 2 fits, each
+    column is scaled by every unit u, and level 2 looks for a zero pair sum
+    h_j + u*h_k, one j at a time; once level 3 fits, those pair sums go into
+    a table, and level w >= 3 looks up each (w-2)-prefix with every scalar
+    vector in it."""
     f = C.field
     n, q, p = C.n, C.q, f.p
     nu = q - 1
-    digits = [[[c for row in C.H for c in f.element_to_coeffs(f.mul(u, row[j]))]
-               for u in range(1, q)] for j in range(n)]
-    syn = np.array(digits, dtype=np.min_scalar_type(2 * (p - 1))).reshape(
-        n, nu, len(C.H) * f.m)
-    neg = (p - syn) % p
+    coeffs = np.array([f.element_to_coeffs(a) for a in range(q)])
+    base = coeffs[np.array(C.H, dtype=np.intp).reshape(-1, n).T]
     work = 0
     for w in range(1, n + 1):
         level = comb(n, w) * nu ** (w - 1)
@@ -362,14 +377,23 @@ def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:
             if lo == 1:
                 return DistanceResult("interval", 1, n, "support_search", work)
             return DistanceResult("lower_bound", lo, None, "support_search", work)
-        if w <= 2:
-            sums = syn[:, 0] if w == 1 else _pair_sums(syn, p)
-            zero = np.flatnonzero(~sums.any(axis=1))
+        hit = None
+        if w == 1:
+            zero = np.flatnonzero(~base.any(axis=(1, 2)))
             hit = int(zero[0]) if len(zero) else None
+        elif w == 2:
+            syn = _unit_multiples(f, base)
+            offset = 0
+            for j in range(n - 1):
+                zero = _zero_pair_sums(syn, j, f.m, p)
+                if len(zero):
+                    hit = offset + int(zero[0])
+                    break
+                offset += (n - 1 - j) * nu
         else:
-            if w == 3:  # the level-2 pair sums, indexed once level 3 fits
-                pairs = _pair_table(sums, n)
-            words = _first_codewords(neg, p, pairs, w, (),
+            if w == 3:
+                table, neg = _pair_table(syn, p), (p - syn) % p
+            words = _first_codewords(neg, p, table, w, (),
                                      np.zeros((1, syn.shape[2]), syn.dtype))
             hit = min((_candidate_index(f, n, *word) for word in words),
                       default=None)

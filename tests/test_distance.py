@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from math import comb
 from types import SimpleNamespace
 
@@ -190,6 +192,42 @@ class TestSupportSearch:
         r = support_search_min_weight(code, budget=1000)
         assert r == support_search_loop(code, 1000)
         assert r.kind == "exact" and r.value == 2 and r.work == 3 + 25 + 1
+
+
+    @staticmethod
+    def _peak_bytes(C, budget):
+        tracemalloc.start()
+        try:
+            r = support_search_min_weight(C, budget)
+            return r, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_level_one_scales_no_column(self):
+        # 255/256: 255 units and 1024-digit columns; level 1 needs only H
+        qt = build_quartet(default_splitting(255, 256), field_from_order(256))
+        C = qt.C0
+        r, peak = self._peak_bytes(C, 2**10)
+        assert r == support_search_loop(C, 2**10)
+        assert r.to_dict() == {"kind": "lower_bound", "lo": 2, "hi": None,
+                               "method": "support_search", "work": 255}
+        # the digits of H take n * rows * 8 int64s; all 255 unit multiples
+        # of its columns would take about 30 times that
+        assert peak < 2 * C.n * len(C.H) * 8 * 8
+
+    def test_level_two_memory_stays_per_column(self):
+        # GF(256), 30 random check rows: each column has L = 240 digits;
+        # all comb(60, 2)*255 pair sums at once would take 108 MB
+        rng = random.Random(1)
+        n, rows = 60, 30
+        code = SimpleNamespace(field=make_field(2, 8), n=n, q=256, H=tuple(
+            tuple(rng.randrange(256) for _ in range(n)) for _ in range(rows)))
+        budget = n + comb(n, 2) * 255  # levels 1 and 2, not level 3
+        r, peak = self._peak_bytes(code, budget)
+        assert r.to_dict() == {"kind": "lower_bound", "lo": 3, "hi": None,
+                               "method": "support_search", "work": budget}
+        assert peak < 2 * n * 255 * rows * 8  # twice the unit multiples,
+        # one byte a digit
 
 
 class TestDiffset:
