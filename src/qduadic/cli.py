@@ -26,6 +26,7 @@ import time
 from math import gcd
 
 from .cyclic import (
+    CyclicCodeError,
     cyclotomic_cosets,
     is_quadratic_residue,
     ord_mod,
@@ -113,8 +114,12 @@ def _validate_nq(n: int, q: int) -> None:
 
 def _emit(payload: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write --output {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 
@@ -373,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (SplittingError, ConstructionError, DistanceError,
-            AssertionError) as exc:
+            CyclicCodeError, AssertionError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_ASSERTION
     except ValueError as exc:

@@ -510,6 +510,35 @@ def primitive_nth_root(n: int, base_q: int) -> tuple[Field, int]:
     return ext, alpha
 
 
+@lru_cache(maxsize=None)
+def _subfield_map(ext: Field, base: Field) -> dict[int, int]:
+    """The field isomorphism from the subfield of `ext` of size base.order
+    onto `base`, as a table of the nonzero elements.
+
+    omega = g^((Q-1)/(q-1)) generates that subfield, but omega -> g_base is
+    an isomorphism only if both have the same minimal polynomial over GF(p).
+    Some power omega^j with gcd(j, q-1) = 1 always has g_base's; the first
+    such j is taken, so the map is omega^(jk) -> g_base^k."""
+    g = base.generator
+    minpoly = Poly.one(base)
+    for i in range(base.m):  # the conjugates g^(p^i) of a primitive element
+        conjugate = base.pow(g, base.p**i)
+        minpoly = minpoly.mul(Poly.make([base.neg(conjugate), 1], base))
+    over_ext = Poly.make(minpoly.coeffs, ext)  # GF(p) sits at indices 0..p-1
+    omega = ext.exp((ext.order - 1) // (base.order - 1))
+    for j in range(1, base.order - 1):
+        if gcd(j, base.order - 1) != 1:
+            continue
+        root = ext.pow(omega, j)
+        if over_ext.eval(root) == 0:
+            table, x = {}, 1
+            for k in range(base.order - 1):
+                table[x] = base.exp(k)
+                x = ext.mul(x, root)
+            return table
+    raise FieldError("subfield embedding failed (internal error)")
+
+
 def embed_subfield_element(ext: Field, base: Field, a: int) -> int:
     """Map an element of `ext` lying in the subfield of size base.order to
     its index in the canonical `base` field."""
@@ -526,14 +555,7 @@ def embed_subfield_element(ext: Field, base: Field, a: int) -> int:
     if base.m == 1:
         # prime subfield occupies indices 0..p-1 in the polynomial basis
         return a
-    step = (ext.order - 1) // (base.order - 1)
-    omega = ext.exp(step)
-    x = omega
-    for k in range(1, base.order):
-        if x == a:
-            return base.exp(k)
-        x = ext.mul(x, omega)
-    raise FieldError("subfield embedding failed (internal error)")
+    return _subfield_map(ext, base)[a]
 
 
 def coerce_to_base(poly: Poly, base: Field) -> Poly:

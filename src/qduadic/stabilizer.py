@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from math import isqrt
 
-from .cyclic import CyclicCode, hermitian_dual
+from .cyclic import CyclicCode, hermitian_dual, mu_apply
 from .distance import (
     DEFAULT_BUDGET,
     DistanceError,
@@ -120,7 +120,8 @@ def _refine_with_theory(d: DistanceResult, n: int, mu_minus1: bool) -> DistanceR
 @dataclass(frozen=True)
 class QuartetWeights:
     """Odd-like distances of a duadic quartet C_i subset D_i, read off the
-    weight distributions of C0, C1 and, by MacWilliams, D0 and D1."""
+    weight distribution of C0, which C1 shares, and by MacWilliams those of
+    D0 and D1."""
 
     d0: DistanceResult  # min weight of D0 \ C0
     d1: DistanceResult | None  # min weight of D1 \ C1; None beyond the budget
@@ -129,26 +130,30 @@ class QuartetWeights:
 
 def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
                     workers: int = 1) -> QuartetWeights:
-    """Enumerate C0 and C1 once each and get D0 and D1 from the dual
-    identification: C0^perp is D0 when mu_{-1} gives the splitting and D1
-    otherwise (C1^perp is the other one).  In a Hermitian quartet also
-    C_i^{perp_h} = D_i, and the Hermitian dual is the conjugate of the
-    Euclidean dual, so both identifications give the same distributions.
-    D_i \\ C_i is the set of odd-like words of D_i, so its minimum weight is
-    the least w with A_w(D_i) > A_w(C_i).  Beyond the budget d0 is the
-    vacuous interval [1, n] and d1 is None."""
+    """Enumerate C0 once.  The multiplier mu_a of the splitting swaps S0
+    and S1, so it permutes the coordinates of C0 onto C1 and of D0 onto D1:
+    C1 has C0's distribution, and D0 and D1 share one.  C0^perp has the
+    defining set -S1, the mu_{-1} image of D1's, so that shared distribution
+    is the MacWilliams transform of C0's.  (A Hermitian dual is the conjugate
+    of the Euclidean dual and has the same distribution.)  D_i \\ C_i is the
+    set of odd-like words of D_i, so its minimum weight is the least w with
+    A_w(D_i) > A_w(C_i).  Beyond the budget d0 is the vacuous interval
+    [1, n] and d1 is None."""
     n, q = quartet.n, quartet.q
     C0, C1 = quartet.C0, quartet.C1
     if not enumerable(C0, budget):  # C1 has the same length, field and k
         return QuartetWeights(
             DistanceResult("interval", 1, n, "full_enumeration", 0), None, None)
-    A = {"C0": weight_distribution(C0, budget, workers),
-         "C1": weight_distribution(C1, budget, workers)}
-    dual0, dual1 = (("D0", "D1") if quartet.splitting.is_given_by(n - 1)
-                    else ("D1", "D0"))
-    A[dual0] = macwilliams(A["C0"], n, q)
-    A[dual1] = macwilliams(A["C1"], n, q)
-    work = C0.q**C0.k - 1 + C1.q**C1.k - 1
+    if (C1.field != C0.field
+            or mu_apply(C0.T.members, quartet.splitting.a, n) != C1.T.as_set()):
+        raise DistanceError(
+            "C1 is not the mu_a image of C0, so it cannot share C0's weight "
+            "distribution (internal bug)")
+    A = {"C0": weight_distribution(C0, budget, workers)}
+    A["C1"] = dict(A["C0"])
+    A["D0"] = macwilliams(A["C0"], n, q)
+    A["D1"] = dict(A["D0"])
+    work = C0.q**C0.k - 1
     d = []
     for i in "01":
         D, C = A["D" + i], A["C" + i]
@@ -165,17 +170,13 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
 
 def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
             budget: int, workers: int) -> DistanceResult:
-    """Smallest nonzero weight over the named even-like codes: read off their
-    enumerated distributions, or by support search beyond the budget."""
-    results = []
-    for name, C in codes.items():
-        if weights.distributions is None:
-            results.append(min_weight(C, budget, workers))
-        else:
-            val = min(w for w in weights.distributions[name] if w)
-            results.append(DistanceResult.exact(val, "full_enumeration",
-                                                C.q**C.k - 1))
-    return reduce(_combine_min, results)
+    """Smallest nonzero weight over the named even-like codes: read off the
+    one enumerated distribution, or by support search beyond the budget."""
+    if weights.distributions is None:
+        return reduce(_combine_min, (min_weight(C, budget, workers)
+                                     for C in codes.values()))
+    val = min(w for name in codes for w in weights.distributions[name] if w)
+    return DistanceResult.exact(val, "full_enumeration", weights.d0.work)
 
 
 def css_from_quartet(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,

@@ -9,6 +9,7 @@ field helpers below them serve the cyclic-code and field tests only.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -180,8 +181,15 @@ def embed_into_extension(poly: Poly, ext: Field) -> Poly:
         raise FieldError(f"{base} is not a subfield of {ext}")
     if base.m == 1:
         return Poly.make(poly.coeffs, ext)
-    step = (ext.order - 1) // (base.order - 1)
-    out = []
-    for c in poly.coeffs:
-        out.append(0 if c == 0 else ext.exp(step * base.log(c)))
-    return Poly.make(out, ext)
+    # g^k -> omega^(jk) is multiplicative for every j; take the first j
+    # coprime to q - 1 for which it also respects addition, checked on the
+    # whole field (phi(c + 1) = phi(c) + 1 for all c suffices)
+    q = base.order
+    step = (ext.order - 1) // (q - 1)
+    for j in range(1, q - 1):
+        if math.gcd(j, q - 1) != 1:
+            continue
+        lift = [0] + [ext.exp(step * j * base.log(c)) for c in range(1, q)]
+        if all(lift[base.add(c, 1)] == ext.add(lift[c], 1) for c in range(q)):
+            return Poly.make([lift[c] for c in poly.coeffs], ext)
+    raise FieldError(f"no embedding of {base} into {ext} found")

@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,7 @@ from qduadic.cli import (
     main,
     parse_budget,
 )
-from qduadic.duadic import iter_splittings
+from qduadic.duadic import default_splitting, iter_splittings
 
 
 def run(capsys, *argv):
@@ -152,6 +153,13 @@ class TestBuild:
         assert code == EXIT_OK and stdout == ""
         assert json.loads(out.read_text())["stabilizer"]["d"]["lo"] == 3
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "build", "css", "17", "2",
+                             "--output", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert err.count("\n") == 1 and "cannot write" in err
+
     def test_budget_shorthand(self, capsys):
         code, doc = run_json(capsys, "build", "css", "17", "2",
                              "--budget", "2^20")
@@ -234,6 +242,57 @@ class TestVerify:
         assert doc["tallies"]["macwilliams_matches_enumeration"] == \
             {"passed": 2, "failed": 0, "skipped": 0}
 
+    def test_c1_is_enumerated_directly(self, capsys, monkeypatch):
+        import qduadic.verify
+        real = qduadic.verify.weight_distribution
+        seen = []
+
+        def recorded(C, *args, **kwargs):
+            seen.append((C.n, frozenset(C.T.members)))
+            return real(C, *args, **kwargs)
+
+        monkeypatch.setattr(qduadic.verify, "weight_distribution", recorded)
+        code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "31")
+        assert code == EXIT_OK
+        for n in (7, 17, 23, 31):  # the lengths with a binary splitting
+            s = default_splitting(n, 2)
+            assert (n, frozenset(s.S1 + (0,))) in seen
+        assert doc["tallies"] == {
+            "bound_report_consistent": {"failed": 0, "passed": 4, "skipped": 0},
+            "duadic_dimensions": {"failed": 0, "passed": 4, "skipped": 0},
+            "dual_defining_set_matches_matrix":
+                {"failed": 0, "passed": 4, "skipped": 0},
+            "hermitian_dual_is_D0": {"failed": 0, "passed": 3, "skipped": 0},
+            "macwilliams_matches_enumeration":
+                {"failed": 0, "passed": 2, "skipped": 0},
+            "mu_a_squared_fixes_sides": {"failed": 0, "passed": 4, "skipped": 0},
+            "mu_image_weight_distribution":
+                {"failed": 0, "passed": 3, "skipped": 0},
+            "mu_minus1_equals_mu_minus_q":
+                {"failed": 0, "passed": 3, "skipped": 0},
+            "odd_like_weights_equal": {"failed": 0, "passed": 4, "skipped": 0},
+            "splitting_iff_quadratic_residue":
+                {"failed": 0, "passed": 15, "skipped": 0},
+            "square_root_bound": {"failed": 0, "passed": 4, "skipped": 0},
+            "square_root_bound_mu_minus1":
+                {"failed": 0, "passed": 3, "skipped": 0},
+        }
+
+    def test_c1_check_is_not_vacuous(self, capsys, monkeypatch):
+        import qduadic.verify
+        real = qduadic.verify.weight_distribution
+
+        def off_by_one(C, *args, **kwargs):
+            A = real(C, *args, **kwargs)
+            if 0 in C.T.members:  # an even-like code
+                A = {**A, C.n: A.get(C.n, 0) + 1}
+            return A
+
+        monkeypatch.setattr(qduadic.verify, "weight_distribution", off_by_one)
+        code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "7")
+        assert code == EXIT_ASSERTION
+        assert doc["tallies"]["odd_like_weights_equal"]["failed"] == 1
+
     def test_no_check_is_not_a_pass(self, capsys):
         code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "1")
         assert doc["tallies"] == {} and doc["all_passed"] is False
@@ -250,15 +309,18 @@ class TestInvariantFailures:
         assert "internal error" in err
 
     @pytest.mark.parametrize("exc", ["SplittingError", "ConstructionError",
-                                     "DistanceError", "AssertionError"])
+                                     "DistanceError", "CyclicCodeError",
+                                     "AssertionError"])
     def test_each_invariant_error_exits_4(self, capsys, monkeypatch, exc):
         import qduadic.cli
+        import qduadic.cyclic
         import qduadic.distance
         import qduadic.duadic
         import qduadic.stabilizer
         error = {"SplittingError": qduadic.duadic.SplittingError,
                  "ConstructionError": qduadic.stabilizer.ConstructionError,
                  "DistanceError": qduadic.distance.DistanceError,
+                 "CyclicCodeError": qduadic.cyclic.CyclicCodeError,
                  "AssertionError": AssertionError}[exc]
 
         def broken(*args, **kwargs):
@@ -266,6 +328,20 @@ class TestInvariantFailures:
 
         monkeypatch.setattr(qduadic.cli, "css_from_quartet", broken)
         assert run(capsys, "build", "css", "7", "2")[0] == EXIT_ASSERTION
+
+
+class TestRobustness:
+    def test_build_sweep_exit_codes(self, capsys):
+        # every coprime (n, q) builds, proves nonexistence or gives intervals
+        for construction in ("css", "hermitian"):
+            for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+                for n in range(3, 26, 2):
+                    if gcd(n, q) != 1:
+                        continue
+                    code, _, err = run(capsys, "build", construction, str(n),
+                                       str(q), "--budget", "2^12")
+                    assert code in (EXIT_OK, EXIT_NONEXISTENT, EXIT_PARTIAL), \
+                        (construction, n, q, err)
 
 
 class TestUsage:

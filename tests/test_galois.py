@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import embed_into_extension, frobenius
 
+from qduadic.cyclic import cyclotomic_cosets
 from qduadic.galois import (
     FieldError,
     Poly,
     coerce_to_base,
+    embed_subfield_element,
     factorize,
     field_from_order,
     make_field,
@@ -217,6 +219,36 @@ class TestCoercion:
         for coeffs in [(1,), (1, 0, 1), tuple(range(min(base.order, 4)))]:
             p = Poly.make(coeffs, base)
             assert coerce_to_base(embed_into_extension(p, ext), base) == p
+
+    # splitting fields of 7/4, 7/9, 7/25, 19/49, 19/64 and 25/16; in all but
+    # the first, omega -> generator of the base field is not a field map
+    @pytest.mark.parametrize("p,base_m,ext_m", [(2, 2, 6), (3, 2, 6), (5, 2, 6),
+                                                (7, 2, 6), (2, 6, 18),
+                                                (2, 4, 20)])
+    def test_subfield_embedding_is_field_isomorphism(self, p, base_m, ext_m):
+        base, ext = make_field(p, base_m), make_field(p, ext_m)
+        step = (ext.order - 1) // (base.order - 1)
+        sub = [0] + [ext.exp(step * k) for k in range(base.order - 1)]
+        phi = {a: embed_subfield_element(ext, base, a) for a in sub}
+        assert sorted(phi.values()) == list(range(base.order))
+        for a in sub:
+            for b in sub:
+                assert phi[ext.add(a, b)] == base.add(phi[a], phi[b])
+                assert phi[ext.mul(a, b)] == base.mul(phi[a], phi[b])
+
+    @pytest.mark.parametrize("n,q", [(7, 9), (7, 25), (19, 49)])
+    def test_genpoly_roots_are_the_defining_set(self, n, q):
+        base = make_field(*next(iter(factorize(q).items())))
+        ext, alpha = primitive_nth_root(n, q)
+        cs = cyclotomic_cosets(n, q)
+        T = cs.coset_of(1)
+        g = Poly.one(ext)
+        for j in T:
+            g = g.mul(Poly.make([ext.neg(ext.pow(alpha, j)), 1], ext))
+        gb = coerce_to_base(g, base)
+        lifted = embed_into_extension(gb, ext)
+        assert {j for j in range(n) if lifted.eval(ext.pow(alpha, j)) == 0} \
+            == set(T)
 
     def test_gf4_coefficients_from_gf64(self):
         ext, alpha = primitive_nth_root(7, 4)

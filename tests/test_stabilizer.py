@@ -1,10 +1,12 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from oracles import min_weight_diffset, naive_distribution, naive_min_weight
 from qduadic.cyclic import euclidean_dual
-from qduadic.distance import DistanceResult
+import qduadic.stabilizer
+from qduadic.distance import DistanceError, DistanceResult
 from qduadic.duadic import (
     build_quartet,
     default_splitting,
@@ -191,6 +193,12 @@ def _oracle_quartets():
                         cases.append(pytest.param(
                             construction, s,
                             id=f"{construction}-{n}-{code_q}-{s.splitting_id}"))
+    # odd-characteristic quadratic extensions, whose subfield embedding is not
+    # omega -> generator
+    for n, q in ((7, 9), (7, 25)):
+        s = default_splitting(n, q)
+        cases.append(pytest.param("css", s,
+                                  id=f"css-{n}-{q}-{s.splitting_id}"))
     return cases
 
 
@@ -215,3 +223,46 @@ class TestEngineAgainstOracles:
             p = hermitian_from_quartet(qt)
             purity = naive_min_weight(qt.C0)
         assert p.d.value == w.d0.value and p.purity.value == purity
+
+
+class TestOneEnumeration:
+    """C1 = C0 mu_a, so the engine enumerates C0 alone."""
+
+    def _quartet(self, n, q=2):
+        return build_quartet(default_splitting(n, q), field_from_order(q))
+
+    @pytest.mark.parametrize("n,q", [(17, 2), (23, 2), (11, 3), (7, 4)])
+    def test_one_weight_distribution_call(self, monkeypatch, n, q):
+        calls = []
+        real = qduadic.stabilizer.weight_distribution
+
+        def counted(C, *args, **kwargs):
+            calls.append(C)
+            return real(C, *args, **kwargs)
+
+        monkeypatch.setattr(qduadic.stabilizer, "weight_distribution", counted)
+        qt = self._quartet(n, q)
+        quartet_weights(qt)
+        assert calls == [qt.C0]
+
+    @pytest.mark.parametrize("n,q", [(17, 2), (23, 2), (11, 3)])
+    def test_work_counts_the_words_enumerated(self, n, q):
+        qt = self._quartet(n, q)
+        p = css_from_quartet(qt)
+        assert p.d.work == q ** qt.C0.k - 1 == p.purity.work
+
+    def test_hermitian_purity_work(self):
+        qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
+        p = hermitian_from_quartet(qt)
+        assert p.d.work == p.purity.work == 4**3 - 1
+
+    def test_replaced_c1_is_refused(self):
+        qt = self._quartet(17)
+        with pytest.raises(DistanceError, match="mu_a image"):
+            quartet_weights(replace(qt, C1=qt.C0))
+
+    def test_c1_from_another_field_is_refused(self):
+        qt = self._quartet(7)
+        other = build_quartet(default_splitting(7, 4), field_from_order(4))
+        with pytest.raises(DistanceError, match="mu_a image"):
+            quartet_weights(replace(qt, C1=other.C1))
