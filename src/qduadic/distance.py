@@ -8,7 +8,9 @@ field, so a k-dimensional code over GF(p^m) becomes a (k*m)-row code
 enumerated by a p-ary odometer.  For characteristic 2 the codewords are
 packed into machine words (one e-bit cell per coordinate, addition = XOR) and
 scanned in blocks with numpy popcounts; otherwise a plain odometer runs.
-Beyond the budget, a low-weight support search bounds the minimum weight.
+The kernels scan only the shortened subcode {c_0 = 0}, q^(k-1) words, and
+the cyclic symmetry rebuilds the full histogram from it exactly.  Beyond the
+budget, a low-weight support search bounds the minimum weight.
 
 Enumeration order is the canonical reflected Gray / odometer sequence, so
 work counters are reproducible and independent of the worker count.
@@ -197,15 +199,56 @@ def min_weight(C: CyclicCode, budget: int = DEFAULT_BUDGET,
 
 def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,
                         workers: int = 1) -> dict[int, int]:
-    """Full weight histogram {weight: count}, by the packed Gray kernel where
-    it applies, otherwise by the odometer."""
+    """Full weight histogram {weight: count}, rebuilt from a scan of the
+    shortened subcode {c : c_0 = 0}, q^(k-1) words.  The cyclic shift is
+    transitive on the coordinates, so a weight-w word has c_i = 0 at n - w
+    of its n coordinates, equally often at each: n*A'_w = (n - w)*A_w for
+    the subcode's A'_w, and A_n is what remains of q^k."""
     total = C.q**C.k
     if total > budget:
         raise DistanceError(f"q^k = {total} exceeds the budget {budget}")
     if C.k == 0:
         return {0: 1}
+    n = C.n
+    A = {}
+    for w, count in _histogram(C, _shortened_rows(C), workers).items():
+        if w == n or n * count % (n - w):
+            raise DistanceError(
+                f"the shortened subcode has {count} words of weight {w}, "
+                f"which no cyclic code of length {n} has (internal bug)")
+        A[w] = n * count // (n - w)
+    rest = total - sum(A.values())
+    if rest < 0:
+        raise DistanceError(
+            f"the rebuilt histogram holds more than q^k = {total} words "
+            "(internal bug)")
+    if rest:
+        A[n] = rest
+    return A
+
+
+def _shortened_rows(C: CyclicCode):
+    """Prime-field rows spanning {c in C : c_0 = 0}.  Row i of G is
+    x^i*g(x) and g(0) != 0, so only row 0 is nonzero at coordinate 0 and
+    the expansions of rows 1..k-1 span the subcode."""
+    G = C.G
+    if not G[0][0] or any(row[0] for row in G[1:]):
+        raise DistanceError(
+            "the generator matrix is not in x^i*g(x) shape, so its rows "
+            "past the first do not span the shortened subcode (internal bug)")
+    return _expanded_rows(C)[C.field.m:]
+
+
+def _full_scan_distribution(C: CyclicCode, workers: int = 1) -> dict[int, int]:
+    """Weight histogram of C from a scan of all q^k words, without the
+    shortening; an independent route to check `weight_distribution`."""
+    return _histogram(C, _expanded_rows(C), workers)
+
+
+def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
+    """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C,
+    by the packed Gray kernel where it applies, otherwise by the odometer."""
     f = C.field
-    rows = _expanded_rows(C)
     if not _packs(C):
         return dict(sorted(_scan_generic(rows, C.n, f.p, f).items()))
     e = f.m

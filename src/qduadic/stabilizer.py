@@ -153,7 +153,7 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
     A["C1"] = dict(A["C0"])
     A["D0"] = macwilliams(A["C0"], n, q)
     A["D1"] = dict(A["D0"])
-    work = C0.q**C0.k - 1
+    work = C0.q**(C0.k - 1) - 1  # the nonzero words of {c in C0 : c_0 = 0}
     d = []
     for i in "01":
         D, C = A["D" + i], A["C" + i]

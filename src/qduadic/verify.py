@@ -15,7 +15,11 @@ from .cyclic import (
     mu_apply,
     ord_mod,
 )
-from .distance import DEFAULT_BUDGET, weight_distribution
+from .distance import (
+    DEFAULT_BUDGET,
+    _full_scan_distribution,
+    weight_distribution,
+)
 from .duadic import (
     build_quartet,
     check_square_root_bound,
@@ -96,6 +100,12 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
                           f"n={n} d_o={d}")
             report = check_square_root_bound(quartet, d0, d1)
             res.check("bound_report_consistent", report.all_satisfied, f"n={n}")
+            # the engine scans only {c in C0 : c_0 = 0}; a scan of all of
+            # C0 by the same kernel checks the rebuilt histogram
+            if n <= 21:
+                res.check("shortening_matches_full_scan",
+                          _full_scan_distribution(quartet.C0, workers)
+                          == weights.distributions["C0"], f"n={n}")
         else:
             res.record("odd_like_weights_equal", "skipped",
                        f"n={n} exceeds budget")

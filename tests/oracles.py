@@ -1,8 +1,9 @@
 """Slow, direct routes that the tests check the library against.
 
-The distance oracles re-encode every message with the field's own addition
-and multiplication tables and compare codewords as sets, sharing no code with
-the packed Gray kernel, the odometer or the MacWilliams transform.  The
+The distance oracles re-encode every message with digitwise addition and
+the field's multiplication and compare codewords as sets, sharing no code
+with the packed Gray kernel, the odometer, the shortened-subcode rebuild,
+Zech-logarithm addition or the MacWilliams transform.  The
 support-search loop tests every candidate against the check matrix one by
 one, as the library did before its pair-table search.  The linear-algebra and
 field helpers below them serve the cyclic-code and field tests only.
@@ -22,7 +23,9 @@ def enumerate_codewords_naive(C) -> np.ndarray:
     """Every codeword of C, one row per message, by direct re-encoding."""
     f = C.field
     q = f.order
-    add = np.array([f.add(a, b) for a in range(q) for b in range(q)],
+    digits = [f.element_to_coeffs(a) for a in range(q)]
+    add = np.array([f.coeffs_to_element([(x + y) % f.p for x, y in zip(a, b)])
+                    for a in digits for b in digits],
                    dtype=np.uint16)  # add[a*q + b] = a + b
     msgs = np.array(list(itertools.product(range(q), repeat=C.k)),
                     dtype=np.intp).reshape(-1, C.k)

@@ -160,6 +160,31 @@ class TestBuild:
         assert code == EXIT_USAGE and out == ""
         assert err.count("\n") == 1 and "cannot write" in err
 
+    def test_css_23_3_golden(self, capsys):
+        code, doc = run_json(capsys, "build", "css", "23", "3")
+        assert code == EXIT_OK
+        st = doc["stabilizer"]
+        assert (st["n"], st["k"], st["q"]) == (23, 1, 3)
+        assert st["d"] == {"kind": "exact", "lo": 8, "hi": 8,
+                           "method": "full_enumeration", "work": 3**10 - 1}
+        assert st["purity"] == {"kind": "exact", "lo": 9, "hi": 9,
+                                "method": "full_enumeration",
+                                "work": 3**10 - 1}
+        assert st["degenerate"] == "no"
+
+    def test_hermitian_7_9_golden(self, capsys):
+        code, doc = run_json(capsys, "build", "hermitian", "7", "9")
+        assert code == EXIT_OK
+        assert doc["splitting"]["id"] == "97e5bb9c23cc"
+        st = doc["stabilizer"]
+        assert (st["n"], st["k"], st["q"]) == (7, 1, 9)
+        assert st["d"] == {"kind": "exact", "lo": 4, "hi": 4,
+                           "method": "full_enumeration", "work": 81**2 - 1}
+        assert st["purity"] == {"kind": "exact", "lo": 5, "hi": 5,
+                                "method": "full_enumeration",
+                                "work": 81**2 - 1}
+        assert st["degenerate"] == "no"
+
     def test_budget_shorthand(self, capsys):
         code, doc = run_json(capsys, "build", "css", "17", "2",
                              "--budget", "2^20")
@@ -271,6 +296,8 @@ class TestVerify:
             "mu_minus1_equals_mu_minus_q":
                 {"failed": 0, "passed": 3, "skipped": 0},
             "odd_like_weights_equal": {"failed": 0, "passed": 4, "skipped": 0},
+            "shortening_matches_full_scan":
+                {"failed": 0, "passed": 2, "skipped": 0},
             "splitting_iff_quadratic_residue":
                 {"failed": 0, "passed": 15, "skipped": 0},
             "square_root_bound": {"failed": 0, "passed": 4, "skipped": 0},
@@ -292,6 +319,21 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "7")
         assert code == EXIT_ASSERTION
         assert doc["tallies"]["odd_like_weights_equal"]["failed"] == 1
+
+    def test_shortening_check_is_not_vacuous(self, capsys, monkeypatch):
+        import qduadic.verify
+        real = qduadic.verify._full_scan_distribution
+
+        def off_by_one(C, *args, **kwargs):
+            A = real(C, *args, **kwargs)
+            return {**A, C.n: A.get(C.n, 0) + 1}
+
+        monkeypatch.setattr(qduadic.verify, "_full_scan_distribution",
+                            off_by_one)
+        code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "7")
+        assert code == EXIT_ASSERTION
+        assert doc["tallies"]["shortening_matches_full_scan"] == \
+            {"passed": 0, "failed": 1, "skipped": 0}
 
     def test_no_check_is_not_a_pass(self, capsys):
         code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "1")
@@ -328,6 +370,36 @@ class TestInvariantFailures:
 
         monkeypatch.setattr(qduadic.cli, "css_from_quartet", broken)
         assert run(capsys, "build", "css", "7", "2")[0] == EXIT_ASSERTION
+
+
+    @pytest.mark.parametrize("fault", ["fractional", "too_many_words",
+                                       "row_1_at_coordinate_0"])
+    def test_shortening_invariants_exit_4(self, capsys, monkeypatch, fault):
+        import dataclasses
+        import qduadic.distance
+        import qduadic.duadic
+        if fault == "fractional":  # 7 * 1 / (7 - 3) is not an integer
+            monkeypatch.setattr(qduadic.distance, "_histogram",
+                                lambda C, rows, workers: {0: 1, 3: 1})
+            message = "which no cyclic code"
+        elif fault == "too_many_words":  # rebuilds 15 words, q^k = 8
+            monkeypatch.setattr(qduadic.distance, "_histogram",
+                                lambda C, rows, workers: {0: 1, 3: 8})
+            message = "more than q^k"
+        else:
+            message = "not in x^i*g(x) shape"
+            real = qduadic.duadic.make_cyclic_code
+
+            def skewed(n, field, T):
+                C = real(n, field, T)
+                row1 = tuple(a ^ b for a, b in zip(C.G[0], C.G[1]))
+                return dataclasses.replace(C, G=(C.G[0], row1) + C.G[2:])
+
+            monkeypatch.setattr(qduadic.duadic, "make_cyclic_code", skewed)
+        code, out, err = run(capsys, "build", "css", "7", "2")
+        assert code == EXIT_ASSERTION and out == ""
+        assert err.startswith("internal error") and message in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 class TestRobustness:

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
-from math import comb
+from dataclasses import replace
+from math import comb, gcd
 from types import SimpleNamespace
 
 import pytest
@@ -12,17 +13,24 @@ from oracles import (
     naive_min_weight,
     support_search_loop,
 )
+import qduadic.distance
 from qduadic.cyclic import DefiningSet, cyclotomic_cosets, make_cyclic_code
 from qduadic.distance import (
     DistanceError,
     DistanceResult,
+    _full_scan_distribution,
     macwilliams,
     min_weight,
     support_search_min_weight,
     weight_distribution,
 )
 from qduadic.duadic import build_quartet, default_splitting, splitting_by
-from qduadic.galois import field_from_order, make_field
+from qduadic.galois import (
+    FIELD_SIZE_CAP,
+    field_from_order,
+    make_field,
+    ord_mod,
+)
 from qduadic.stabilizer import quartet_weights
 
 
@@ -103,6 +111,97 @@ class TestKnownValues:
     def test_work_counts_all_messages(self):
         C = _code(17, 2, [1])
         assert min_weight(C).work == 2**C.k - 1
+
+
+def _coset_unions(n, q, max_words=2**14, sample=64):
+    """Defining sets of the cyclic codes of length n over GF(q) with
+    0 < k and q^k <= max_words: every union of cyclotomic cosets whose
+    complement holds k <= log_q(max_words) residues, or a fixed sample of
+    them when there are more."""
+    cosets = cyclotomic_cosets(n, q).cosets
+    k_max = 0
+    while q ** (k_max + 1) <= max_words:
+        k_max += 1
+
+    def complements(start, room):
+        yield ()
+        for i in range(start, len(cosets)):
+            if len(cosets[i]) <= room:
+                for more in complements(i + 1, room - len(cosets[i])):
+                    yield (i,) + more
+
+    unions = [tuple(sorted(j for i, c in enumerate(cosets) if i not in rest
+                           for j in c))
+              for rest in complements(0, k_max) if rest]
+    if len(unions) > sample:
+        unions = random.Random(1000 * n + q).sample(unions, sample)
+    return unions
+
+
+class TestShortening:
+    """The kernels scan {c : c_0 = 0} and rebuild the histogram by cyclic
+    symmetry; the re-encoder scans every message."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+    def test_matches_naive_oracle(self, q):
+        f = field_from_order(q)
+        checked = 0
+        for n in range(3, 40, 2):
+            if gcd(n, q) != 1 or q ** ord_mod(n, q) > FIELD_SIZE_CAP:
+                continue  # no splitting field under the cap
+            for T in _coset_unions(n, q):
+                C = make_cyclic_code(n, f, DefiningSet(n, q, T))
+                assert weight_distribution(C) == naive_distribution(C), (n, T)
+                checked += 1
+        assert checked >= 30
+
+    def test_full_scan_agrees(self):
+        for n, q, leaders in TestAgainstNaiveOracle.CASES:
+            C = _code(n, q, leaders)
+            assert weight_distribution(C) == _full_scan_distribution(C)
+
+    def test_workers_on_several_blocks(self):
+        qt = build_quartet(default_splitting(41, 2), make_field(2))
+        C = qt.C0  # k = 20: 19 shortened rows, 8 blocks of 2^16 words
+        assert C.k == 20
+        assert weight_distribution(C, workers=2) == weight_distribution(C)
+
+    def test_repetition_code(self):
+        # k = 1: the shortened subcode is {0}, and every nonzero word has
+        # weight n
+        C = _code(7, 3, [1, 3])
+        assert C.k == 1 and weight_distribution(C) == {0: 1, 7: 2}
+
+    def test_full_space(self):
+        C = make_cyclic_code(5, make_field(2), DefiningSet(5, 2, ()))
+        assert weight_distribution(C) == \
+            {w: comb(5, w) for w in range(6)}
+
+    @pytest.mark.parametrize("hist,message", [
+        # 7 * 1 / (7 - 3) is not an integer
+        ({0: 1, 3: 1}, "which no cyclic code"),
+        # a word of the subcode has c_0 = 0, so its weight is below n
+        ({0: 1, 7: 1}, "which no cyclic code"),
+        # A_3 = 7 * 12 / 4 = 21 leaves A_7 = 16 - 22 < 0
+        ({0: 1, 3: 12}, "more than q\\^k"),
+    ])
+    def test_impossible_subcode_histogram_raises(self, monkeypatch, hist,
+                                                 message):
+        monkeypatch.setattr(qduadic.distance, "_histogram",
+                            lambda C, rows, workers: dict(hist))
+        with pytest.raises(DistanceError, match=message):
+            weight_distribution(_code(7, 2, [1]))
+
+    @pytest.mark.parametrize("change", ["row0", "row1"])
+    def test_generator_not_in_shift_shape_raises(self, change):
+        C = _code(7, 2, [1])
+        G = [list(row) for row in C.G]
+        if change == "row0":
+            G[0] = G[1]  # G[0][0] = 0
+        else:
+            G[1] = [a ^ b for a, b in zip(G[0], G[1])]  # G[1][0] != 0
+        with pytest.raises(DistanceError, match="x\\^i\\*g\\(x\\) shape"):
+            weight_distribution(replace(C, G=tuple(map(tuple, G))))
 
 
 class TestParallel:

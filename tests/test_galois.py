@@ -4,6 +4,7 @@ from oracles import embed_into_extension, frobenius
 
 from qduadic.cyclic import cyclotomic_cosets
 from qduadic.galois import (
+    Field,
     FieldError,
     Poly,
     coerce_to_base,
@@ -131,6 +132,37 @@ class TestArithmetic:
         assert f.pow(a, e) == f._raw_pow(a, e)
         if a:
             assert f.inv(a) == f._raw_pow(a, f.order - 2)
+
+
+class TestZechAddition:
+    """Addition by Zech logarithms in the tabled fields GF(p^m), p odd and
+    m > 1, against digitwise addition mod p."""
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 5)])
+    def test_exhaustive(self, p, m):
+        f = make_field(p, m)
+        assert f._exp is not None
+        for a in f.elements():
+            da = f.element_to_coeffs(a)
+            for b in f.elements():
+                digits = [(x + y) % p
+                          for x, y in zip(da, f.element_to_coeffs(b))]
+                assert f.add(a, b) == f.coeffs_to_element(digits), (a, b)
+
+    def test_built_on_first_add(self):
+        f = Field(3, 2)  # a fresh instance, outside the make_field cache
+        assert f._zech is None
+        f.add(1, 2)
+        assert f._zech is not None
+
+    def test_untabled_field_adds_by_digits(self):
+        f = make_field(3, 11)
+        assert f._log is None
+        a, b = 3**11 - 1, 2 * 3**10 + 5
+        digits = [(x + y) % 3 for x, y in zip(f.element_to_coeffs(a),
+                                              f.element_to_coeffs(b))]
+        assert f.add(a, b) == f.coeffs_to_element(digits)
+        assert f._zech is None
 
 
 class TestFrobenius:

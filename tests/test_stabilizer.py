@@ -249,12 +249,13 @@ class TestOneEnumeration:
     def test_work_counts_the_words_enumerated(self, n, q):
         qt = self._quartet(n, q)
         p = css_from_quartet(qt)
-        assert p.d.work == q ** qt.C0.k - 1 == p.purity.work
+        # the kernel scans the shortened subcode {c in C0 : c_0 = 0}
+        assert p.d.work == q ** (qt.C0.k - 1) - 1 == p.purity.work
 
     def test_hermitian_purity_work(self):
         qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
         p = hermitian_from_quartet(qt)
-        assert p.d.work == p.purity.work == 4**3 - 1
+        assert p.d.work == p.purity.work == 4**2 - 1
 
     def test_replaced_c1_is_refused(self):
         qt = self._quartet(17)
