@@ -46,10 +46,9 @@ from .galois import (
 )
 from .stabilizer import (
     StabilizerParams,
-    css_from_quartet,
     degeneracy_verdict,
-    hermitian_from_quartet,
     quartet_weights,
+    stabilizer_params,
 )
 
 __version__ = "0.1.0"

@@ -23,12 +23,11 @@ import io
 import json
 import sys
 import time
-from math import gcd
+from math import gcd, isqrt
 
 from .cyclic import (
     CyclicCodeError,
     cyclotomic_cosets,
-    is_quadratic_residue,
     ord_mod,
     quadratic_residue_witness,
 )
@@ -37,23 +36,19 @@ from .duadic import (
     DuadicQuartet,
     Splitting,
     SplittingError,
-    build_quartet,
     default_splitting,
     degeneracy_certificate,
     duadic_exists,
     iter_splittings,
+    materialize_quartet,
     side_id,
     splitting_by,
 )
-from .galois import FieldError, factorize, field_from_order
+from .galois import factorize
 from .stabilizer import (
     ConstructionError,
-    StabilizerParams,
-    css_from_quartet,
-    css_params_from_splitting,
     degeneracy_verdict,
-    hermitian_from_quartet,
-    hermitian_params_from_splitting,
+    stabilizer_params,
     verify_hermitian_condition,
 )
 from .verify import run_suite
@@ -174,9 +169,7 @@ def _select_splitting(n: int, code_q: int, construction: str,
                         return s.swapped() if swap else s
         raise UsageError(f"no splitting with id {splitting_id} found")
     if construction == "hermitian":
-        import math
-        q0 = math.isqrt(code_q)
-        return splitting_by(n, code_q, (-q0) % n)
+        return splitting_by(n, code_q, (-isqrt(code_q)) % n)
     return default_splitting(n, code_q)
 
 
@@ -206,25 +199,13 @@ def cmd_build(args) -> int:
             "Hermitian construction refused\n")
         return EXIT_NONEXISTENT
 
-    quartet = None
-    try:
-        quartet = build_quartet(splitting, field_from_order(code_q))
-    except FieldError as exc:
-        sys.stderr.write(f"quartet not materialized: {exc}\n")
-
+    quartet = materialize_quartet(splitting, lambda exc: sys.stderr.write(
+        f"quartet not materialized: {exc}\n"))
+    params = stabilizer_params(splitting, quartet, construction, args.budget,
+                               args.workers)
     cert_kind = "Hermitian" if construction == "hermitian" else "CSS"
-    certificate = degeneracy_certificate(n, q, cert_kind)
-    if quartet is not None:
-        if construction == "hermitian":
-            params = hermitian_from_quartet(quartet, args.budget, args.workers)
-        else:
-            params = css_from_quartet(quartet, args.budget, args.workers)
-    else:
-        if construction == "hermitian":
-            params = hermitian_params_from_splitting(splitting)
-        else:
-            params = css_params_from_splitting(splitting)
-    params = degeneracy_verdict(params, certificate)
+    params = degeneracy_verdict(params,
+                                degeneracy_certificate(n, q, cert_kind))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -260,19 +241,11 @@ def _survey_row(n: int, q: int, construction: str, budget: int,
     })
     if not row["exists"]:
         return row
-    splitting = (splitting_by(n, code_q, (-q) % n)
-                 if construction == "hermitian"
-                 else default_splitting(n, code_q))
+    splitting = _select_splitting(n, code_q, construction, None)
     if splitting is None:
         return row
-    try:
-        quartet = build_quartet(splitting, field_from_order(code_q))
-        if construction == "hermitian":
-            params = hermitian_from_quartet(quartet, budget, workers)
-        else:
-            params = css_from_quartet(quartet, budget, workers)
-    except (FieldError, ConstructionError):
-        return row
+    params = stabilizer_params(splitting, materialize_quartet(splitting),
+                               construction, budget, workers)
     row.update({
         "d_kind": params.d.kind, "d_lo": params.d.lo, "d_hi": params.d.hi,
         "purity_kind": params.purity.kind,

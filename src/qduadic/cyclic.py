@@ -120,18 +120,8 @@ class DefiningSet:
     def as_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    def complement(self) -> "DefiningSet":
-        full = set(range(self.n))
-        return DefiningSet(self.n, self.q, tuple(full - self.as_set()))
-
-    def union(self, extra) -> "DefiningSet":
-        return DefiningSet(self.n, self.q, self.members + tuple(extra))
-
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, r: int) -> bool:
-        return r % self.n in self.as_set()
 
 
 def mu_defining_set(T: DefiningSet, a: int) -> DefiningSet:
@@ -242,18 +232,6 @@ class CyclicCode:
 
     def is_even_like(self, word) -> bool:
         return self.coordinate_sum(word) == 0
-
-    def contains(self, word) -> bool:
-        """Membership by syndrome against H."""
-        f = self.field
-        for row in self.H:
-            acc = 0
-            for a, b in zip(row, word):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            if acc:
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"CyclicCode[n={self.n},k={self.k}]_{self.q}"

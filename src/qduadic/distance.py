@@ -70,10 +70,6 @@ class DistanceResult:
         return {"kind": self.kind, "lo": self.lo, "hi": self.hi,
                 "method": self.method, "work": self.work}
 
-    @staticmethod
-    def from_dict(d: dict) -> "DistanceResult":
-        return DistanceResult(d["kind"], d["lo"], d["hi"], d["method"], d["work"])
-
 
 # ---------------------------------------------------------------------------
 # Row expansion to the prime field
@@ -194,7 +190,8 @@ def min_weight(C: CyclicCode, budget: int = DEFAULT_BUDGET,
     if not enumerable(C, budget):
         return support_search_min_weight(C, budget)
     val = min(w for w in weight_distribution(C, budget, workers) if w)
-    return DistanceResult.exact(val, "full_enumeration", C.q**C.k - 1)
+    # the nonzero words of the shortened subcode {c in C : c_0 = 0} scanned
+    return DistanceResult.exact(val, "full_enumeration", C.q**(C.k - 1) - 1)
 
 
 def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,

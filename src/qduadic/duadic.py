@@ -26,7 +26,7 @@ from .cyclic import (
     ord_mod,
 )
 from .distance import DistanceResult
-from .galois import Field, factorize
+from .galois import Field, FieldError, factorize, field_from_order
 
 
 class SplittingError(ValueError):
@@ -223,6 +223,17 @@ def build_quartet(s: Splitting, field: Field) -> DuadicQuartet:
     return DuadicQuartet(splitting=s, D0=D0, D1=D1, C0=C0, C1=C1)
 
 
+def materialize_quartet(s: Splitting, on_cap=None) -> DuadicQuartet | None:
+    """The quartet over GF(s.q), or None when a field it needs is beyond the
+    field-size cap; `on_cap`, if given, is called with the FieldError."""
+    try:
+        return build_quartet(s, field_from_order(s.q))
+    except FieldError as exc:
+        if on_cap is not None:
+            on_cap(exc)
+        return None
+
+
 @dataclass(frozen=True)
 class SquareRootBoundReport:
     """Outcome of the square-root bound checks on a quartet's odd-like
@@ -236,13 +247,11 @@ class SquareRootBoundReport:
     bound_sq_strong: bool | None  # d_o^2 - d_o + 1 >= n (mu_{-1} case only)
 
     @property
-    def all_satisfied(self) -> bool:
-        checks = [self.bound_sq]
-        if self.mu_minus1:
-            checks.append(self.bound_sq_strong)
-        if self.equal_across_pair is not None:
-            checks.append(self.equal_across_pair)
-        return all(c for c in checks if c is not None)
+    def all_satisfied(self) -> bool | None:
+        """Whether every check that ran passed; None when none ran."""
+        checks = [c for c in (self.bound_sq, self.bound_sq_strong,
+                              self.equal_across_pair) if c is not None]
+        return all(checks) if checks else None
 
 
 def check_square_root_bound(quartet: DuadicQuartet, d_o0: DistanceResult,

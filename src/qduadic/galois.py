@@ -346,9 +346,6 @@ class Field:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
         return self._raw_pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self._check(a)
         if e == 0:
@@ -428,10 +425,6 @@ class Poly:
     @staticmethod
     def one(field: Field) -> "Poly":
         return Poly((1,), field)
-
-    @staticmethod
-    def x_pow(e: int, field: Field) -> "Poly":
-        return Poly((0,) * e + (1,), field)
 
     @property
     def degree(self) -> int:

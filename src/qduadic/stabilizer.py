@@ -9,8 +9,10 @@ value is strictly below d.
 Hermitian path: over GF(q^2), C_0^{perp_h} = D_0 exactly when mu_{-q} gives
 the splitting; the construction is refused otherwise.
 
-Only parameters and classical-code witnesses are materialized, never the
-quantum state space.
+Both paths go through `stabilizer_params`, which also gives the
+square-root interval when the quartet's splitting field is beyond the
+field-size cap.  Only parameters and classical-code witnesses are
+materialized, never the quantum state space.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .duadic import (
     SquareRootBoundReport,
     check_square_root_bound,
 )
+
 
 
 class ConstructionError(ValueError):
@@ -108,15 +111,6 @@ def theory_distance_interval(n: int, mu_minus1: bool) -> DistanceResult:
     return DistanceResult("interval", lo, n, "defining_set_theory", 0)
 
 
-def _refine_with_theory(d: DistanceResult, n: int, mu_minus1: bool) -> DistanceResult:
-    if d.is_exact:
-        return d
-    theory = theory_distance_interval(n, mu_minus1)
-    lo = max(d.lo or 1, theory.lo)
-    hi = min(x for x in (d.hi, theory.hi) if x is not None)
-    return DistanceResult("interval", lo, hi, "defining_set_theory", d.work)
-
-
 @dataclass(frozen=True)
 class QuartetWeights:
     """Odd-like distances of a duadic quartet C_i subset D_i, read off the
@@ -179,25 +173,6 @@ def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
     return DistanceResult.exact(val, "full_enumeration", weights.d0.work)
 
 
-def css_from_quartet(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
-                     workers: int = 1) -> StabilizerParams:
-    """CSS stabilizer parameters from C_i subset D_i."""
-    n, q = quartet.n, quartet.q
-    for D, C in ((quartet.D0, quartet.C0), (quartet.D1, quartet.C1)):
-        if not D.genpoly.divides(C.genpoly):
-            raise ConstructionError("containment C_i subset D_i fails")
-    k = quartet.D0.k - quartet.C0.k
-    weights = quartet_weights(quartet, budget, workers)
-    report = check_square_root_bound(quartet, weights.d0, weights.d1)
-    d = _refine_with_theory(weights.d0, n, report.mu_minus1)
-    purity = _purity(weights, {"C0": quartet.C0, "C1": quartet.C1},
-                     budget, workers)
-    return StabilizerParams(
-        n=n, k=k, q=q, construction="CSS", d=d, purity=purity,
-        degenerate=_degeneracy_tristate(purity, d), bound_report=report,
-    )
-
-
 def verify_hermitian_condition(s: Splitting) -> bool:
     """Lemma hypothesis for the Hermitian route: -q0*S_i = S_{(i+1) mod 2},
     where q0 = sqrt(field order)."""
@@ -207,71 +182,51 @@ def verify_hermitian_condition(s: Splitting) -> bool:
     return s.is_given_by((-q0) % s.n)
 
 
-def hermitian_from_quartet(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
-                           workers: int = 1, matrix_check: bool | None = None) -> StabilizerParams:
-    """Hermitian stabilizer parameters [[n, 1, d]]_q from GF(q^2) duadic
-    codes with C_0^{perp_h} = D_0."""
-    s = quartet.splitting
+def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
+                      construction: str, budget: int = DEFAULT_BUDGET,
+                      workers: int = 1) -> StabilizerParams:
+    """[[n, 1, d]]_q parameters of the "css" or "hermitian" code of a
+    splitting.  The Hermitian route needs mu_{-q} to give the splitting, so
+    that C_0^{perp_h} = D_0 over GF(q^2).  Without a quartet (its splitting
+    field is beyond the cap) d is the square-root interval, the purity is
+    [1, n] and the verdict undecided; with one, d and the purity are read
+    off C0's distribution, or beyond the budget d falls back to the same
+    interval and a support search bounds the purity."""
     n = s.n
-    if not verify_hermitian_condition(s):
+    hermitian = construction == "hermitian"
+    if hermitian and not verify_hermitian_condition(s):
         raise ConstructionError(
             f"mu_(-q) does not give this splitting of n={n}; the Hermitian "
-            "construction does not apply"
-        )
-    q0 = isqrt(s.q)
-    if matrix_check is None:
-        matrix_check = n <= 31
-    if matrix_check:
-        hd = hermitian_dual(quartet.C0)
-        if hd.T.as_set() != quartet.D0.T.as_set():
-            raise ConstructionError(
-                "C_0^{perp_h} != D_0 despite the splitting condition (internal bug)"
-            )
-    weights = quartet_weights(quartet, budget, workers)
-    report = check_square_root_bound(quartet, weights.d0, weights.d1)
-    d = _refine_with_theory(weights.d0, n, report.mu_minus1)
-    purity = _purity(weights, {"C0": quartet.C0}, budget, workers)
+            "construction does not apply")
+    mu1 = s.is_given_by(n - 1)
+    d = theory_distance_interval(n, mu1)
+    purity = DistanceResult("interval", 1, n, "defining_set_theory", 0)
+    report = SquareRootBoundReport(n=n, d_o=d, equal_across_pair=None,
+                                   bound_sq=None, mu_minus1=mu1,
+                                   bound_sq_strong=None)
+    if quartet is not None:
+        if not hermitian:
+            for D, C in ((quartet.D0, quartet.C0), (quartet.D1, quartet.C1)):
+                if not D.genpoly.divides(C.genpoly):
+                    raise ConstructionError("containment C_i subset D_i fails")
+        elif n <= 31:  # recompute C_0^{perp_h} by matrices
+            hd = hermitian_dual(quartet.C0)
+            if hd.T.as_set() != quartet.D0.T.as_set():
+                raise ConstructionError(
+                    "C_0^{perp_h} != D_0 despite the splitting condition "
+                    "(internal bug)")
+        weights = quartet_weights(quartet, budget, workers)
+        report = check_square_root_bound(quartet, weights.d0, weights.d1)
+        if weights.d0.is_exact:
+            d = weights.d0
+        # the Hermitian stabilizer holds C0 alone; CSS holds C0 and C1
+        codes = {"C0": quartet.C0} if hermitian else {"C0": quartet.C0,
+                                                      "C1": quartet.C1}
+        purity = _purity(weights, codes, budget, workers)
     return StabilizerParams(
-        n=n, k=quartet.D0.k - quartet.C0.k, q=q0, construction="Hermitian",
-        d=d, purity=purity,
+        n=n, k=1, q=isqrt(s.q) if hermitian else s.q,
+        construction="Hermitian" if hermitian else "CSS", d=d, purity=purity,
         degenerate=_degeneracy_tristate(purity, d), bound_report=report,
-    )
-
-
-def css_params_from_splitting(s: Splitting) -> StabilizerParams:
-    """Theory-only CSS parameters when the quartet is beyond the field-size
-    cap: interval distance from the square-root bound, verdict undecided."""
-    n = s.n
-    mu1 = s.is_given_by(n - 1)
-    d = theory_distance_interval(n, mu1)
-    purity = DistanceResult("interval", 1, n, "defining_set_theory", 0)
-    report = SquareRootBoundReport(n=n, d_o=d, equal_across_pair=None,
-                                   bound_sq=None, mu_minus1=mu1,
-                                   bound_sq_strong=None)
-    return StabilizerParams(
-        n=n, k=1, q=s.q, construction="CSS", d=d, purity=purity,
-        degenerate="undecided", bound_report=report,
-    )
-
-
-def hermitian_params_from_splitting(s: Splitting) -> StabilizerParams:
-    """Theory-only Hermitian parameters when the quartet itself is beyond the
-    field-size cap (e.g. length 343 over GF(4)): interval distance from the
-    square-root bound, purity unknown, verdict undecided."""
-    if not verify_hermitian_condition(s):
-        raise ConstructionError(
-            f"mu_(-q) does not give this splitting of n={s.n}"
-        )
-    n = s.n
-    mu1 = s.is_given_by(n - 1)
-    d = theory_distance_interval(n, mu1)
-    purity = DistanceResult("interval", 1, n, "defining_set_theory", 0)
-    report = SquareRootBoundReport(n=n, d_o=d, equal_across_pair=None,
-                                   bound_sq=None, mu_minus1=mu1,
-                                   bound_sq_strong=None)
-    return StabilizerParams(
-        n=n, k=1, q=isqrt(s.q), construction="Hermitian", d=d, purity=purity,
-        degenerate="undecided", bound_report=report,
     )
 
 

@@ -11,7 +11,7 @@ import time
 from qduadic.cli import EXIT_OK, EXIT_PARTIAL, main
 from qduadic.duadic import build_quartet, splitting_by
 from qduadic.galois import field_from_order
-from qduadic.stabilizer import hermitian_from_quartet
+from qduadic.stabilizer import stabilizer_params
 
 
 def _run(capsys, *argv):
@@ -103,11 +103,11 @@ def test_criterion_06_hermitian_7_2(capsys):
     assert (st["n"], st["k"], st["q"]) == (7, 1, 2)
     assert st["d"]["kind"] == "exact" and st["d"]["lo"] == 3
     assert doc["splitting"]["q"] == 4
-    # the dual identity holds both by defining sets and by matrices: the
-    # matrix route recomputes C0^{perp_h} from the conjugated null space and
-    # raises if it disagrees with D0's defining set
+    # the dual identity holds both by defining sets and by matrices: at
+    # n <= 31 the matrix route recomputes C0^{perp_h} from the conjugated
+    # null space and raises if it disagrees with D0's defining set
     qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
-    p = hermitian_from_quartet(qt, matrix_check=True)
+    p = stabilizer_params(qt.splitting, qt, "hermitian")
     assert p.d.value == 3
     assert elapsed < 1.0
     _report(6, f"Hermitian [[7,1,3]]_2 dual identity checked both ways "

@@ -248,6 +248,40 @@ class TestSurvey:
         assert run(capsys, "survey", "--q", "2", "--max-n", "99999")[0] == \
             EXIT_USAGE
 
+    @pytest.mark.parametrize("construction,max_n,lengths", [
+        ("css", 71, (7, 17, 23, 49, 71)),
+        ("hermitian", 29, (29,)),
+    ])
+    def test_rows_match_build(self, capsys, construction, max_n, lengths):
+        # exact, beyond the budget, and beyond the field cap (71 over GF(2),
+        # 29 over GF(4)): a row holds what build reports for the same code
+        _, doc = run_json(capsys, "survey", "--q", "2", "--max-n", str(max_n),
+                          "--construction", construction, "--budget", "2^10")
+        rows = {r["n"]: r for r in doc["rows"]}
+        for n in lengths:
+            _, report = run_json(capsys, "build", construction, str(n), "2",
+                                 "--budget", "2^10")
+            st, row = report["stabilizer"], rows[n]
+            for key in ("d", "purity"):
+                assert (row[key + "_kind"], row[key + "_lo"],
+                        row[key + "_hi"]) == \
+                    (st[key]["kind"], st[key]["lo"], st[key]["hi"]), (n, key)
+            assert row["degenerate"] == st["degenerate"], n
+        assert rows[max_n]["d_kind"] == "interval"
+
+    def test_bounds_ok_only_where_a_check_ran(self, capsys):
+        import csv
+        import io
+        argv = ("survey", "--q", "2", "--max-n", "23", "--budget", "2^10")
+        _, doc = run_json(capsys, *argv)
+        rows = {r["n"]: r for r in doc["rows"]}
+        assert rows[7]["bounds_ok"] is True  # exact: every check ran
+        assert rows[23]["d_kind"] == "interval"
+        assert rows[23]["bounds_ok"] is None
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        rows = {r["n"]: r for r in csv.DictReader(io.StringIO(out))}
+        assert rows["7"]["bounds_ok"] == "True" and rows["23"]["bounds_ok"] == ""
+
 
 class TestVerify:
     def test_small_suite_green(self, capsys):
@@ -368,8 +402,14 @@ class TestInvariantFailures:
         def broken(*args, **kwargs):
             raise error("broken invariant")
 
-        monkeypatch.setattr(qduadic.cli, "css_from_quartet", broken)
+        monkeypatch.setattr(qduadic.cli, "stabilizer_params", broken)
         assert run(capsys, "build", "css", "7", "2")[0] == EXIT_ASSERTION
+        # survey takes the same path and does not hide the failure in a
+        # blank row
+        code, out, err = run(capsys, "survey", "--q", "2", "--max-n", "7")
+        assert code == EXIT_ASSERTION and out == ""
+        assert err.splitlines()[-1] == "internal error: broken invariant"
+        assert "Traceback" not in err
 
 
     @pytest.mark.parametrize("fault", ["fractional", "too_many_words",

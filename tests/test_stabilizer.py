@@ -16,20 +16,21 @@ from qduadic.duadic import (
 from qduadic.galois import field_from_order, make_field
 from qduadic.stabilizer import (
     ConstructionError,
-    css_from_quartet,
-    css_params_from_splitting,
     degeneracy_verdict,
-    hermitian_from_quartet,
-    hermitian_params_from_splitting,
     quartet_weights,
+    stabilizer_params,
     theory_distance_interval,
     verify_hermitian_condition,
 )
 
 
+def _params(qt, construction="css", **kw):
+    return stabilizer_params(qt.splitting, qt, construction, **kw)
+
+
 def _css(n, q=2, **kw):
-    qt = build_quartet(default_splitting(n, q), field_from_order(q))
-    return css_from_quartet(qt, **kw)
+    return _params(build_quartet(default_splitting(n, q), field_from_order(q)),
+                   **kw)
 
 
 class TestCSS:
@@ -55,19 +56,19 @@ class TestCSS:
     def test_cross_check_runs_clean(self):
         # the MacWilliams odd-like route and the set-difference oracle agree
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        p = css_from_quartet(qt)
+        p = _params(qt)
         assert p.d.value == 5 == min_weight_diffset(qt.D0, qt.C0) == \
             min_weight_diffset(euclidean_dual(qt.C0), euclidean_dual(qt.D0))
 
     def test_gf4_css(self):
         qt = build_quartet(default_splitting(7, 4), field_from_order(4))
-        p = css_from_quartet(qt)
+        p = _params(qt)
         assert (p.n, p.k, p.q) == (7, 1, 4)
         assert p.d.is_exact and p.purity.is_exact
 
     def test_budget_exhaustion_gives_interval(self):
         qt = build_quartet(default_splitting(23, 2), make_field(2))
-        p = css_from_quartet(qt, budget=100)
+        p = _params(qt, budget=100)
         assert not p.d.is_exact
         assert p.d.method == "defining_set_theory"
         assert p.d.lo >= 5  # 5^2 - 5 + 1 = 21 < 23 <= 6^2 - 6 + 1... lo is 6
@@ -96,7 +97,7 @@ class TestHermitian:
     def test_n7_gf4(self):
         s = splitting_by(7, 4, 5)
         qt = build_quartet(s, field_from_order(4))
-        p = hermitian_from_quartet(qt)
+        p = _params(qt, "hermitian")
         assert (p.n, p.k, p.q) == (7, 1, 2)
         assert p.d.value == 3 and p.purity.value == 4
         assert p.degenerate == "no"
@@ -109,18 +110,30 @@ class TestHermitian:
         if s is not None and not verify_hermitian_condition(s):
             with pytest.raises(ConstructionError):
                 qt = build_quartet(s, field_from_order(4))
-                hermitian_from_quartet(qt)
+                _params(qt, "hermitian")
 
     def test_rejects_non_square_field(self):
         with pytest.raises(ConstructionError):
             verify_hermitian_condition(splitting_by(7, 2, 6))
 
-    def test_matrix_check_agrees(self):
+    def test_matrix_check_agrees(self, monkeypatch):
+        # n <= 31: C_0^{perp_h} is recomputed by matrices on every build
+        real, calls = qduadic.stabilizer.hermitian_dual, []
+        monkeypatch.setattr(qduadic.stabilizer, "hermitian_dual",
+                            lambda C: calls.append(C) or real(C))
         s = splitting_by(15, 4, (-2) % 15)
         if s is not None:
             qt = build_quartet(s, field_from_order(4))
-            p = hermitian_from_quartet(qt, matrix_check=True)
+            p = _params(qt, "hermitian")
             assert p.d.is_exact
+            assert calls == [qt.C0]
+
+    def test_matrix_check_refuses_a_wrong_dual(self, monkeypatch):
+        qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
+        monkeypatch.setattr(qduadic.stabilizer, "hermitian_dual",
+                            lambda C: qt.D1)
+        with pytest.raises(ConstructionError, match="internal bug"):
+            _params(qt, "hermitian")
 
 
 class TestTheoryOnly:
@@ -131,14 +144,14 @@ class TestTheoryOnly:
         assert r.lo == 7  # 7^2 = 49 >= 49
 
     def test_css_fallback(self):
-        p = css_params_from_splitting(default_splitting(49, 2))
+        p = stabilizer_params(default_splitting(49, 2), None, "css")
         assert p.d.kind == "interval" and p.degenerate == "undecided"
         assert p.d.method == "defining_set_theory"
 
     def test_hermitian_fallback_343(self):
         s = splitting_by(343, 4, (-2) % 343)
         assert s is not None
-        p = hermitian_params_from_splitting(s)
+        p = stabilizer_params(s, None, "hermitian")
         assert (p.n, p.k, p.q) == (343, 1, 2)
         assert p.d.kind == "interval" and p.d.lo == 19  # 19^2 - 19 + 1 = 343
         assert p.degenerate == "undecided"
@@ -147,7 +160,7 @@ class TestTheoryOnly:
         s = splitting_by(7, 4, 6)
         if s is not None and not s.is_given_by(5):
             with pytest.raises(ConstructionError):
-                hermitian_params_from_splitting(s)
+                stabilizer_params(s, None, "hermitian")
 
 
 class TestVerdictReconciliation:
@@ -216,11 +229,10 @@ class TestEngineAgainstOracles:
                 naive_distribution(getattr(qt, name)), name
         assert w.d0.value == min_weight_diffset(qt.D0, qt.C0)
         assert w.d1.value == min_weight_diffset(qt.D1, qt.C1)
+        p = _params(qt, construction)
         if construction == "css":
-            p = css_from_quartet(qt)
             purity = min(naive_min_weight(qt.C0), naive_min_weight(qt.C1))
         else:
-            p = hermitian_from_quartet(qt)
             purity = naive_min_weight(qt.C0)
         assert p.d.value == w.d0.value and p.purity.value == purity
 
@@ -248,13 +260,13 @@ class TestOneEnumeration:
     @pytest.mark.parametrize("n,q", [(17, 2), (23, 2), (11, 3)])
     def test_work_counts_the_words_enumerated(self, n, q):
         qt = self._quartet(n, q)
-        p = css_from_quartet(qt)
+        p = _params(qt)
         # the kernel scans the shortened subcode {c in C0 : c_0 = 0}
         assert p.d.work == q ** (qt.C0.k - 1) - 1 == p.purity.work
 
     def test_hermitian_purity_work(self):
         qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
-        p = hermitian_from_quartet(qt)
+        p = _params(qt, "hermitian")
         assert p.d.work == p.purity.work == 4**2 - 1
 
     def test_replaced_c1_is_refused(self):
