@@ -41,10 +41,9 @@ from .duadic import (
     duadic_exists,
     iter_splittings,
     materialize_quartet,
-    side_id,
     splitting_by,
 )
-from .galois import factorize
+from .galois import FieldError, factorize
 from .stabilizer import (
     ConstructionError,
     degeneracy_verdict,
@@ -159,14 +158,9 @@ def _splitting_doc(s: Splitting) -> dict:
 def _select_splitting(n: int, code_q: int, construction: str,
                       splitting_id: str | None) -> Splitting | None:
     if splitting_id:
-        # the id hashes S0 alone: hash each side once, swap only on a match
-        seen = set()
         for s in iter_splittings(n, code_q):
-            for swap, side in enumerate((s.S0, s.S1)):
-                if side not in seen:
-                    seen.add(side)
-                    if side_id(n, code_q, side) == splitting_id:
-                        return s.swapped() if swap else s
+            if s.splitting_id == splitting_id:
+                return s
         raise UsageError(f"no splitting with id {splitting_id} found")
     if construction == "hermitian":
         return splitting_by(n, code_q, (-isqrt(code_q)) % n)
@@ -351,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (SplittingError, ConstructionError, DistanceError,
-            CyclicCodeError, AssertionError) as exc:
+            CyclicCodeError, FieldError, AssertionError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_ASSERTION
     except ValueError as exc:

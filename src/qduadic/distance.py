@@ -4,22 +4,25 @@ The engine has one kernel product, the weight histogram of a code; minimum
 weights are read off it, and the MacWilliams transform turns it into the
 histogram of the dual code.  Every GF(p^m) code is reduced to a prime-field
 message space: the generator rows are expanded by the polynomial basis of the
-field, so a k-dimensional code over GF(p^m) becomes a (k*m)-row code
-enumerated by a p-ary odometer.  For characteristic 2 the codewords are
-packed into machine words (one e-bit cell per coordinate, addition = XOR) and
-scanned in blocks with numpy popcounts; otherwise a plain odometer runs.
-The kernels scan only the shortened subcode {c_0 = 0}, q^(k-1) words, and
-the cyclic symmetry rebuilds the full histogram from it exactly.  Beyond the
-budget, a low-weight support search bounds the minimum weight.
+field, so a k-dimensional code over GF(p^m) becomes a (k*m)-row code over
+GF(p).  One span kernel enumerates it: a numpy block of every combination of
+the first rows, plus one high word per step of a p-ary counter over the
+rest.  Codewords are packed into uint64 words (one m-bit cell per
+coordinate, addition = XOR) in characteristic 2 when they fit 63 bits, and
+are arrays of GF(p) digits otherwise.  The kernel scans only the shortened
+subcode {c_0 = 0}, q^(k-1) words, and the cyclic symmetry rebuilds the full
+histogram from it exactly.  Beyond the budget, a low-weight support search
+bounds the minimum weight.
 
-Enumeration order is the canonical reflected Gray / odometer sequence, so
-work counters are reproducible and independent of the worker count.
+Work counters are closed forms of q and k, so they are reproducible and
+independent of the worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -94,77 +97,81 @@ def _pack_row(row, e: int) -> int:
     return word
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
-
-
 def _cell_weights(words: np.ndarray, n: int, e: int) -> np.ndarray:
     """Number of nonzero e-bit cells per word."""
     if e == 1:
-        return _popcount(words)
+        return np.bitwise_count(words)
     y = words.copy()
     for b in range(1, e):
         y |= words >> np.uint64(b)
     cellmask = np.uint64(sum(1 << (i * e) for i in range(n)))
-    return _popcount(y & cellmask)
+    return np.bitwise_count(y & cellmask)
 
 
-def _scan_char2_range(packed_rows, e: int, n: int, start: int, end: int):
-    """Weight histogram of the codewords at high-part Gray indices
-    [start, end)."""
-    K = len(packed_rows)
-    h = min(K, _LOW_BLOCK_BITS)
-    low = packed_rows[:h]
-    high = packed_rows[h:]
-    size = 1 << h
-    # Low block filled by a sequential Gray walk; A is indexed by the Gray
-    # code itself so A[g] is the codeword for low-part bit pattern g.
-    A = np.zeros(size, dtype=np.uint64)
-    acc = 0
-    gray = 0
-    for i in range(1, size):
-        j = (i & -i).bit_length() - 1
-        gray ^= 1 << j
-        acc ^= low[j]
-        A[gray] = acc
+def _low_rows(p: int, K: int) -> int:
+    """How many of K rows span the low block: the most with p^h <= 2^16."""
+    h = 0
+    while h < K and p ** (h + 1) <= 1 << _LOW_BLOCK_BITS:
+        h += 1
+    return h
+
+
+def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
+                end: int) -> np.ndarray:
+    """Weight histogram of the GF(p)-span words at high indices [start, end).
+
+    The first h rows span the low block, every one of their p^h
+    combinations.  High index i stands for the high word sum_b i_b*high[b],
+    i_b the base-p digits of i, and each high word is added to the whole
+    low block.  From i - 1 to i the digits below the lowest nonzero digit j
+    of i wrap from p - 1 to 0 and digit j steps up, so the high word gains
+    high[0] + ... + high[j] (mod p), one precomputed prefix sum per step.
+
+    Packed rows are uint64 words of m bits per coordinate, added by XOR;
+    otherwise rows are arrays of n*m GF(p) digits, m per coordinate."""
+    h = _low_rows(p, len(rows))
+    if packed:
+        def add(x, y):
+            return x ^ y
+    else:
+        def add(x, y):
+            return (x + y) % p
+    block = np.zeros((p**h,) + rows.shape[1:], rows.dtype)
+    for b, r in enumerate(rows[:h]):
+        size = p**b  # block[:size] spans rows[:b]; copy c adds c*r to it
+        for c in range(1, p):
+            block[c * size:(c + 1) * size] = add(
+                block[(c - 1) * size:c * size], r)
+    word = np.zeros_like(block[0])
+    high = rows[h:]
+    x = start
+    for r in high:  # the high word of index `start`
+        for _ in range(x % p):
+            word = add(word, r)
+        x //= p
+    prefix = list(accumulate(high, add))
     hist = np.zeros(n + 1, dtype=np.int64)
-    # initial high-part word for Gray code of `start`
-    gstart = start ^ (start >> 1)
-    gword = 0
-    for b in range(len(high)):
-        if gstart >> b & 1:
-            gword ^= high[b]
-    idx = start
-    while idx < end:
-        w = _cell_weights(A ^ np.uint64(gword), n, e)
-        hist += np.bincount(w.astype(np.int64), minlength=n + 1)
-        idx += 1
-        if idx < end:
-            gword ^= high[(idx & -idx).bit_length() - 1]
-    return hist
-
-
-def _scan_generic(rows, n: int, p: int, field) -> dict[int, int]:
-    """Odometer enumeration over the prime field; rows are coordinate tuples
-    over the field.  Serial; used only at small scale."""
-    word = [0] * n
-    hist = {0: 1}
-    for i in range(1, p ** len(rows)):
-        j = 0
-        ii = i
-        while ii % p == 0:
-            ii //= p
-            j += 1
-        for t in range(j + 1):
-            word = [field.add(a, b) for a, b in zip(word, rows[t])]
-        w = sum(1 for x in word if x)
-        hist[w] = hist.get(w, 0) + 1
+    for i in range(start, end):
+        if i > start:
+            j, x = 0, i
+            while x % p == 0:
+                j, x = j + 1, x // p
+            word = add(word, prefix[j])
+        if packed:
+            w = _cell_weights(block ^ word, n, m)
+        else:
+            # a digit of block + word is zero where the block digit is
+            # -word's; a coordinate is zero where all m of its digits are
+            nonzero = block != (p - word) % p
+            w = np.count_nonzero(nonzero.reshape(-1, n, m).any(axis=2),
+                                 axis=1)
+        hist += np.bincount(w, minlength=n + 1)
     return hist
 
 
 def _packs(C: CyclicCode) -> bool:
-    """Whether the packed Gray kernel applies: characteristic 2 and a
-    codeword fits 63 bits."""
+    """Whether codewords pack into uint64 words: characteristic 2 and
+    n*m <= 63 bits."""
     return C.field.p == 2 and C.n * C.field.m <= 63
 
 
@@ -173,9 +180,8 @@ def _packs(C: CyclicCode) -> bool:
 
 
 def enumerable(C: CyclicCode, budget: int) -> bool:
-    """Whether C is enumerated exhaustively: q^k fits the budget and, in
-    characteristic 2, a codeword packs into 63 bits."""
-    return C.q**C.k <= budget and (C.field.p != 2 or _packs(C))
+    """Whether C is enumerated exhaustively: q^k fits the budget."""
+    return C.q**C.k <= budget
 
 
 def min_weight(C: CyclicCode, budget: int = DEFAULT_BUDGET,
@@ -244,23 +250,29 @@ def _full_scan_distribution(C: CyclicCode, workers: int = 1) -> dict[int, int]:
 
 def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
     """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C,
-    by the packed Gray kernel where it applies, otherwise by the odometer."""
+    by one span kernel over packed words where they fit, else over digits;
+    `workers` processes split the high indices."""
     f = C.field
-    if not _packs(C):
-        return dict(sorted(_scan_generic(rows, C.n, f.p, f).items()))
-    e = f.m
-    packed = [_pack_row(r, e) for r in rows]
-    nblocks = 1 << (len(rows) - min(len(rows), _LOW_BLOCK_BITS))
+    p, m, n = f.p, f.m, C.n
+    packed = _packs(C)
+    if packed:
+        rows = np.array([_pack_row(r, m) for r in rows], dtype=np.uint64)
+    else:
+        dtype = np.min_scalar_type(2 * (p - 1))  # holds two digits' sum
+        coords = np.array(rows, dtype=np.int64).reshape(-1, n, 1)
+        digits = coords // p ** np.arange(m) % p  # x^i coefficient at i
+        rows = digits.reshape(-1, n * m).astype(dtype)
+    nblocks = p ** (len(rows) - _low_rows(p, len(rows)))
     if workers > 1 and nblocks >= 2 * workers:
         chunk = (nblocks + workers - 1) // workers
         ranges = [(s, min(s + chunk, nblocks)) for s in range(0, nblocks, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hist = sum(pool.map(
-                _scan_char2_range,
-                *zip(*[(packed, e, C.n, s, t) for s, t in ranges]),
+                _scan_range,
+                *zip(*[(rows, p, n, m, packed, s, t) for s, t in ranges]),
             ))
     else:
-        hist = _scan_char2_range(packed, e, C.n, 0, nblocks)
+        hist = _scan_range(rows, p, n, m, packed, 0, nblocks)
     return {int(w): int(c) for w, c in enumerate(hist) if c}
 
 

@@ -26,7 +26,7 @@ from .cyclic import (
     ord_mod,
 )
 from .distance import DistanceResult
-from .galois import Field, FieldError, factorize, field_from_order
+from .galois import Field, FieldCapError, factorize, field_from_order
 
 
 class SplittingError(ValueError):
@@ -65,7 +65,8 @@ class Splitting:
     @property
     def splitting_id(self) -> str:
         """Stable identifier: hash of (n, q, sorted S0)."""
-        return side_id(self.n, self.q, self.S0)
+        payload = f"{self.n}:{self.q}:" + ",".join(map(str, self.S0))
+        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def swapped(self) -> "Splitting":
         return Splitting(self.n, self.q, self.S1, self.S0, self.a)
@@ -75,12 +76,6 @@ class Splitting:
         if gcd(a, self.n) != 1:
             return False
         return mu_apply(self.S0, a, self.n) == frozenset(self.S1)
-
-
-def side_id(n: int, q: int, side: tuple[int, ...]) -> str:
-    """The splitting id of any splitting whose sorted S0 is `side`."""
-    payload = f"{n}:{q}:" + ",".join(map(str, side))
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def duadic_exists(n: int, q: int) -> bool:
@@ -142,15 +137,17 @@ def splitting_by(n: int, q: int, a: int) -> Splitting | None:
 
 
 def iter_splittings(n: int, q: int) -> Iterator[Splitting]:
-    """All splittings of n, enumerated lazily and deterministically:
-    multipliers a in increasing order, and for each valid a every per-orbit
-    assignment (the canonical alternation first, then its per-orbit flips in
-    binary order)."""
+    """All splittings of n, each S0 once, enumerated lazily and
+    deterministically: multipliers a in increasing order, and for each valid
+    a every per-orbit assignment (the canonical alternation first, then its
+    per-orbit flips in binary order).  A side that several multipliers swap
+    comes with the first of them."""
     if n % 2 == 0:
         raise ValueError("length n must be odd")
     if gcd(n, q) != 1:
         raise ValueError(f"gcd({n}, {q}) != 1")
     cs = cyclotomic_cosets(n, q)
+    seen = set()
     for a in range(2, n):
         if gcd(a, n) != 1:
             continue
@@ -164,7 +161,10 @@ def iter_splittings(n: int, q: int) -> Iterator[Splitting]:
                 flip = flips >> bit & 1
                 for i, coset in enumerate(orbit):
                     (S0 if i % 2 == flip else S1).extend(coset)
-            yield Splitting(n=n, q=q, S0=tuple(S0), S1=tuple(S1), a=a)
+            side = tuple(sorted(S0))
+            if side not in seen:
+                seen.add(side)
+                yield Splitting(n=n, q=q, S0=side, S1=tuple(S1), a=a)
 
 
 def find_splittings(n: int, q: int, limit: int | None = None) -> list[Splitting]:
@@ -225,10 +225,10 @@ def build_quartet(s: Splitting, field: Field) -> DuadicQuartet:
 
 def materialize_quartet(s: Splitting, on_cap=None) -> DuadicQuartet | None:
     """The quartet over GF(s.q), or None when a field it needs is beyond the
-    field-size cap; `on_cap`, if given, is called with the FieldError."""
+    field-size cap; `on_cap`, if given, is called with the FieldCapError."""
     try:
         return build_quartet(s, field_from_order(s.q))
-    except FieldError as exc:
+    except FieldCapError as exc:
         if on_cap is not None:
             on_cap(exc)
         return None

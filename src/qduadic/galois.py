@@ -29,6 +29,10 @@ class FieldError(ValueError):
     """Invalid field construction or field operation."""
 
 
+class FieldCapError(FieldError):
+    """A field beyond FIELD_SIZE_CAP was requested."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -180,7 +184,7 @@ class Field:
             raise FieldError("extension degree must be >= 1")
         order = p**m
         if order > FIELD_SIZE_CAP:
-            raise FieldError(
+            raise FieldCapError(
                 f"GF({p}^{m}) has {order} elements, beyond the cap of "
                 f"{FIELD_SIZE_CAP}; larger extensions are out of scope"
             )
@@ -193,7 +197,6 @@ class Field:
         self.generator = self._find_generator()
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._zech: list[int] | None = None  # built by the first add
         if order <= TABLE_CAP:
             self._build_tables()
 
@@ -286,16 +289,6 @@ class Field:
         self._exp = exp
         self._log = log
 
-    def _build_zech(self) -> None:
-        """Zech logarithms Z[i] = log(1 + g^i), -1 where 1 + g^i = 0.  The
-        digit of x^0 is the index mod p, so 1 + a only bumps that digit."""
-        p = self.p
-        zech = []
-        for a in self._exp:
-            s = a - a % p + (a + 1) % p
-            zech.append(self._log[s] if s else -1)
-        self._zech = zech
-
     # -- public arithmetic
 
     def add(self, a: int, b: int) -> int:
@@ -305,18 +298,8 @@ class Field:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        if self._log is None:
-            da, db = self._digits(a), self._digits(b)
-            return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-        if a == 0 or b == 0:
-            return a or b
-        # g^i + g^j = g^i * (1 + g^(j-i))
-        if self._zech is None:
-            self._build_zech()
-        size = self.order - 1
-        i = self._log[a]
-        z = self._zech[(self._log[b] - i) % size]
-        return 0 if z < 0 else self._exp[(i + z) % size]
+        da, db = self._digits(a), self._digits(b)
+        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
 
     def neg(self, a: int) -> int:
         self._check(a)

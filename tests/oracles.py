@@ -2,11 +2,11 @@
 
 The distance oracles re-encode every message with digitwise addition and
 the field's multiplication and compare codewords as sets, sharing no code
-with the packed Gray kernel, the odometer, the shortened-subcode rebuild,
-Zech-logarithm addition or the MacWilliams transform.  The
-support-search loop tests every candidate against the check matrix one by
-one, as the library did before its pair-table search.  The linear-algebra and
-field helpers below them serve the cyclic-code and field tests only.
+with the span kernel, the shortened-subcode rebuild or the MacWilliams
+transform.  The support-search loop tests every candidate against the check
+matrix one by one, as the library did before its pair-table search.  The
+linear-algebra and field helpers below them serve the cyclic-code and field
+tests only.
 """
 
 import itertools
@@ -33,7 +33,7 @@ def enumerate_codewords_naive(C) -> np.ndarray:
     for i, row in enumerate(C.G):
         multiples = np.array([[f.mul(m, x) for x in row] for m in range(q)],
                              dtype=np.uint16)
-        words = add[words * q + multiples[msgs[:, i]]]
+        words = add[words.astype(np.intp) * q + multiples[msgs[:, i]]]
     return words
 
 

@@ -411,6 +411,29 @@ class TestInvariantFailures:
         assert err.splitlines()[-1] == "internal error: broken invariant"
         assert "Traceback" not in err
 
+    def test_internal_field_error_exits_4(self, capsys, monkeypatch):
+        # only a field beyond the cap leaves the quartet out: exit 3 with
+        # the theory interval; any other FieldError is a fault
+        import qduadic.galois
+        code, out, err = run(capsys, "build", "css", "71", "2")
+        assert code == EXIT_PARTIAL and json.loads(out)["quartet"] is None
+        assert err == ("quartet not materialized: GF(2^35) has 34359738368 "
+                       "elements, beyond the cap of 16777216; larger "
+                       "extensions are out of scope\n")
+
+        def broken(self):
+            raise qduadic.galois.FieldError(
+                "generator order mismatch (internal error)")
+
+        monkeypatch.setattr(qduadic.galois.Field, "_build_tables", broken)
+        qduadic.galois.make_field.cache_clear()
+        try:
+            code, out, err = run(capsys, "build", "css", "7", "2")
+        finally:
+            qduadic.galois.make_field.cache_clear()
+        assert code == EXIT_ASSERTION and out == ""
+        assert err == ("internal error: generator order mismatch "
+                       "(internal error)\n")
 
     @pytest.mark.parametrize("fault", ["fractional", "too_many_words",
                                        "row_1_at_coordinate_0"])

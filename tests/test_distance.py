@@ -16,9 +16,11 @@ from oracles import (
 import qduadic.distance
 from qduadic.cyclic import DefiningSet, cyclotomic_cosets, make_cyclic_code
 from qduadic.distance import (
+    DEFAULT_BUDGET,
     DistanceError,
     DistanceResult,
     _full_scan_distribution,
+    enumerable,
     macwilliams,
     min_weight,
     support_search_min_weight,
@@ -65,11 +67,15 @@ class TestResult:
 
 
 class TestAgainstNaiveOracle:
-    """The packed Gray-code scanner must agree with direct re-encoding."""
+    """The span kernel must agree with direct re-encoding."""
 
     CASES = [(7, 2, [1]), (7, 2, [1, 0]), (15, 2, [1, 3]), (17, 2, [1]),
              (7, 4, [1]), (5, 4, [1]), (9, 4, [1, 0]),
-             (11, 3, [1]), (13, 3, [1, 0]), (5, 9, [1])]
+             (11, 3, [1]), (13, 3, [1, 0]), (5, 9, [1]),
+             # GF(p) digits whose products pass uint8 (17), whose sums pass
+             # uint8 (131), and whose products pass uint16 (257, where the
+             # oracle's own index arithmetic once wrapped)
+             (5, 17, [0]), (3, 131, [0]), (3, 257, [0])]
 
     @pytest.mark.parametrize("n,q,leaders", CASES)
     def test_min_weight(self, n, q, leaders):
@@ -135,8 +141,8 @@ def _coset_unions(n, q, max_words=2**14, sample=64):
 
 
 class TestShortening:
-    """The kernels scan {c : c_0 = 0} and rebuild the histogram by cyclic
-    symmetry; the re-encoder scans every message."""
+    """The kernel scans {c : c_0 = 0} and the histogram is rebuilt by
+    cyclic symmetry; the re-encoder scans every message."""
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
     def test_matches_naive_oracle(self, q):
@@ -156,10 +162,16 @@ class TestShortening:
             C = _code(n, q, leaders)
             assert weight_distribution(C) == _full_scan_distribution(C)
 
-    def test_workers_on_several_blocks(self):
-        qt = build_quartet(default_splitting(41, 2), make_field(2))
-        C = qt.C0  # k = 20: 19 shortened rows, 8 blocks of 2^16 words
-        assert C.k == 20
+    @pytest.mark.parametrize("code,k", [
+        # packed: 19 shortened rows, 8 high blocks of 2^16 words
+        (lambda: build_quartet(default_splitting(41, 2), make_field(2)).C0,
+         20),
+        # digits: 12 shortened rows, 9 high blocks of 3^10 words
+        (lambda: _code(35, 3, [1, 5, 7]), 13),
+    ], ids=["packed", "digits"])
+    def test_workers_on_several_blocks(self, code, k):
+        C = code()
+        assert C.k == k
         assert weight_distribution(C, workers=2) == weight_distribution(C)
 
     def test_repetition_code(self):
@@ -372,14 +384,16 @@ class TestEdgeCases:
         assert r.d1 is None and r.distributions is None
 
     def test_odd_p_field_extension(self):
-        # GF(9) exercises the generic odometer with a nontrivial extension
+        # GF(9) exercises the digit kernel with a nontrivial extension
         C = _code(5, 9, [1])
         assert min_weight(C).value == naive_min_weight(C)
 
     def test_char2_beyond_63_bits(self):
-        # 17 coordinates of 4 bits do not pack: the odometer takes over
+        # 17 coordinates of 4 bits do not pack: the kernel scans digits
         C = _code(17, 16, [0, 2, 3, 4, 5, 6, 7, 8])  # k = 2
         assert weight_distribution(C) == naive_distribution(C)
+        assert enumerable(C, DEFAULT_BUDGET)
+        assert min_weight(C).method == "full_enumeration"
 
 
 class TestMacWilliams:

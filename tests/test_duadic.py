@@ -74,11 +74,8 @@ class TestSplittingBy:
 class TestFindSplittings:
     def test_n7_all(self):
         out = find_splittings(7, 2)
-        assert [(s.a, s.S0) for s in out] == [
-            (3, (1, 2, 4)), (3, (3, 5, 6)),
-            (5, (1, 2, 4)), (5, (3, 5, 6)),
-            (6, (1, 2, 4)), (6, (3, 5, 6)),
-        ]
+        # mu_5 and mu_6 swap the same two sides as mu_3
+        assert [(s.a, s.S0) for s in out] == [(3, (1, 2, 4)), (3, (3, 5, 6))]
 
     def test_n5_empty(self):
         assert find_splittings(5, 2) == []
@@ -92,7 +89,8 @@ class TestFindSplittings:
             assert has == is_quadratic_residue(2, n)
 
     def test_limit_respected(self):
-        assert len(find_splittings(7, 2, limit=3)) == 3
+        assert len(find_splittings(31, 2)) == 8
+        assert len(find_splittings(31, 2, limit=3)) == 3
 
     def test_lazy_enumeration_is_the_same_order(self):
         lazy = iter_splittings(85, 4)
