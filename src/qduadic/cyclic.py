@@ -5,6 +5,13 @@ such that alpha^j is a root of every codeword polynomial, where alpha is the
 canonical primitive n-th root of unity (gamma^((q^t-1)/n) for the canonical
 generator gamma of the splitting field).  The literature is split on this;
 everything here uses the root-exponent convention.
+
+Generator polynomials are products of minimal polynomials: g_T is the
+product over the cyclotomic cosets s in T of
+M_s(x) = prod_{j in s}(x - alpha^j), whose coefficients lie in GF(q).  Each
+(n, GF(q)) builds alpha^j for every j < n and every M_s once per process, in
+the splitting field, and every code of that length and field multiplies the
+cached M_s in GF(q).
 """
 
 from __future__ import annotations
@@ -237,21 +244,42 @@ class CyclicCode:
         return f"CyclicCode[n={self.n},k={self.k}]_{self.q}"
 
 
+@lru_cache(maxsize=None)
+def _coset_minpolys(n: int, field: Field) -> dict[int, Poly]:
+    """Smallest coset member s -> the minimal polynomial M_s over `field` of
+    alpha^s.  The powers alpha^j take one splitting-field multiplication
+    each, and M_s one factor (x - alpha^j) per step; each M_s is coerced to
+    the base field once."""
+    ext, alpha = primitive_nth_root(n, field.order)
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(ext.mul(powers[-1], alpha))
+    minpolys = {}
+    for coset in cyclotomic_cosets(n, field.order).cosets:
+        coeffs = [1]  # lowest degree first
+        for j in coset:
+            # (x - r) * c(x): the x^i coefficient is c_{i-1} - r*c_i
+            r = ext.neg(powers[j])
+            coeffs = ([ext.mul(r, coeffs[0])]
+                      + [ext.add(a, ext.mul(r, b))
+                         for a, b in zip(coeffs, coeffs[1:])]
+                      + [1])
+        minpolys[coset[0]] = coerce_to_base(Poly.make(coeffs, ext), field)
+    return minpolys
+
+
 def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
     q = field.order
     if gcd(n, q) != 1:
         raise CyclicCodeError(f"gcd({n}, {q}) != 1")
     if T.n != n or T.q != q:
         raise CyclicCodeError("defining set does not match (n, q)")
-    if not T.members:
-        genpoly = Poly.one(field)
-    else:
-        ext, alpha = primitive_nth_root(n, q)
-        g = Poly.one(ext)
-        for j in T.members:
-            root = ext.pow(alpha, j)
-            g = g.mul(Poly.make([ext.neg(root), 1], ext))
-        genpoly = coerce_to_base(g, field)
+    genpoly = Poly.one(field)
+    if T.members:
+        members = T.as_set()
+        for s, M in _coset_minpolys(n, field).items():
+            if s in members:  # T is a union of cosets
+                genpoly = genpoly.mul(M)
     k = n - len(T)
     # x^n - 1 over the base field
     xn1 = Poly.make((field.neg(1),) + (0,) * (n - 1) + (1,), field)

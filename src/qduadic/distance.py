@@ -7,12 +7,13 @@ message space: the generator rows are expanded by the polynomial basis of the
 field, so a k-dimensional code over GF(p^m) becomes a (k*m)-row code over
 GF(p).  One span kernel enumerates it: a numpy block of every combination of
 the first rows, plus one high word per step of a p-ary counter over the
-rest.  Codewords are packed into uint64 words (one m-bit cell per
-coordinate, addition = XOR) in characteristic 2 when they fit 63 bits, and
-are arrays of GF(p) digits otherwise.  The kernel scans only the shortened
-subcode {c_0 = 0}, q^(k-1) words, and the cyclic symmetry rebuilds the full
-histogram from it exactly.  Beyond the budget, a low-weight support search
-bounds the minimum weight.
+rest; the weights of two steps are counted by one bincount of joint keys.
+Codewords are packed into uint64 words (one m-bit cell per coordinate,
+addition = XOR) in characteristic 2 when they fit 63 bits, and are arrays of
+GF(p) digits otherwise, the block held as element indices.  The kernel scans
+only the shortened subcode {c_0 = 0}, q^(k-1) words, and the cyclic symmetry
+rebuilds the full histogram from it exactly.  Beyond the budget, a
+low-weight support search bounds the minimum weight.
 
 Work counters are closed forms of q and k, so they are reproducible and
 independent of the worker count.
@@ -97,17 +98,6 @@ def _pack_row(row, e: int) -> int:
     return word
 
 
-def _cell_weights(words: np.ndarray, n: int, e: int) -> np.ndarray:
-    """Number of nonzero e-bit cells per word."""
-    if e == 1:
-        return np.bitwise_count(words)
-    y = words.copy()
-    for b in range(1, e):
-        y |= words >> np.uint64(b)
-    cellmask = np.uint64(sum(1 << (i * e) for i in range(n)))
-    return np.bitwise_count(y & cellmask)
-
-
 def _low_rows(p: int, K: int) -> int:
     """How many of K rows span the low block: the most with p^h <= 2^16."""
     h = 0
@@ -126,6 +116,11 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
     low block.  From i - 1 to i the digits below the lowest nonzero digit j
     of i wrap from p - 1 to 0 and digit j steps up, so the high word gains
     high[0] + ... + high[j] (mod p), one precomputed prefix sum per step.
+
+    Two consecutive steps share one bincount: the weights w_a, w_b of a
+    block word at both form the key w_a*(n+1) + w_b into an (n+1)^2 joint
+    table, whose two marginals are the two steps' histograms.  An odd last
+    step is counted alone.
 
     Packed rows are uint64 words of m bits per coordinate, added by XOR;
     otherwise rows are arrays of n*m GF(p) digits, m per coordinate."""
@@ -150,23 +145,84 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
             word = add(word, r)
         x //= p
     prefix = list(accumulate(high, add))
-    hist = np.zeros(n + 1, dtype=np.int64)
+    key_type = np.min_scalar_type((n + 1) ** 2 - 1)
+    if packed:
+        weights = _cell_weights(block, n, m)
+    else:
+        weights = _element_weights(block, p, n, m, key_type)
+    key = np.empty(len(block), key_type)
+    joint = np.zeros((n + 1) ** 2, dtype=np.int64)
     for i in range(start, end):
         if i > start:
             j, x = 0, i
             while x % p == 0:
                 j, x = j + 1, x // p
             word = add(word, prefix[j])
-        if packed:
-            w = _cell_weights(block ^ word, n, m)
+        w = weights(word)
+        if (i - start) % 2 == 0:
+            np.multiply(w, key_type.type(n + 1), out=key)
         else:
-            # a digit of block + word is zero where the block digit is
-            # -word's; a coordinate is zero where all m of its digits are
-            nonzero = block != (p - word) % p
-            w = np.count_nonzero(nonzero.reshape(-1, n, m).any(axis=2),
-                                 axis=1)
+            key += w
+            joint += np.bincount(key, minlength=(n + 1) ** 2)
+    joint = joint.reshape(n + 1, n + 1)
+    hist = joint.sum(axis=1) + joint.sum(axis=0)
+    if (end - start) % 2:
         hist += np.bincount(w, minlength=n + 1)
     return hist
+
+
+def _cell_weights(block: np.ndarray, n: int, e: int):
+    """word -> the number of nonzero e-bit cells of each packed word of
+    block ^ word.  The result array is reused by the next call."""
+    x = np.empty_like(block)
+    w = np.empty(len(block), np.uint8)
+    if e == 1:
+        def weights(word):
+            np.bitwise_xor(block, word, out=x)
+            return np.bitwise_count(x, out=w)
+        return weights
+    y, t = np.empty_like(block), np.empty_like(block)
+    shifts = [np.uint64(b) for b in range(1, e)]
+    cellmask = np.uint64(sum(1 << (i * e) for i in range(n)))
+
+    def weights(word):
+        np.bitwise_xor(block, word, out=x)
+        np.copyto(y, x)
+        for b in shifts:  # fold every bit of a cell into its lowest bit
+            np.bitwise_or(y, np.right_shift(x, b, out=t), out=y)
+        np.bitwise_and(y, cellmask, out=y)
+        return np.bitwise_count(y, out=w)
+    return weights
+
+
+def _element_weights(block: np.ndarray, p: int, n: int, m: int, dtype):
+    """word -> the number of nonzero coordinates of each word of
+    block + word, for digit rows.  The block is turned once into element
+    indices, held coordinate by coordinate; a coordinate of block + word is
+    zero where the block's element is that of -word.  The result array, of
+    `dtype`, is reused by the next call."""
+    index_type = np.min_scalar_type(p**m - 1)
+    elements = np.ascontiguousarray(
+        _element_indices(block.reshape(-1, n, m), p, index_type).T)
+    nonzero = np.empty(elements.shape, np.uint8)
+    w = np.empty(len(block), dtype)
+
+    def weights(word):
+        negated = _element_indices(((p - word) % p).reshape(n, m), p,
+                                   index_type)
+        np.not_equal(elements, negated[:, None], out=nonzero)
+        return np.add.reduce(nonzero, axis=0, dtype=dtype, out=w)
+    return weights
+
+
+def _element_indices(digits: np.ndarray, p: int, dtype) -> np.ndarray:
+    """Element indices from the digits along the last axis, digit i the
+    coefficient of x^i."""
+    out = digits[..., -1].astype(dtype)
+    for i in range(digits.shape[-1] - 2, -1, -1):
+        out *= p
+        out += digits[..., i]
+    return out
 
 
 def _packs(C: CyclicCode) -> bool:

@@ -20,8 +20,9 @@ from math import gcd
 FIELD_SIZE_CAP = 1 << 24
 # Log/antilog tables are only materialized up to this cardinality, which
 # covers the code alphabets GF(q) and GF(q^2) for q <= 64; splitting fields
-# above it use direct polynomial arithmetic, since building a quartet needs
-# only about n^2 multiplications there.
+# above it use direct polynomial arithmetic, since each length needs only
+# the powers of alpha and one minimal polynomial per cyclotomic coset there,
+# at most about n^2/2 multiplications (see cyclic._coset_minpolys).
 TABLE_CAP = 1 << 12
 
 

@@ -5,6 +5,9 @@ the field's multiplication and compare codewords as sets, sharing no code
 with the span kernel, the shortened-subcode rebuild or the MacWilliams
 transform.  The support-search loop tests every candidate against the check
 matrix one by one, as the library did before its pair-table search.  The
+per-root generator polynomial multiplies one factor (x - alpha^j) per member
+of the defining set, each root a separate power of alpha, where the library
+multiplies cached minimal polynomials of cyclotomic cosets.  The
 linear-algebra and field helpers below them serve the cyclic-code and field
 tests only.
 """
@@ -16,7 +19,13 @@ import numpy as np
 
 from qduadic.cyclic import CyclicCode, null_space, rref
 from qduadic.distance import DistanceError, DistanceResult
-from qduadic.galois import Field, FieldError, Poly
+from qduadic.galois import (
+    Field,
+    FieldError,
+    Poly,
+    coerce_to_base,
+    primitive_nth_root,
+)
 
 
 def enumerate_codewords_naive(C) -> np.ndarray:
@@ -35,6 +44,22 @@ def enumerate_codewords_naive(C) -> np.ndarray:
                              dtype=np.uint16)
         words = add[words.astype(np.intp) * q + multiples[msgs[:, i]]]
     return words
+
+
+def naive_binary_distribution(C, chunk: int = 1 << 12) -> dict[int, int]:
+    """Weight histogram of a binary code by encoding every message as an
+    integer matrix product mod 2, `chunk` messages at a time; for codes too
+    long for the tables of `enumerate_codewords_naive`."""
+    if C.q != 2:
+        raise ValueError("binary codes only")
+    G = np.array(C.G, dtype=np.int64)
+    bits = np.arange(C.k)
+    hist = np.zeros(C.n + 1, dtype=np.int64)
+    for start in range(0, 2**C.k, chunk):
+        index = np.arange(start, min(start + chunk, 2**C.k))
+        msgs = index[:, None] >> bits & 1
+        hist += np.bincount((msgs @ G % 2).sum(axis=1), minlength=C.n + 1)
+    return {w: int(c) for w, c in enumerate(hist) if c}
 
 
 def _weights(words: np.ndarray) -> np.ndarray:
@@ -113,6 +138,17 @@ def support_search_loop(C: CyclicCode, budget: int) -> DistanceResult:
                 if syndrome_zero:
                     return DistanceResult.exact(w, "support_search", work)
     raise DistanceError("no nonzero codeword found (zero code?)")
+
+
+def genpoly_per_root(n: int, field: Field, members) -> Poly:
+    """prod_{j in members}(x - alpha^j) over `field`: the product is formed
+    in the splitting field, one factor per root and one power of alpha per
+    root, and coerced to `field` at the end."""
+    ext, alpha = primitive_nth_root(n, field.order)
+    g = Poly.one(ext)
+    for j in members:
+        g = g.mul(Poly.make([ext.neg(ext.pow(alpha, j)), 1], ext))
+    return coerce_to_base(g, field)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+from math import gcd
+
 import pytest
 from oracles import (
     embed_into_extension,
     even_like_subcode_matrix,
+    genpoly_per_root,
     mat_mul,
     rank,
     transpose,
 )
+
+from qduadic import cyclic
 
 from qduadic.cyclic import (
     CyclicCodeError,
@@ -27,7 +32,13 @@ from qduadic.cyclic import (
     rref,
 )
 from qduadic.distance import weight_distribution
-from qduadic.galois import make_field
+from qduadic.duadic import (
+    default_splitting,
+    iter_splittings,
+    materialize_quartet,
+    splitting_by,
+)
+from qduadic.galois import field_from_order, make_field, primitive_nth_root
 
 
 class TestCosets:
@@ -210,6 +221,80 @@ class TestMakeCyclicCode:
     def test_non_coset_closed_rejected(self):
         with pytest.raises(CyclicCodeError):
             make_cyclic_code(7, make_field(2), DefiningSet(7, 2, (1, 3)))
+
+
+def _quartets(q: int, max_n: int, hermitian: bool = False):
+    """The materialized default quartets over GF(q) of the odd n <= max_n,
+    or with `hermitian` the mu_{-q} quartets over GF(q^2) that
+    `build hermitian` uses."""
+    code_q = q * q if hermitian else q
+    for n in range(3, max_n + 1, 2):
+        if gcd(n, q) != 1:
+            continue
+        s = (splitting_by(n, code_q, (-q) % n) if hermitian
+             else default_splitting(n, q))
+        quartet = materialize_quartet(s) if s is not None else None
+        if quartet is not None:
+            yield quartet
+
+
+class TestGenpolyAgainstPerRootProduct:
+    """make_cyclic_code's generator polynomial, a product of cached coset
+    minimal polynomials, against the per-root product over the splitting
+    field."""
+
+    @staticmethod
+    def _check(quartets) -> set[bool]:
+        """Compare every code of the quartets; the set of whether their
+        splitting fields hold log tables."""
+        tabled = set()
+        for quartet in quartets:
+            n = quartet.n
+            for C in (quartet.D0, quartet.D1, quartet.C0, quartet.C1):
+                expected = genpoly_per_root(n, C.field, C.T.members)
+                assert C.genpoly == expected, (n, C.q, C.T.members)
+            tabled.add(primitive_nth_root(n, quartet.q)[0]._log is not None)
+        return tabled
+
+    @pytest.mark.parametrize("q,max_n,hermitian", [
+        (2, 49, False), (3, 23, False), (4, 41, False), (2, 31, True),
+        (3, 23, True),
+    ])
+    def test_quartets(self, q, max_n, hermitian):
+        # splitting fields with log tables (e.g. GF(2^3)) and without them
+        # (e.g. GF(2^23) for n = 47) both occur
+        assert self._check(_quartets(q, max_n, hermitian)) == {True, False}
+
+    def test_coset_of_a_divisor(self):
+        # 49/2: the coset {7, 14, 28} has gcd(7, 49) = 7, so its roots
+        # alpha^7, ... are 7th roots of unity
+        quartet = materialize_quartet(default_splitting(49, 2))
+        assert any(7 in C.T.members for C in (quartet.D0, quartet.D1))
+        assert self._check([quartet]) == {False}
+
+    def test_every_splitting_of_45_4(self):
+        splittings = list(iter_splittings(45, 4))
+        assert len(splittings) > 1
+        assert self._check(materialize_quartet(s) for s in splittings) \
+            == {True}  # GF(4^6) = GF(2^12) holds log tables
+
+    def test_one_splitting_field_build_per_length(self, monkeypatch):
+        calls = []
+
+        def counted(n, q):
+            calls.append((n, q))
+            return primitive_nth_root(n, q)
+
+        monkeypatch.setattr(cyclic, "primitive_nth_root", counted)
+        cyclic._coset_minpolys.cache_clear()
+        try:
+            quartet = materialize_quartet(default_splitting(23, 2))
+            euclidean_dual(quartet.C0)
+            code_under_mu(quartet.D0, 22)
+            materialize_quartet(default_splitting(23, 2))
+        finally:
+            cyclic._coset_minpolys.cache_clear()
+        assert calls == [(23, 2)]
 
 
 class TestDuals:

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     min_weight_diffset,
+    naive_binary_distribution,
     naive_distribution,
     naive_min_odd_like,
     naive_min_weight,
@@ -20,6 +21,10 @@ from qduadic.distance import (
     DistanceError,
     DistanceResult,
     _full_scan_distribution,
+    _histogram,
+    _low_rows,
+    _scan_range,
+    _shortened_rows,
     enumerable,
     macwilliams,
     min_weight,
@@ -210,6 +215,78 @@ class TestShortening:
             G[1] = [a ^ b for a, b in zip(G[0], G[1])]  # G[1][0] != 0
         with pytest.raises(DistanceError, match="x\\^i\\*g\\(x\\) shape"):
             weight_distribution(replace(C, G=tuple(map(tuple, G))))
+
+
+class TestKernelSteps:
+    """The span kernel counts two consecutive high steps with one bincount
+    of joint keys and an odd last step alone.  With a smaller low block,
+    small codes take many high steps, and the re-encoder checks them."""
+
+    @staticmethod
+    def _blocks(C, rows: int) -> int:
+        p = C.field.p
+        return p ** (rows - _low_rows(p, rows))
+
+    @pytest.mark.parametrize("n,q,leaders,bits,blocks", [
+        (15, 2, [1], 4, 128),     # packed, 1-bit cells
+        (15, 4, [1, 2, 3, 6, 7], 5, 32),  # packed, 2-bit cells
+        (13, 3, [1], 4, 6561),    # digits, GF(3)
+        (11, 5, [1], 5, 625),     # digits, GF(5)
+        (5, 9, [1], 4, 81),       # digits, GF(9): 2 digits a coordinate
+        (7, 2, [1], 16, 1),       # one step, counted alone
+    ])
+    def test_even_and_odd_step_counts(self, monkeypatch, n, q, leaders,
+                                      bits, blocks):
+        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", bits)
+        C = _code(n, q, leaders)
+        assert self._blocks(C, C.k * C.field.m) == blocks
+        expected = naive_distribution(C)
+        assert _full_scan_distribution(C) == expected
+        assert weight_distribution(C) == expected
+
+    @pytest.mark.parametrize("n,q,leaders", [(15, 2, [1]), (13, 3, [1])],
+                             ids=["packed", "digits"])
+    def test_ranges_of_odd_length_add_up(self, monkeypatch, n, q, leaders):
+        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", 4)
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return _scan_range(*args)
+
+        monkeypatch.setattr(qduadic.distance, "_scan_range", record)
+        C = _code(n, q, leaders)
+        whole = _full_scan_distribution(C)
+        rows, p, n, m, packed, _, end = calls[0]
+        assert packed == (q == 2) and end > 8
+        parts = sum(_scan_range(rows, p, n, m, packed, s, t)
+                    for s, t in [(0, 1), (1, 4), (4, 7), (7, end)])
+        assert {w: c for w, c in enumerate(parts.tolist()) if c} == whole
+        assert whole == naive_distribution(C)
+
+    def test_workers_with_a_range_of_odd_length(self, monkeypatch):
+        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", 4)
+        C = _code(13, 3, [1])  # 9 shortened rows: 3^7 = 2187 high blocks
+        blocks = self._blocks(C, C.k - 1)
+        chunk = (blocks + 1) // 2  # the second worker scans [chunk, blocks)
+        assert blocks == 2187 and (blocks - chunk) % 2 == 1
+        assert weight_distribution(C, workers=2) == naive_distribution(C)
+
+    def test_keys_wider_than_16_bits(self):
+        # n = 257: a joint key w_a*258 + w_b reaches 257*258 + 257, past
+        # 2^16, so the keys are 32-bit
+        cs = cyclotomic_cosets(257, 2)
+        T = tuple(x for c in cs.nonzero_cosets[1:] for x in c)
+        C = make_cyclic_code(257, make_field(2), DefiningSet(257, 2, T))
+        assert C.k == 17
+        expected = naive_binary_distribution(C)
+        assert expected[257] == 1
+        assert weight_distribution(C) == expected  # one high step
+        assert _full_scan_distribution(C) == expected  # two high steps
+        # the all-ones word in the low block, so its weight 257 is the
+        # first of a pair of steps, the one a 16-bit key would wrap
+        rows = [(1,) * 257] + _shortened_rows(C)
+        assert _histogram(C, rows, 1) == expected
 
 
 class TestParallel:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from oracles import embed_into_extension, frobenius
@@ -134,20 +135,35 @@ class TestArithmetic:
             assert f.inv(a) == f._raw_pow(a, f.order - 2)
 
 
+def _addition_table(f) -> np.ndarray:
+    return np.array([[f.add(a, b) for b in f.elements()]
+                     for a in f.elements()])
+
+
 class TestZechAddition:
     """Addition in the fields GF(p^m), p odd and m > 1, tabled or not,
-    against digitwise addition mod p."""
+    against digitwise addition mod p, with the digits of an element index
+    taken by numpy rather than by the field."""
 
     @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 5)])
     def test_exhaustive(self, p, m):
         f = make_field(p, m)
         assert f._exp is not None
-        for a in f.elements():
-            da = f.element_to_coeffs(a)
-            for b in f.elements():
-                digits = [(x + y) % p
-                          for x, y in zip(da, f.element_to_coeffs(b))]
-                assert f.add(a, b) == f.coeffs_to_element(digits), (a, b)
+        shape = (p,) * m  # an index's base-p digits, the x^0 digit last
+        digits = np.array(np.unravel_index(np.arange(f.order), shape))
+        sums = (digits[:, :, None] + digits[:, None, :]) % p
+        assert (_addition_table(f)
+                == np.ravel_multi_index(tuple(sums), shape)).all()
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 5)])
+    def test_log_table_products_distribute(self, p, m):
+        # x -> g*x read off the log tables is additive; every nonzero
+        # element is a power of g, so every product distributes over add
+        f = make_field(p, m)
+        add = _addition_table(f)
+        times_g = np.array([0] + [f._exp[(f._log[a] + 1) % (f.order - 1)]
+                                  for a in range(1, f.order)])
+        assert (times_g[add] == add[np.ix_(times_g, times_g)]).all()
 
     def test_untabled_field_adds_by_digits(self):
         f = make_field(3, 11)
