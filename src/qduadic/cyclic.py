@@ -245,27 +245,28 @@ class CyclicCode:
 
 
 @lru_cache(maxsize=None)
-def _coset_minpolys(n: int, field: Field) -> dict[int, Poly]:
-    """Smallest coset member s -> the minimal polynomial M_s over `field` of
-    alpha^s.  The powers alpha^j take one splitting-field multiplication
-    each, and M_s one factor (x - alpha^j) per step; each M_s is coerced to
-    the base field once."""
+def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
+    """(s, M_s) for each cyclotomic coset, s its smallest member and M_s the
+    minimal polynomial over `field` of alpha^s.  The powers alpha^j take one
+    splitting-field multiplication each, and M_s one factor (x - alpha^j)
+    per step; each M_s is coerced to the base field once."""
     ext, alpha = primitive_nth_root(n, field.order)
     powers = [1]
     for _ in range(n - 1):
         powers.append(ext.mul(powers[-1], alpha))
-    minpolys = {}
+    minpolys = []
     for coset in cyclotomic_cosets(n, field.order).cosets:
         coeffs = [1]  # lowest degree first
         for j in coset:
-            # (x - r) * c(x): the x^i coefficient is c_{i-1} - r*c_i
-            r = ext.neg(powers[j])
-            coeffs = ([ext.mul(r, coeffs[0])]
-                      + [ext.add(a, ext.mul(r, b))
+            # (x - alpha^j) * c(x) has x^i coefficient c_{i-1} - alpha^j*c_i
+            minus_root = ext.neg(powers[j])
+            coeffs = ([ext.mul(minus_root, coeffs[0])]
+                      + [ext.add(a, ext.mul(minus_root, b))
                          for a, b in zip(coeffs, coeffs[1:])]
                       + [1])
-        minpolys[coset[0]] = coerce_to_base(Poly.make(coeffs, ext), field)
-    return minpolys
+        minpolys.append(
+            (coset[0], coerce_to_base(Poly.make(coeffs, ext), field)))
+    return tuple(minpolys)
 
 
 def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
@@ -277,7 +278,7 @@ def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
     genpoly = Poly.one(field)
     if T.members:
         members = T.as_set()
-        for s, M in _coset_minpolys(n, field).items():
+        for s, M in _coset_minpolys(n, field):
             if s in members:  # T is a union of cosets
                 genpoly = genpoly.mul(M)
     k = n - len(T)

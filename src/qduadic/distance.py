@@ -173,23 +173,25 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
 
 def _cell_weights(block: np.ndarray, n: int, e: int):
     """word -> the number of nonzero e-bit cells of each packed word of
-    block ^ word.  The result array is reused by the next call."""
-    x = np.empty_like(block)
+    block ^ word.  The block is XORed in place with the change of word, so
+    it holds block ^ word after each call, and the result array is reused
+    by the next call."""
     w = np.empty(len(block), np.uint8)
-    if e == 1:
-        def weights(word):
-            np.bitwise_xor(block, word, out=x)
-            return np.bitwise_count(x, out=w)
-        return weights
-    y, t = np.empty_like(block), np.empty_like(block)
-    shifts = [np.uint64(b) for b in range(1, e)]
-    cellmask = np.uint64(sum(1 << (i * e) for i in range(n)))
+    last = np.zeros_like(block[0])  # the word the block holds now
+    if e > 1:
+        y, t = np.empty_like(block), np.empty_like(block)
+        shifts = [np.uint64(b) for b in range(1, e)]
+        cellmask = np.uint64(sum(1 << (i * e) for i in range(n)))
 
     def weights(word):
-        np.bitwise_xor(block, word, out=x)
-        np.copyto(y, x)
+        nonlocal last
+        np.bitwise_xor(block, word ^ last, out=block)
+        last = word
+        if e == 1:
+            return np.bitwise_count(block, out=w)
+        np.copyto(y, block)
         for b in shifts:  # fold every bit of a cell into its lowest bit
-            np.bitwise_or(y, np.right_shift(x, b, out=t), out=y)
+            np.bitwise_or(y, np.right_shift(block, b, out=t), out=y)
         np.bitwise_and(y, cellmask, out=y)
         return np.bitwise_count(y, out=w)
     return weights
