@@ -11,7 +11,6 @@ from oracles import (
 )
 
 from qduadic import cyclic
-
 from qduadic.cyclic import (
     CyclicCodeError,
     DefiningSet,
@@ -38,7 +37,7 @@ from qduadic.duadic import (
     materialize_quartet,
     splitting_by,
 )
-from qduadic.galois import field_from_order, make_field, primitive_nth_root
+from qduadic.galois import make_field, primitive_nth_root
 
 
 class TestCosets:
