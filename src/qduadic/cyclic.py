@@ -6,12 +6,15 @@ canonical primitive n-th root of unity (gamma^((q^t-1)/n) for the canonical
 generator gamma of the splitting field).  The literature is split on this;
 everything here uses the root-exponent convention.
 
-Generator polynomials are products of minimal polynomials: g_T is the
-product over the cyclotomic cosets s in T of
-M_s(x) = prod_{j in s}(x - alpha^j), whose coefficients lie in GF(q).  Each
+Every polynomial fact a code needs comes from one factorization,
+x^n - 1 = prod_s M_s over the cyclotomic cosets s, with
+M_s(x) = prod_{j in s}(x - alpha^j) and coefficients in GF(q).  Each
 (n, GF(q)) builds alpha^j for every j < n and every M_s once per process, in
-the splitting field, and every code of that length and field multiplies the
-cached M_s in GF(q).
+the splitting field, and checks there that the M_s multiply to x^n - 1.  A
+code with defining set T takes the generator polynomial g = prod_{s in T} M_s
+and the check polynomial h = prod_{s not in T} M_s, so nothing is divided.
+Duals are built from the defining-set formulas and checked directly: the
+dimensions add up to n and the generator matrices are orthogonal.
 """
 
 from __future__ import annotations
@@ -156,63 +159,6 @@ def _sqrt_exact(q: int) -> int:
     return r
 
 
-# ---------------------------------------------------------------------------
-# Linear algebra over a Field (matrices as tuples of row-tuples of indices)
-
-
-def rref(A, f: Field):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in A]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
-def null_space(A, f: Field):
-    """Basis of {x : A x^T = 0}, rows of the returned matrix."""
-    ncols = len(A[0]) if A else 0
-    R, pivots = rref(A, f)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = f.neg(R[r][fc])
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
-def row_space_equal(A, B, f: Field) -> bool:
-    return rref(A, f)[0] == rref(B, f)[0]
-
-
-def conjugate_matrix(A, f: Field, q0: int):
-    """Entrywise x -> x^q0."""
-    return tuple(tuple(f.pow(x, q0) for x in row) for row in A)
-
-
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class CyclicCode:
     """A q-ary cyclic code of odd length n given by its defining set."""
@@ -249,12 +195,15 @@ def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
     """(s, M_s) for each cyclotomic coset, s its smallest member and M_s the
     minimal polynomial over `field` of alpha^s.  The powers alpha^j take one
     splitting-field multiplication each, and M_s one factor (x - alpha^j)
-    per step; each M_s is coerced to the base field once."""
+    per step; each M_s is coerced to the base field once.  Every cyclic code
+    of length n takes its generator and check polynomials from these
+    factors, so their product is checked here against x^n - 1, once."""
     ext, alpha = primitive_nth_root(n, field.order)
     powers = [1]
     for _ in range(n - 1):
         powers.append(ext.mul(powers[-1], alpha))
     minpolys = []
+    product = Poly.one(field)
     for coset in cyclotomic_cosets(n, field.order).cosets:
         coeffs = [1]  # lowest degree first
         for j in coset:
@@ -264,8 +213,13 @@ def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
                       + [ext.add(a, ext.mul(minus_root, b))
                          for a, b in zip(coeffs, coeffs[1:])]
                       + [1])
-        minpolys.append(
-            (coset[0], coerce_to_base(Poly.make(coeffs, ext), field)))
+        M = coerce_to_base(Poly.make(coeffs, ext), field)
+        minpolys.append((coset[0], M))
+        product = product.mul(M)
+    if product != Poly.make((field.neg(1),) + (0,) * (n - 1) + (1,), field):
+        raise CyclicCodeError(
+            f"the coset minimal polynomials do not multiply to x^{n} - 1 "
+            f"over GF({field.order}) (internal bug)")
     return tuple(minpolys)
 
 
@@ -275,18 +229,16 @@ def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
         raise CyclicCodeError(f"gcd({n}, {q}) != 1")
     if T.n != n or T.q != q:
         raise CyclicCodeError("defining set does not match (n, q)")
-    genpoly = Poly.one(field)
-    if T.members:
-        members = T.as_set()
-        for s, M in _coset_minpolys(n, field):
-            if s in members:  # T is a union of cosets
-                genpoly = genpoly.mul(M)
+    # x^n - 1 = prod_s M_s: g takes the cosets in T (a union of cosets) and
+    # h = (x^n - 1)/g the others
+    genpoly = checkpoly = Poly.one(field)
+    members = T.as_set()
+    for s, M in _coset_minpolys(n, field):
+        if s in members:
+            genpoly = genpoly.mul(M)
+        else:
+            checkpoly = checkpoly.mul(M)
     k = n - len(T)
-    # x^n - 1 over the base field
-    xn1 = Poly.make((field.neg(1),) + (0,) * (n - 1) + (1,), field)
-    checkpoly, rem = xn1.divmod(genpoly)
-    if not rem.is_zero():
-        raise CyclicCodeError("generator polynomial does not divide x^n - 1")
     gcoef = list(genpoly.coeffs) + [0] * (n - len(genpoly.coeffs))
     G = tuple(tuple(gcoef[(j - i) % n] if 0 <= j - i < len(genpoly.coeffs) else 0
                     for j in range(n))
@@ -308,31 +260,42 @@ def code_under_mu(C: CyclicCode, a: int) -> CyclicCode:
     return make_cyclic_code(n, C.field, mu_defining_set(C.T, a_inv))
 
 
+def _check_dual(C: CyclicCode, D: CyclicCode, power: int, formula: str) -> None:
+    """Raise unless k_C + k_D = n and every row of D.G is orthogonal to every
+    row of C.G with its entries raised to `power`.  Row i of either G is
+    x^i*g(x), so both have full rank, and this proves D = C^perp (power 1)
+    or D = C^perp_h (power q0)."""
+    f = C.field
+    if C.k + D.k != C.n:
+        raise CyclicCodeError(
+            f"{formula} formula gives dimension {D.k} for the dual of a "
+            f"[{C.n}, {C.k}] code (internal bug)")
+    rows = [[(j, f.pow(x, power)) for j, x in enumerate(row) if x]
+            for row in C.G]
+    for d in D.G:
+        for row in rows:
+            acc = 0
+            for j, x in row:
+                if d[j]:
+                    acc = f.add(acc, f.mul(x, d[j]))
+            if acc:
+                raise CyclicCodeError(
+                    f"{formula} formula gives a code not orthogonal to C "
+                    "(internal bug)")
+
+
 def euclidean_dual(C: CyclicCode) -> CyclicCode:
-    """Dual code, built from the defining-set formula and verified against
-    the null space of G."""
-    Td = dual_defining_set(C.T)
-    D = make_cyclic_code(C.n, C.field, Td)
-    if C.k > 0 and D.k > 0:
-        ns = null_space(C.G, C.field)
-        if not row_space_equal(ns, D.G, C.field):
-            raise CyclicCodeError(
-                "dual defining-set formula disagrees with null space (internal bug)"
-            )
+    """Dual code, built from the defining-set formula and checked against
+    the generator matrix of C."""
+    D = make_cyclic_code(C.n, C.field, dual_defining_set(C.T))
+    _check_dual(C, D, 1, "dual defining-set")
     return D
 
 
 def hermitian_dual(C: CyclicCode) -> CyclicCode:
-    """Hermitian dual over GF(q^2): null space of the conjugated generator
-    matrix; verified against the defining-set formula."""
+    """Hermitian dual over GF(q^2), built from the defining-set formula and
+    checked against the conjugated generator matrix of C."""
     q0 = _sqrt_exact(C.q)
-    Td = hermitian_dual_defining_set(C.T)
-    D = make_cyclic_code(C.n, C.field, Td)
-    if C.k > 0 and D.k > 0:
-        Gc = conjugate_matrix(C.G, C.field, q0)
-        ns = null_space(Gc, C.field)
-        if not row_space_equal(ns, D.G, C.field):
-            raise CyclicCodeError(
-                "hermitian dual formula disagrees with conjugated null space"
-            )
+    D = make_cyclic_code(C.n, C.field, hermitian_dual_defining_set(C.T))
+    _check_dual(C, D, q0, "hermitian dual")
     return D

@@ -43,7 +43,7 @@ class DistanceError(ValueError):
 class DistanceResult:
     """An exact value or interval for a minimum-weight problem."""
 
-    kind: str  # exact | lower_bound | upper_bound | interval
+    kind: str  # exact | lower_bound | interval
     lo: int | None
     hi: int | None
     method: str  # full_enumeration | support_search | defining_set_theory

@@ -26,7 +26,7 @@ from .cyclic import (
     ord_mod,
 )
 from .distance import DistanceResult
-from .galois import Field, FieldCapError, factorize, field_from_order
+from .galois import Field, FieldCapError, Poly, factorize, field_from_order
 
 
 class SplittingError(ValueError):
@@ -207,6 +207,7 @@ def build_quartet(s: Splitting, field: Field) -> DuadicQuartet:
             f"field order {field.order} does not match splitting over GF({s.q})"
         )
     n = s.n
+    x_minus_1 = Poly.make((field.neg(1), 1), field)
     D0 = make_cyclic_code(n, field, DefiningSet(n, s.q, s.S0))
     D1 = make_cyclic_code(n, field, DefiningSet(n, s.q, s.S1))
     C0 = make_cyclic_code(n, field, DefiningSet(n, s.q, s.S0 + (0,)))
@@ -214,8 +215,8 @@ def build_quartet(s: Splitting, field: Field) -> DuadicQuartet:
     for D, C in ((D0, C0), (D1, C1)):
         if D.k != (n + 1) // 2 or C.k != (n - 1) // 2:
             raise SplittingError("duadic dimension formula violated (internal bug)")
-        if not D.genpoly.divides(C.genpoly):
-            raise SplittingError("C_i not contained in D_i (internal bug)")
+        if C.genpoly != x_minus_1.mul(D.genpoly):  # so C_i is in D_i
+            raise SplittingError("g_{C_i} != (x - 1) g_{D_i} (internal bug)")
         if any(not C.is_even_like(row) for row in C.G):
             raise SplittingError("even-like code has odd-like generator row")
         if all(D.is_even_like(row) for row in D.G):

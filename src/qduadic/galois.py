@@ -432,17 +432,6 @@ class Poly:
             out[i] = f.add(out[i], c)
         return Poly.make(out, f)
 
-    def scale(self, s: int) -> "Poly":
-        f = self.field
-        return Poly.make([f.mul(s, c) for c in self.coeffs], f)
-
-    def neg(self) -> "Poly":
-        f = self.field
-        return Poly(tuple(f.neg(c) for c in self.coeffs), f)
-
-    def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.neg())
-
     def mul(self, other: "Poly") -> "Poly":
         self._same_field(other)
         f = self.field
@@ -456,40 +445,12 @@ class Poly:
                         out[i + j] = f.add(out[i + j], f.mul(a, b))
         return Poly.make(out, f)
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._same_field(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(f), self
-        quo = [0] * (dq + 1)
-        inv_lead = f.inv(other.coeffs[-1])
-        for shift in range(dq, -1, -1):
-            lead = rem[shift + other.degree]
-            if lead:
-                factor = f.mul(lead, inv_lead)
-                quo[shift] = factor
-                for i, c in enumerate(other.coeffs):
-                    rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, c))
-        return Poly.make(quo, f), Poly.make(rem, f)
-
-    def divides(self, other: "Poly") -> bool:
-        return other.divmod(self)[1].is_zero()
-
     def eval(self, x: int) -> int:
         f = self.field
         acc = 0
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
         return acc
-
-    def __str__(self) -> str:
-        return " + ".join(
-            f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c
-        ) or "0"
 
 
 def primitive_nth_root(n: int, base_q: int) -> tuple[Field, int]:

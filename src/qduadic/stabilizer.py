@@ -205,11 +205,8 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                                    bound_sq=None, mu_minus1=mu1,
                                    bound_sq_strong=None)
     if quartet is not None:
-        if not hermitian:
-            for D, C in ((quartet.D0, quartet.C0), (quartet.D1, quartet.C1)):
-                if not D.genpoly.divides(C.genpoly):
-                    raise ConstructionError("containment C_i subset D_i fails")
-        elif n <= 31:  # recompute C_0^{perp_h} by matrices
+        # build_quartet has checked the CSS containment C_i subset D_i
+        if hermitian and n <= 31:  # check C_0^{perp_h} = D_0 on matrices
             hd = hermitian_dual(quartet.C0)
             if hd.T.as_set() != quartet.D0.T.as_set():
                 raise ConstructionError(

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .cyclic import (
+    CyclicCodeError,
     code_under_mu,
     euclidean_dual,
     hermitian_dual,
@@ -108,15 +109,16 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
             res.record("odd_like_weights_equal", "skipped",
                        f"n={n} exceeds budget")
 
-        # (d) defining-set duals match matrix null spaces (checked inside
-        # euclidean_dual / hermitian_dual, which raise on mismatch)
+        # (d) defining-set duals match the generator matrices (checked
+        # inside euclidean_dual / hermitian_dual, which raise on mismatch)
         if n <= 35:
             try:
                 euclidean_dual(quartet.C0)
                 euclidean_dual(quartet.D0)
                 res.record("dual_defining_set_matches_matrix", "passed")
-            except Exception as exc:  # pragma: no cover - bug detector
-                res.record("dual_defining_set_matches_matrix", "failed", str(exc))
+            except CyclicCodeError as exc:
+                res.record("dual_defining_set_matches_matrix", "failed",
+                           f"n={n}: {exc}")
 
         # (e) mu_a images are equivalent: identical weight distributions;
         # the direct distribution of D0 also checks the MacWilliams route
@@ -141,7 +143,7 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
                   == {frozenset(s2.S0), frozenset(s2.S1)})
             res.check("mu_minus1_equals_mu_minus_q", ok, f"n={n}")
 
-    # hermitian dual formula vs conjugated null space at small n
+    # hermitian dual formula vs conjugated generator matrix at small n
     for n in lengths:
         if n > 15:
             break
@@ -152,7 +154,11 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
         if quartet is None:
             res.record("hermitian_dual_is_D0", "skipped", f"n={n} field cap")
             continue
-        hd = hermitian_dual(quartet.C0)
+        try:
+            hd = hermitian_dual(quartet.C0)
+        except CyclicCodeError as exc:
+            res.record("hermitian_dual_is_D0", "failed", f"n={n}: {exc}")
+            continue
         res.check("hermitian_dual_is_D0",
                   hd.T.as_set() == quartet.D0.T.as_set(), f"n={n}")
     return res

@@ -7,9 +7,11 @@ transform.  The support-search loop tests every candidate against the check
 matrix one by one, as the library did before its pair-table search.  The
 per-root generator polynomial multiplies one factor (x - alpha^j) per member
 of the defining set, each root a separate power of alpha, where the library
-multiplies cached minimal polynomials of cyclotomic cosets.  The
-linear-algebra and field helpers below them serve the cyclic-code and field
-tests only.
+multiplies cached minimal polynomials of cyclotomic cosets.  Long division
+checks the check polynomials and containments that the library reads off the
+factorization of x^n - 1, and Gauss-Jordan null spaces check the duals that
+the library verifies by orthogonality.  The other linear-algebra and field
+helpers serve the cyclic-code and field tests only.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from qduadic.cyclic import CyclicCode, null_space, rref
+from qduadic.cyclic import CyclicCode
 from qduadic.distance import DistanceError, DistanceResult
 from qduadic.galois import (
     Field,
@@ -93,7 +95,7 @@ def naive_distribution(C) -> dict[int, int]:
 def min_weight_diffset(D, C) -> int:
     """Minimum weight over the set difference D \\ C of nested cyclic codes
     C subset D."""
-    if not D.genpoly.divides(C.genpoly):
+    if not poly_divides(D.genpoly, C.genpoly):
         raise DistanceError("C is not contained in D (genpoly divisibility fails)")
     if C.T.as_set() == D.T.as_set():
         raise DistanceError("D equals C; the difference set is empty")
@@ -151,8 +153,86 @@ def genpoly_per_root(n: int, field: Field, members) -> Poly:
     return coerce_to_base(g, field)
 
 
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by b, by long division."""
+    if a.field != b.field:
+        raise FieldError("polynomials live in different fields")
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    f = a.field
+    rem = list(a.coeffs)
+    dq = len(a.coeffs) - len(b.coeffs)
+    if dq < 0:
+        return Poly.zero(f), a
+    quo = [0] * (dq + 1)
+    inv_lead = f.inv(b.coeffs[-1])
+    for shift in range(dq, -1, -1):
+        lead = rem[shift + b.degree]
+        if lead:
+            factor = f.mul(lead, inv_lead)
+            quo[shift] = factor
+            for i, c in enumerate(b.coeffs):
+                rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, c))
+    return Poly.make(quo, f), Poly.make(rem, f)
+
+
+def poly_divides(a: Poly, b: Poly) -> bool:
+    """Whether a divides b."""
+    return poly_divmod(b, a)[1].is_zero()
+
+
 # ---------------------------------------------------------------------------
 # Linear algebra over a Field (matrices as tuples of row-tuples of indices)
+
+
+def rref(A, f: Field):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    rows = [list(r) for r in A]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def null_space(A, f: Field):
+    """Basis of {x : A x^T = 0}, rows of the returned matrix."""
+    ncols = len(A[0]) if A else 0
+    R, pivots = rref(A, f)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = f.neg(R[r][fc])
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def row_space_equal(A, B, f: Field) -> bool:
+    return rref(A, f)[0] == rref(B, f)[0]
+
+
+def conjugate_matrix(A, f: Field, q0: int):
+    """Entrywise x -> x^q0."""
+    return tuple(tuple(f.pow(x, q0) for x in row) for row in A)
 
 
 def mat_mul(A, B, f: Field):

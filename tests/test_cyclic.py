@@ -1,21 +1,27 @@
-from math import gcd
+import json
+from math import gcd, isqrt
 
 import pytest
 from oracles import (
+    conjugate_matrix,
     embed_into_extension,
     even_like_subcode_matrix,
     genpoly_per_root,
     mat_mul,
+    null_space,
+    poly_divmod,
     rank,
+    row_space_equal,
+    rref,
     transpose,
 )
 
 from qduadic import cyclic
+from qduadic.cli import EXIT_ASSERTION, main
 from qduadic.cyclic import (
     CyclicCodeError,
     DefiningSet,
     code_under_mu,
-    conjugate_matrix,
     cyclotomic_cosets,
     dual_defining_set,
     euclidean_dual,
@@ -25,10 +31,7 @@ from qduadic.cyclic import (
     make_cyclic_code,
     mu_apply,
     mu_defining_set,
-    null_space,
     ord_mod,
-    row_space_equal,
-    rref,
 )
 from qduadic.distance import weight_distribution
 from qduadic.duadic import (
@@ -189,6 +192,7 @@ class TestMakeCyclicCode:
     @pytest.mark.parametrize("n,q,T", [
         (7, 2, (1, 2, 4)), (7, 2, (0, 3, 5, 6)), (9, 2, (1, 2, 4, 8, 7, 5)),
         (15, 2, (1, 2, 4, 8)), (7, 4, (1, 2, 4)), (11, 3, (1, 3, 9, 5, 4)),
+        (7, 2, ()),
     ])
     def test_structural_invariants(self, n, q, T):
         from qduadic.galois import field_from_order, Poly
@@ -196,9 +200,11 @@ class TestMakeCyclicCode:
         C = make_cyclic_code(n, f, DefiningSet(n, q, T))
         assert C.genpoly.degree == len(C.T)
         assert C.k == n - len(C.T)
-        # genpoly * checkpoly = x^n - 1
+        # genpoly * checkpoly = x^n - 1, and checkpoly is the quotient that
+        # long division gives
         xn1 = Poly.make((f.neg(1),) + (0,) * (n - 1) + (1,), f)
         assert C.genpoly.mul(C.checkpoly) == xn1
+        assert poly_divmod(xn1, C.genpoly) == (C.checkpoly, Poly.zero(f))
         # G H^T = 0 and rank(G) = k
         prod = mat_mul(C.G, transpose(C.H), f)
         assert all(all(x == 0 for x in row) for row in prod)
@@ -220,6 +226,22 @@ class TestMakeCyclicCode:
     def test_non_coset_closed_rejected(self):
         with pytest.raises(CyclicCodeError):
             make_cyclic_code(7, make_field(2), DefiningSet(7, 2, (1, 3)))
+
+    def test_factorization_is_checked(self, capsys, monkeypatch):
+        # with the root 1 every M_s is a power of x - 1, and their product
+        # (x - 1)^7 is not x^7 - 1 over GF(2)
+        monkeypatch.setattr(cyclic, "primitive_nth_root",
+                            lambda n, q: (primitive_nth_root(n, q)[0], 1))
+        cyclic._coset_minpolys.cache_clear()
+        try:
+            with pytest.raises(CyclicCodeError, match=r"x\^7 - 1"):
+                cyclic._coset_minpolys(7, make_field(2))
+            code = main(["build", "css", "7", "2"])
+            out, err = capsys.readouterr()
+        finally:
+            cyclic._coset_minpolys.cache_clear()
+        assert code == EXIT_ASSERTION and out == ""
+        assert err.startswith("internal error") and "x^7 - 1" in err
 
 
 def _quartets(q: int, max_n: int, hermitian: bool = False):
@@ -307,25 +329,81 @@ class TestDuals:
         assert (D.n, D.k) == (7, 3)
         assert weight_distribution(D) == {0: 1, 4: 7}
 
-    @pytest.mark.parametrize("n,q", [(7, 2), (9, 2), (15, 2), (21, 2), (31, 2), (11, 3)])
-    def test_dual_of_dual_and_formula(self, n, q):
+    # (n, q): the union of every other coset as a defining set;
+    # ("quartets", q, max_n): C0 and D0 of every default quartet
+    @pytest.mark.parametrize("source", [
+        (7, 2), (9, 2), (15, 2), (21, 2), (31, 2), (11, 3),
+        ("quartets", 2, 49), ("quartets", 3, 23), ("quartets", 4, 41),
+    ], ids=lambda source: "-".join(map(str, source)))
+    def test_dual_of_dual_and_formula(self, source):
         from qduadic.galois import field_from_order
-        f = field_from_order(q)
-        cs = cyclotomic_cosets(n, q)
-        # take the union of every other coset as a defining set
-        T = tuple(x for c in cs.cosets[::2] for x in c)
-        C = make_cyclic_code(n, f, DefiningSet(n, q, T))
-        D = euclidean_dual(C)
-        assert D.T.members == dual_defining_set(C.T).members
-        assert euclidean_dual(D).T.as_set() == C.T.as_set()
+        if source[0] == "quartets":
+            codes = [C for quartet in _quartets(*source[1:])
+                     for C in (quartet.C0, quartet.D0)]
+        else:
+            n, q = source
+            T = tuple(x for c in cyclotomic_cosets(n, q).cosets[::2] for x in c)
+            codes = [make_cyclic_code(n, field_from_order(q), DefiningSet(n, q, T))]
+        for C in codes:
+            D = euclidean_dual(C)
+            assert D.T.members == dual_defining_set(C.T).members
+            assert euclidean_dual(D).T.as_set() == C.T.as_set()
+            assert row_space_equal(null_space(C.G, C.field), D.G, C.field)
 
     def test_hermitian_dual_matrix_crosscheck(self):
         f4 = make_field(2, 2)
-        for T in [(0, 1, 2, 4), (1, 2, 4), (3, 5, 6)]:
-            C = make_cyclic_code(7, f4, DefiningSet(7, 4, T))
-            D = hermitian_dual(C)  # raises internally on formula/matrix mismatch
-            Gc = conjugate_matrix(C.G, f4, 2)
-            assert row_space_equal(null_space(Gc, f4), D.G, f4)
+        codes = [make_cyclic_code(7, f4, DefiningSet(7, 4, T))
+                 for T in [(0, 1, 2, 4), (1, 2, 4), (3, 5, 6)]]
+        # C0 and D0 of the mu_{-q} quartets over GF(4) and GF(9)
+        codes += [C for q, max_n in [(2, 31), (3, 23)]
+                  for quartet in _quartets(q, max_n, hermitian=True)
+                  for C in (quartet.C0, quartet.D0)]
+        for C in codes:
+            f = C.field
+            D = hermitian_dual(C)
+            Gc = conjugate_matrix(C.G, f, isqrt(f.order))
+            assert row_space_equal(null_space(Gc, f), D.G, f)
+
+    # for the Hamming code, a formula that forgets the negation gives a code
+    # of the right dimension that is not orthogonal to it; one that adds the
+    # coset {3, 5, 6} gives the zero code, orthogonal to it but too small
+    @pytest.mark.parametrize("fault,message", [
+        ("no_negation", "not orthogonal to C"),
+        ("zero_code", "gives dimension 0"),
+    ], ids=["no_negation", "zero_code"])
+    def test_euclidean_formula_is_checked(self, capsys, monkeypatch, fault,
+                                          message):
+        def broken(T):
+            comp = set(range(T.n)) - T.as_set()
+            if fault == "zero_code":
+                comp = {-t % T.n for t in comp} | {3, 5, 6}
+            return DefiningSet(T.n, T.q, tuple(comp))
+
+        monkeypatch.setattr(cyclic, "dual_defining_set", broken)
+        hamming = make_cyclic_code(7, make_field(2), DefiningSet(7, 2, (1, 2, 4)))
+        with pytest.raises(CyclicCodeError, match=message):
+            euclidean_dual(hamming)
+        code = main(["verify", "--q", "2", "--max-n", "7"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_ASSERTION
+        assert doc["tallies"]["dual_defining_set_matches_matrix"] == \
+            {"passed": 0, "failed": 1, "skipped": 0}
+        [failure] = doc["failures"]
+        assert failure["detail"].startswith("n=7: dual defining-set formula")
+
+    def test_hermitian_formula_is_checked(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cyclic, "hermitian_dual_defining_set",
+            lambda T: DefiningSet(T.n, T.q, tuple(set(range(T.n)) - T.as_set())))
+        C = make_cyclic_code(7, make_field(2, 2), DefiningSet(7, 4, (0, 1, 2, 4)))
+        with pytest.raises(CyclicCodeError, match="not orthogonal to C"):
+            hermitian_dual(C)
+        code = main(["verify", "--q", "2", "--max-n", "7"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_ASSERTION
+        assert doc["tallies"]["hermitian_dual_is_D0"] == \
+            {"passed": 0, "failed": 2, "skipped": 0}
+        assert [f["detail"][:4] for f in doc["failures"]] == ["n=5:", "n=7:"]
 
     def test_hermitian_dual_needs_square_field(self):
         C = make_cyclic_code(7, make_field(2), DefiningSet(7, 2, (1, 2, 4)))

@@ -1,8 +1,15 @@
 from math import gcd
 
 import pytest
+from oracles import poly_divides
 
-from qduadic.cyclic import cyclotomic_cosets, is_quadratic_residue, mu_apply, ord_mod
+from qduadic.cyclic import (
+    DefiningSet,
+    cyclotomic_cosets,
+    is_quadratic_residue,
+    mu_apply,
+    ord_mod,
+)
 from qduadic.duadic import (
     Splitting,
     SplittingError,
@@ -139,8 +146,24 @@ class TestQuartet:
 
     def test_containment(self):
         qt = build_quartet(default_splitting(23, 2), make_field(2))
-        assert qt.D0.genpoly.divides(qt.C0.genpoly)
-        assert qt.D1.genpoly.divides(qt.C1.genpoly)
+        assert poly_divides(qt.D0.genpoly, qt.C0.genpoly)
+        assert poly_divides(qt.D1.genpoly, qt.C1.genpoly)
+
+    def test_containment_is_checked(self, monkeypatch):
+        # C0 built from S1 + {0} has the dimension of C0 and is even-like,
+        # but its generator is (x - 1) g_{D1}, not (x - 1) g_{D0}
+        import qduadic.duadic
+        s = default_splitting(23, 2)
+        real = qduadic.duadic.make_cyclic_code
+
+        def swapped(n, field, T):
+            if T.as_set() == frozenset(s.S0 + (0,)):
+                T = DefiningSet(n, T.q, s.S1 + (0,))
+            return real(n, field, T)
+
+        monkeypatch.setattr(qduadic.duadic, "make_cyclic_code", swapped)
+        with pytest.raises(SplittingError, match=r"\(x - 1\) g_"):
+            build_quartet(s, make_field(2))
 
     def test_even_odd_like_structure(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
