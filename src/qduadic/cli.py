@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import locale  # noqa: F401  argparse's gettext needs it in every run; load it here
 import sys
 import time
 from math import gcd, isqrt
@@ -43,7 +44,7 @@ from .duadic import (
     materialize_quartet,
     splitting_by,
 )
-from .galois import FieldError, factorize
+from .galois import FieldError, prime_power
 from .stabilizer import (
     ConstructionError,
     degeneracy_verdict,
@@ -59,6 +60,11 @@ EXIT_USAGE = 1
 EXIT_NONEXISTENT = 2
 EXIT_PARTIAL = 3
 EXIT_ASSERTION = 4
+
+# Fields are capped far below this, so a larger q could only ever give
+# theory intervals; below it (and for the root of q^2) the prime-power test
+# is exact and fast
+Q_CAP = 1 << 64
 
 
 class UsageError(Exception):
@@ -94,7 +100,9 @@ def parse_budget(text: str) -> int:
 
 
 def _validate_q(q: int) -> None:
-    if q < 2 or len(factorize(q)) != 1:
+    if q >= Q_CAP:
+        raise UsageError(f"q beyond desk scale (cap 2^64), got {q}")
+    if prime_power(q) is None:
         raise UsageError(f"q must be a prime power, got {q}")
 
 

@@ -176,28 +176,54 @@ class CyclicCode:
     def q(self) -> int:
         return self.field.order
 
-    def coordinate_sum(self, word) -> int:
-        f = self.field
-        acc = 0
-        for c in word:
-            acc = f.add(acc, c)
-        return acc
-
-    def is_even_like(self, word) -> bool:
-        return self.coordinate_sum(word) == 0
-
     def __repr__(self) -> str:
         return f"CyclicCode[n={self.n},k={self.k}]_{self.q}"
+
+
+def _first_dependency(ext: Field, elements: list[int]) -> tuple[int, ...]:
+    """(c_0, ..., c_d) with c_d = 1 and sum_i c_i*e_i = 0 for the first d at
+    which e_0, ..., e_d (elements of `ext`) are linearly dependent over
+    GF(p), found by elimination on their polynomial-basis coordinates: XOR
+    on the element indices when p = 2, digit lists mod p otherwise.  Each
+    basis vector carries the combination of the e_i that gives it."""
+    p, size = ext.p, len(elements)
+    basis = {}  # pivot coordinate -> (vector, combination)
+    for d, e in enumerate(elements):
+        if p == 2:
+            v, combo = e, 1 << d
+            while v and v.bit_length() - 1 in basis:
+                bv, bc = basis[v.bit_length() - 1]
+                v, combo = v ^ bv, combo ^ bc
+            if not v:
+                return tuple(combo >> i & 1 for i in range(d + 1))
+            basis[v.bit_length() - 1] = (v, combo)
+            continue
+        v = list(ext.element_to_coeffs(e))
+        combo = [int(i == d) for i in range(size)]
+        for pivot, (bv, bc) in basis.items():  # later vectors are 0 there
+            c = v[pivot]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, bv)]
+                combo = [(x - c * y) % p for x, y in zip(combo, bc)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return tuple(combo[:d + 1])
+        inv = pow(v[pivot], p - 2, p)
+        basis[pivot] = ([x * inv % p for x in v], [x * inv % p for x in combo])
+    raise CyclicCodeError("no linear dependency found (internal bug)")
 
 
 @lru_cache(maxsize=None)
 def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
     """(s, M_s) for each cyclotomic coset, s its smallest member and M_s the
-    minimal polynomial over `field` of alpha^s.  The powers alpha^j take one
-    splitting-field multiplication each, and M_s one factor (x - alpha^j)
-    per step; each M_s is coerced to the base field once.  Every cyclic code
-    of length n takes its generator and check polynomials from these
-    factors, so their product is checked here against x^n - 1, once."""
+    minimal polynomial over `field` of beta = alpha^s.  The powers alpha^j
+    take one splitting-field multiplication each.  Over a prime field M_s is
+    read off the first linear dependency among beta^0, ..., beta^|s|, all
+    of them powers alpha^(s*i mod n), so it takes no multiplication; over
+    GF(p^m), m > 1, it is the product of its factors (x - alpha^j), one per
+    step, coerced to the base field.  Every cyclic code of length n takes
+    its generator and check polynomials from these factors, so their product
+    is checked here against x^n - 1, once."""
     ext, alpha = primitive_nth_root(n, field.order)
     powers = [1]
     for _ in range(n - 1):
@@ -205,22 +231,35 @@ def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
     minpolys = []
     product = Poly.one(field)
     for coset in cyclotomic_cosets(n, field.order).cosets:
-        coeffs = [1]  # lowest degree first
-        for j in coset:
-            # (x - alpha^j) * c(x) has x^i coefficient c_{i-1} - alpha^j*c_i
-            minus_root = ext.neg(powers[j])
-            coeffs = ([ext.mul(minus_root, coeffs[0])]
-                      + [ext.add(a, ext.mul(minus_root, b))
-                         for a, b in zip(coeffs, coeffs[1:])]
-                      + [1])
-        M = coerce_to_base(Poly.make(coeffs, ext), field)
-        minpolys.append((coset[0], M))
+        s = coset[0]
+        if field.m == 1:  # GF(p) sits at indices 0..p-1 of ext
+            M = Poly.make(_first_dependency(
+                ext, [powers[s * i % n] for i in range(len(coset) + 1)]), field)
+        else:
+            coeffs = [1]  # lowest degree first
+            for j in coset:
+                # (x - alpha^j) * c(x) has x^i coefficient c_{i-1} - alpha^j*c_i
+                minus_root = ext.neg(powers[j])
+                coeffs = ([ext.mul(minus_root, coeffs[0])]
+                          + [ext.add(a, ext.mul(minus_root, b))
+                             for a, b in zip(coeffs, coeffs[1:])]
+                          + [1])
+            M = coerce_to_base(Poly.make(coeffs, ext), field)
+        minpolys.append((s, M))
         product = product.mul(M)
     if product != Poly.make((field.neg(1),) + (0,) * (n - 1) + (1,), field):
         raise CyclicCodeError(
             f"the coset minimal polynomials do not multiply to x^{n} - 1 "
             f"over GF({field.order}) (internal bug)")
     return tuple(minpolys)
+
+
+def _shifts(coeffs, count: int, n: int) -> tuple:
+    """The rows x^i*c(x), i < count, of length n."""
+    c = list(coeffs)
+    zeros = [0] * n
+    return tuple(tuple(zeros[:i] + c + zeros[:n - len(c) - i])
+                 for i in range(count))
 
 
 def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
@@ -239,16 +278,9 @@ def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
         else:
             checkpoly = checkpoly.mul(M)
     k = n - len(T)
-    gcoef = list(genpoly.coeffs) + [0] * (n - len(genpoly.coeffs))
-    G = tuple(tuple(gcoef[(j - i) % n] if 0 <= j - i < len(genpoly.coeffs) else 0
-                    for j in range(n))
-              for i in range(k))
-    hrev = tuple(reversed(checkpoly.coeffs))
-    H = tuple(tuple(hrev[j - i] if 0 <= j - i < len(hrev) else 0
-                    for j in range(n))
-              for i in range(n - k))
     return CyclicCode(n=n, field=field, T=T, genpoly=genpoly,
-                      checkpoly=checkpoly, k=k, G=G, H=H)
+                      checkpoly=checkpoly, k=k, G=_shifts(genpoly.coeffs, k, n),
+                      H=_shifts(reversed(checkpoly.coeffs), n - k, n))
 
 
 def code_under_mu(C: CyclicCode, a: int) -> CyclicCode:

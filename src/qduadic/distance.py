@@ -21,7 +21,6 @@ independent of the worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -322,6 +321,8 @@ def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
         rows = digits.reshape(-1, n * m).astype(dtype)
     nblocks = p ** (len(rows) - _low_rows(p, len(rows)))
     if workers > 1 and nblocks >= 2 * workers:
+        # imported here, so a single-process run never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
         chunk = (nblocks + workers - 1) // workers
         ranges = [(s, min(s + chunk, nblocks)) for s in range(0, nblocks, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

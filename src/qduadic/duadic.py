@@ -215,12 +215,13 @@ def build_quartet(s: Splitting, field: Field) -> DuadicQuartet:
     for D, C in ((D0, C0), (D1, C1)):
         if D.k != (n + 1) // 2 or C.k != (n - 1) // 2:
             raise SplittingError("duadic dimension formula violated (internal bug)")
+        # row i of G is x^i*g(x), so every row's coordinate sum is g(1)
+        if C.genpoly.eval(1):
+            raise SplittingError("even-like code has odd-like generator row")
+        if not D.genpoly.eval(1):
+            raise SplittingError("odd-like code has no odd-like generator row")
         if C.genpoly != x_minus_1.mul(D.genpoly):  # so C_i is in D_i
             raise SplittingError("g_{C_i} != (x - 1) g_{D_i} (internal bug)")
-        if any(not C.is_even_like(row) for row in C.G):
-            raise SplittingError("even-like code has odd-like generator row")
-        if all(D.is_even_like(row) for row in D.G):
-            raise SplittingError("odd-like code has no odd-like generator row")
     return DuadicQuartet(splitting=s, D0=D0, D1=D1, C0=C0, C1=C1)
 
 

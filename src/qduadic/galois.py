@@ -21,8 +21,9 @@ FIELD_SIZE_CAP = 1 << 24
 # Log/antilog tables are only materialized up to this cardinality, which
 # covers the code alphabets GF(q) and GF(q^2) for q <= 64; splitting fields
 # above it use direct polynomial arithmetic, since each length needs only
-# the powers of alpha and one minimal polynomial per cyclotomic coset there,
-# at most about n^2/2 multiplications (see cyclic._coset_minpolys).
+# the n - 1 powers of alpha there, and over GF(p^m), m > 1, at most about
+# n^2/2 more multiplications for the coset minimal polynomials (see
+# cyclic._coset_minpolys).
 TABLE_CAP = 1 << 12
 
 
@@ -34,15 +35,57 @@ class FieldCapError(FieldError):
     """A field beyond FIELD_SIZE_CAP was requested."""
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality of every
+# n below this bound (Sorenson and Webster); the CLI caps q below 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n below _MR_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided at desk scale")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p^m and p prime, or None.  If q = p^m, the largest k
+    for which q is a perfect k-th power is m, with root p."""
+    if q < 2:
+        return None
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            return (r, k) if is_prime(r) else None
+    return None
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -118,26 +161,25 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_powmod_x(e: int, mod: list[int], p: int) -> list[int]:
-    """x^e mod (mod) over GF(p)."""
+def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """a^e mod (mod) over GF(p)."""
     result = [1]
-    base = _poly_rem([0, 1], mod, p)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = _poly_mulmod(result, a, mod, p)
+        a = _poly_mulmod(a, a, mod, p)
         e >>= 1
     return result
 
 
 def _is_irreducible(mod: list[int], p: int) -> bool:
     """Degree-m monic poly is irreducible iff it shares no factor with
-    x^{p^k} - x for k <= m//2 (no irreducible factor of degree <= m//2)."""
+    x^{p^k} - x for k <= m//2 (no irreducible factor of degree <= m//2).
+    Each x^{p^k} is the p-th power of the one before."""
     m = len(mod) - 1
-    if m == 1:
-        return True
-    for k in range(1, m // 2 + 1):
-        xpk = _poly_powmod_x(p**k, mod, p)
+    xpk = [0, 1]
+    for _ in range(m // 2):
+        xpk = _poly_powmod(xpk, p, mod, p)
         # x^{p^k} - x
         diff = list(xpk) + [0] * max(0, 2 - len(xpk))
         diff[1] = (diff[1] - 1) % p
@@ -148,23 +190,62 @@ def _is_irreducible(mod: list[int], p: int) -> bool:
     return True
 
 
+# GF(2)[x] polynomials held as integer bitmasks, bit i the coefficient of x^i.
+
+
+def _gf2_mulmod(a: int, b: int, mod: int, m: int) -> int:
+    """a*b reduced by `mod`, of degree m."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    while r.bit_length() > m:
+        r ^= mod << (r.bit_length() - 1 - m)
+    return r
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def _gf2_is_irreducible(mod: int, m: int) -> bool:
+    """_is_irreducible for p = 2 on bitmasks."""
+    xpk = 0b10  # x
+    for _ in range(m // 2):
+        xpk = _gf2_mulmod(xpk, xpk, mod, m)
+        if _gf2_gcd(mod, xpk ^ 0b10) != 1:
+            return False
+    return True
+
+
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p),
     ordering coefficient tuples from high degree down.  Returned lowest
     degree first."""
     if m == 1:
         return (0, 1)  # x
-    for code in range(p**m):
-        # decode (a_{m-1}, ..., a_0) from the integer, high digit first
-        digits = []
-        c = code
-        for _ in range(m):
-            digits.append(c % p)
-            c //= p
-        # digits[0] = a_0 ... digits[m-1] = a_{m-1}
-        cand = digits + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
+    if p == 2:  # the candidates in the same order, as bitmasks
+        for code in range(1 << m):
+            if _gf2_is_irreducible(code | 1 << m, m):
+                return tuple(code >> i & 1 for i in range(m)) + (1,)
+    else:
+        for code in range(p**m):
+            # decode (a_{m-1}, ..., a_0) from the integer, high digit first
+            digits = []
+            c = code
+            for _ in range(m):
+                digits.append(c % p)
+                c //= p
+            # digits[0] = a_0 ... digits[m-1] = a_{m-1}
+            cand = digits + [1]
+            if _is_irreducible(cand, p):
+                return tuple(cand)
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
@@ -237,16 +318,7 @@ class Field:
         if a == 0 or b == 0:
             return 0
         if self.p == 2:
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                a <<= 1
-                b >>= 1
-            m = self.m
-            while r.bit_length() > m:
-                r ^= self._mod_mask << (r.bit_length() - 1 - m)
-            return r
+            return _gf2_mulmod(a, b, self._mod_mask, self.m)
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.m - 1)
         for i, x in enumerate(da):
@@ -376,11 +448,10 @@ def make_field(p: int, m: int = 1) -> Field:
 
 def field_from_order(q: int) -> Field:
     """The canonical field with exactly q elements."""
-    fac = factorize(q)
-    if len(fac) != 1:
+    pm = prime_power(q)
+    if pm is None:
         raise FieldError(f"{q} is not a prime power")
-    (p, m), = fac.items()
-    return make_field(p, m)
+    return make_field(*pm)
 
 
 # ---------------------------------------------------------------------------

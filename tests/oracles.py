@@ -10,8 +10,9 @@ of the defining set, each root a separate power of alpha, where the library
 multiplies cached minimal polynomials of cyclotomic cosets.  Long division
 checks the check polynomials and containments that the library reads off the
 factorization of x^n - 1, and Gauss-Jordan null spaces check the duals that
-the library verifies by orthogonality.  The other linear-algebra and field
-helpers serve the cyclic-code and field tests only.
+the library verifies by orthogonality.  Coordinate sums of the rows check
+the even-like structure that the quartet reads off g(1).  The other
+linear-algebra and field helpers serve the cyclic-code and field tests only.
 """
 
 import itertools
@@ -260,12 +261,24 @@ def rank(A, f: Field) -> int:
     return len(rref(A, f)[0])
 
 
+def coordinate_sum(C: CyclicCode, word) -> int:
+    f = C.field
+    acc = 0
+    for c in word:
+        acc = f.add(acc, c)
+    return acc
+
+
+def is_even_like(C: CyclicCode, word) -> bool:
+    return coordinate_sum(C, word) == 0
+
+
 def even_like_subcode_matrix(C: CyclicCode):
     """Generator matrix of {c in C : sum(c) = 0}, computed by linear algebra
     (the alternative to the defining-set route, for cross-checks)."""
     f = C.field
     # one linear constraint: sum of coordinates of m*G equals 0
-    row_sums = tuple(C.coordinate_sum(row) for row in C.G)
+    row_sums = tuple(coordinate_sum(C, row) for row in C.G)
     constraint = (row_sums,)
     msgs = null_space(constraint, f)
     return mat_mul(msgs, C.G, f) if msgs else ()

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from math import gcd
 
 import pytest
 
+import qduadic
 from qduadic.cli import (
     EXIT_ASSERTION,
     EXIT_NONEXISTENT,
@@ -497,6 +502,8 @@ class TestUsage:
         ("verify", "--q", "6", "--max-n", "9"),
         ("survey", "--q", "6", "--max-n", "9"),
         ("survey", "--q", "1", "--max-n", "9"),
+        ("survey", "--q", "-5", "--max-n", "9"),
+        ("exists", "7", "-8"),
     ])
     def test_q_must_be_prime_power(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -508,3 +515,46 @@ class TestUsage:
 
     def test_negative_n(self, capsys):
         assert run(capsys, "exists", "-3", "2")[0] == EXIT_USAGE
+
+
+class TestLargeQ:
+    """q is tested by integer roots and Miller-Rabin, not trial division,
+    so a large q answers at once."""
+
+    MERSENNE = str(2**61 - 1)  # prime, and 1 mod 7
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("exists", "7", MERSENNE), EXIT_OK),
+        (("build", "css", "7", MERSENNE), EXIT_PARTIAL),  # theory only
+        (("build", "hermitian", "7", MERSENNE), EXIT_PARTIAL),
+        (("survey", "--q", MERSENNE, "--max-n", "15"), EXIT_OK),
+        (("exists", "7", str(4294967291 * 4294967279)), EXIT_USAGE),
+        (("build", "css", "7", str(4294967291 * 4294967279)), EXIT_USAGE),
+        (("exists", "7", str(2**64 + 13)), EXIT_USAGE),  # beyond desk scale
+    ])
+    def test_answers_within_a_second(self, capsys, argv, expected):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 1
+        assert code == expected, err
+
+    def test_theory_interval(self, capsys):
+        code, doc = run_json(capsys, "build", "css", "7", self.MERSENNE)
+        assert code == EXIT_PARTIAL and doc["quartet"] is None
+        assert doc["stabilizer"]["d"]["method"] == "defining_set_theory"
+
+    def test_cap_message(self, capsys):
+        code, _, err = run(capsys, "survey", "--q", str(2**64), "--max-n", "9")
+        assert code == EXIT_USAGE and "desk scale" in err
+
+
+def test_import_leaves_the_process_pool_out():
+    # the pool is imported only when --workers > 1 asks for it
+    src = os.path.dirname(os.path.dirname(qduadic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qduadic.cli; print(sorted("
+         "m for m in ('concurrent.futures', 'multiprocessing') "
+         "if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

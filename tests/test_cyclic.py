@@ -278,12 +278,14 @@ class TestGenpolyAgainstPerRootProduct:
         return tabled
 
     @pytest.mark.parametrize("q,max_n,hermitian", [
-        (2, 49, False), (3, 23, False), (4, 41, False), (2, 31, True),
-        (3, 23, True),
+        (2, 49, False), (3, 23, False), (5, 19, False), (7, 29, False),
+        (4, 41, False), (2, 31, True), (3, 23, True),
     ])
     def test_quartets(self, q, max_n, hermitian):
         # splitting fields with log tables (e.g. GF(2^3)) and without them
-        # (e.g. GF(2^23) for n = 47) both occur
+        # (e.g. GF(2^23) for n = 47, GF(5^9) for 19/5, GF(7^7) for 29/7)
+        # both occur; over a prime field the coset minimal polynomials come
+        # from linear dependencies, over GF(4) and GF(9) from linear factors
         assert self._check(_quartets(q, max_n, hermitian)) == {True, False}
 
     def test_coset_of_a_divisor(self):

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from oracles import poly_divides
+from oracles import is_even_like, poly_divides
 
 from qduadic.cyclic import (
     DefiningSet,
@@ -167,8 +167,35 @@ class TestQuartet:
 
     def test_even_odd_like_structure(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        assert all(qt.C0.is_even_like(r) for r in qt.C0.G)
-        assert any(not qt.D0.is_even_like(r) for r in qt.D0.G)
+        assert all(is_even_like(qt.C0, r) for r in qt.C0.G)
+        assert any(not is_even_like(qt.D0, r) for r in qt.D0.G)
+
+    @pytest.mark.parametrize("doctored,message", [
+        ("C", "even-like code has odd-like"),
+        ("D", "odd-like code has no odd-like"),
+    ])
+    def test_parity_of_g_at_1_is_checked(self, monkeypatch, doctored, message):
+        # C0 given g_{D0} (g(1) != 0), or D0 given g_{C0} (g(1) = 0); the
+        # dimensions stay right, so only the g(1) checks can catch them
+        import dataclasses
+
+        import qduadic.duadic
+        s = default_splitting(23, 3)
+        real = qduadic.duadic.make_cyclic_code
+        f = make_field(3)
+        D0 = real(23, f, DefiningSet(23, 3, s.S0))
+        C0 = real(23, f, DefiningSet(23, 3, s.S0 + (0,)))
+        swap = {"C": (C0, D0), "D": (D0, C0)}[doctored]
+
+        def doctor(n, field, T):
+            code = real(n, field, T)
+            if T == swap[0].T:
+                code = dataclasses.replace(code, genpoly=swap[1].genpoly)
+            return code
+
+        monkeypatch.setattr(qduadic.duadic, "make_cyclic_code", doctor)
+        with pytest.raises(SplittingError, match=message):
+            build_quartet(s, f)
 
     def test_field_mismatch(self):
         with pytest.raises(SplittingError):

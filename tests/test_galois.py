@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import embed_into_extension, frobenius, poly_divmod
+from oracles import embed_into_extension, frobenius, poly_divides, poly_divmod
 
 from qduadic.cyclic import cyclotomic_cosets
 from qduadic.galois import (
     FieldCapError,
     FieldError,
     Poly,
+    _canonical_modulus,
+    _gf2_is_irreducible,
+    _is_irreducible,
     coerce_to_base,
     embed_subfield_element,
     factorize,
     field_from_order,
+    is_prime,
     make_field,
+    prime_power,
     primitive_nth_root,
 )
 
@@ -328,3 +333,75 @@ def test_factorize():
     assert factorize(49) == {7: 2}
     assert factorize(343) == {7: 3}
     assert factorize(2 * 3 * 3 * 25) == {2: 1, 3: 2, 5: 2}
+
+
+def _monic(code: int, p: int, m: int) -> list[int]:
+    """The monic degree-m candidate of `code`, lowest degree first: the
+    base-p digits of code, then 1."""
+    return [code // p**i % p for i in range(m)] + [1]
+
+
+def _has_factor(cand: list[int], p: int) -> bool:
+    """Whether some monic polynomial of degree 1..m//2 divides `cand`, by
+    trying every one."""
+    f = make_field(p)
+    c = Poly.make(cand, f)
+    m = len(cand) - 1
+    return any(poly_divides(Poly.make(_monic(code, p, d), f), c)
+               for d in range(1, m // 2 + 1) for code in range(p**d))
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 5), (2, 8), (3, 2), (3, 4),
+                                     (3, 5), (5, 3), (7, 2)])
+    def test_list_test_against_trial_division(self, p, m):
+        for code in range(p**m):
+            cand = _monic(code, p, m)
+            assert _is_irreducible(cand, p) == (not _has_factor(cand, p))
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_bitmask_test_against_trial_division(self, m):
+        for code in range(1 << m):
+            assert (_gf2_is_irreducible(code | 1 << m, m)
+                    == (not _has_factor(_monic(code, 2, m), 2)))
+
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_gf2_bitmask_search_matches_list_search(self, m):
+        # the list-polynomial test, in the same candidate order, is the oracle
+        expected = next(tuple(cand) for code in range(1 << m)
+                        if _is_irreducible(cand := _monic(code, 2, m), 2))
+        assert _canonical_modulus(2, m) == expected
+
+
+class TestPrimePower:
+    def test_small_numbers_against_factorize(self):
+        for q in (-8, -5, -1, 0):
+            assert prime_power(q) is None
+        for q in range(1, 3000):
+            fac = factorize(q)
+            expected = next(iter(fac.items())) if len(fac) == 1 else None
+            assert prime_power(q) == expected, q
+            assert is_prime(q) == (fac == {q: 1}), q
+
+    @pytest.mark.parametrize("q,expected", [
+        (2**61 - 1, (2**61 - 1, 1)),  # a Mersenne prime
+        ((2**31 - 1) ** 2, (2**31 - 1, 2)),
+        (3**40, (3, 40)),
+        (2**63, (2, 63)),
+        ((2**61 - 1) ** 2, (2**61 - 1, 2)),  # q^2 of a Hermitian build
+        (4294967291 * 4294967279, None),  # two primes near 2^32
+        (3215031751, None),  # a strong pseudoprime to bases 2, 3, 5 and 7
+        (2**32 * 3, None),
+    ])
+    def test_large(self, q, expected):
+        assert prime_power(q) == expected
+
+    def test_beyond_the_deterministic_range(self):
+        with pytest.raises(ValueError, match="desk scale"):
+            is_prime(2**89 - 1)  # a Mersenne prime beyond the bound
+
+    def test_field_from_order(self):
+        assert field_from_order(49) is make_field(7, 2)
+        for q in (0, 1, 6, 4294967291 * 4294967279):
+            with pytest.raises(FieldError, match="prime power"):
+                field_from_order(q)
