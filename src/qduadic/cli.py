@@ -258,11 +258,15 @@ def _survey_row(n: int, q: int, construction: str, budget: int,
     return row
 
 
+def _validate_max_n(max_n: int) -> None:
+    if max_n > 10**4:
+        raise UsageError("--max-n beyond desk scale (cap 10^4)")
+
+
 def cmd_survey(args) -> int:
     q = args.q
     _validate_q(q)
-    if args.max_n > 10**4:
-        raise UsageError("--max-n beyond desk scale (cap 10^4)")
+    _validate_max_n(args.max_n)
     rows = []
     for n in range(3, args.max_n + 1, 2):
         if gcd(n, q) != 1:
@@ -285,6 +289,7 @@ def cmd_survey(args) -> int:
 
 def cmd_verify(args) -> int:
     _validate_q(args.q)
+    _validate_max_n(args.max_n)
     result = run_suite(args.q, args.max_n, args.budget, args.workers)
     doc = {"schema_version": SCHEMA_VERSION, "q": args.q,
            "max_n": args.max_n, **result.to_dict()}

@@ -12,8 +12,11 @@ Codewords are packed into uint64 words (one m-bit cell per coordinate,
 addition = XOR) in characteristic 2 when they fit 63 bits, and are arrays of
 GF(p) digits otherwise, the block held as element indices.  The kernel scans
 only the shortened subcode {c_0 = 0}, q^(k-1) words, and the cyclic symmetry
-rebuilds the full histogram from it exactly.  Beyond the budget, a
-low-weight support search bounds the minimum weight.
+rebuilds the full histogram from it exactly.  In its other mode the same
+walk keeps only the least nonzero and the greatest weight, with no key and
+no bincount: a binary duadic quartet needs no more (see
+`stabilizer.quartet_weights`).  Beyond the budget, a low-weight support
+search bounds the minimum weight.
 
 Work counters are closed forms of q and k, so they are reproducible and
 independent of the worker count.
@@ -80,13 +83,14 @@ class DistanceResult:
 
 def _expanded_rows(C: CyclicCode):
     """Prime-field basis expansion of the generator rows: the code equals the
-    GF(p)-span of {x^b * row : row in G, 0 <= b < m}."""
+    GF(p)-span of {x^b * row : row in G, 0 <= b < m}.  Row b = 0 is the row
+    itself, so over a prime field the expansion is G."""
     f = C.field
+    scalars = [f.coeffs_to_element([0] * b + [1]) for b in range(1, f.m)]
     rows = []
     for row in C.G:
-        for b in range(f.m):
-            scalar = f.coeffs_to_element([0] * b + [1])
-            rows.append(tuple(f.mul(scalar, x) for x in row))
+        rows.append(row)
+        rows.extend(tuple(f.mul(a, x) for x in row) for a in scalars)
     return rows
 
 
@@ -106,7 +110,7 @@ def _low_rows(p: int, K: int) -> int:
 
 
 def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
-                end: int) -> np.ndarray:
+                end: int, extremes: bool = False) -> np.ndarray:
     """Weight histogram of the GF(p)-span words at high indices [start, end).
 
     The first h rows span the low block, every one of their p^h
@@ -120,6 +124,12 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
     block word at both form the key w_a*(n+1) + w_b into an (n+1)^2 joint
     table, whose two marginals are the two steps' histograms.  An odd last
     step is counted alone.
+
+    With `extremes` the walk keeps, per block word, the least and the
+    greatest weight over the steps instead, and returns [least nonzero
+    weight, greatest weight] of the range; least is n + 1 where the range
+    holds no nonzero word.  The zero word is block word 0 at index 0, so
+    only the range holding index 0 leaves it out.
 
     Packed rows are uint64 words of m bits per coordinate, added by XOR;
     otherwise rows are arrays of n*m GF(p) digits, m per coordinate."""
@@ -145,12 +155,17 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
         x //= p
     prefix = list(accumulate(high, add))
     key_type = np.min_scalar_type((n + 1) ** 2 - 1)
+    weight_type = np.min_scalar_type(n + 1) if extremes else key_type
     if packed:
         weights = _cell_weights(block, n, m)
     else:
-        weights = _element_weights(block, p, n, m, key_type)
-    key = np.empty(len(block), key_type)
-    joint = np.zeros((n + 1) ** 2, dtype=np.int64)
+        weights = _element_weights(block, p, n, m, weight_type)
+    if extremes:
+        least = np.full(len(block), n + 1, weight_type)
+        greatest = np.zeros_like(least)
+    else:
+        key = np.empty(len(block), key_type)
+        joint = np.zeros((n + 1) ** 2, dtype=np.int64)
     for i in range(start, end):
         if i > start:
             j, x = 0, i
@@ -158,11 +173,18 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
                 j, x = j + 1, x // p
             word = add(word, prefix[j])
         w = weights(word)
-        if (i - start) % 2 == 0:
+        if extremes:
+            np.minimum(least, w, out=least)
+            np.maximum(greatest, w, out=greatest)
+            if i == 0:
+                least[0] = n + 1  # the zero word
+        elif (i - start) % 2 == 0:
             np.multiply(w, key_type.type(n + 1), out=key)
         else:
             key += w
             joint += np.bincount(key, minlength=(n + 1) ** 2)
+    if extremes:
+        return np.array([least.min(), greatest.max()], np.int64)
     joint = joint.reshape(n + 1, n + 1)
     hist = joint.sum(axis=1) + joint.sum(axis=0)
     if (end - start) % 2:
@@ -299,6 +321,25 @@ def _shortened_rows(C: CyclicCode):
     return _expanded_rows(C)[C.field.m:]
 
 
+def shortened_extremes(C: CyclicCode, budget: int = DEFAULT_BUDGET,
+                       workers: int = 1) -> tuple[int, int]:
+    """(least nonzero weight, greatest weight) over the shortened subcode
+    {c : c_0 = 0}, from one span scan of its q^(k-1) words with no
+    histogram.  A word of C with a zero coordinate has a cyclic shift in the
+    subcode, so these are C's extremes over such words; only a word with no
+    zero coordinate, of weight n, is left out."""
+    total = C.q**C.k
+    if total > budget:
+        raise DistanceError(f"q^k = {total} exceeds the budget {budget}")
+    if C.k == 0:
+        raise DistanceError("zero code has no nonzero word")
+    least, greatest = map(int, _scan(C, _shortened_rows(C), workers,
+                                     extremes=True))
+    if least > C.n:
+        raise DistanceError("the shortened subcode has no nonzero word")
+    return least, greatest
+
+
 def _full_scan_distribution(C: CyclicCode, workers: int = 1) -> dict[int, int]:
     """Weight histogram of C from a scan of all q^k words, without the
     shortening; an independent route to check `weight_distribution`."""
@@ -306,9 +347,17 @@ def _full_scan_distribution(C: CyclicCode, workers: int = 1) -> dict[int, int]:
 
 
 def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
-    """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C,
-    by one span kernel over packed words where they fit, else over digits;
-    `workers` processes split the high indices."""
+    """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C."""
+    return {int(w): int(c) for w, c in enumerate(_scan(C, rows, workers)) if c}
+
+
+def _scan(C: CyclicCode, rows, workers: int,
+          extremes: bool = False) -> np.ndarray:
+    """One span kernel over the GF(p)-span of `rows`, prime-field rows of C,
+    over packed words where they fit, else over digits: its histogram, or
+    with `extremes` its [least nonzero, greatest] weights.  `workers`
+    processes split the high indices; histograms add, extremes combine by
+    min and max."""
     f = C.field
     p, m, n = f.p, f.m, C.n
     packed = _packs(C)
@@ -326,13 +375,12 @@ def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
         chunk = (nblocks + workers - 1) // workers
         ranges = [(s, min(s + chunk, nblocks)) for s in range(0, nblocks, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            hist = sum(pool.map(
-                _scan_range,
-                *zip(*[(rows, p, n, m, packed, s, t) for s, t in ranges]),
-            ))
-    else:
-        hist = _scan_range(rows, p, n, m, packed, 0, nblocks)
-    return {int(w): int(c) for w, c in enumerate(hist) if c}
+            parts = np.array(list(pool.map(_scan_range, *zip(*[
+                (rows, p, n, m, packed, s, t, extremes) for s, t in ranges]))))
+        if extremes:
+            return np.array([parts[:, 0].min(), parts[:, 1].max()])
+        return parts.sum(axis=0)
+    return _scan_range(rows, p, n, m, packed, 0, nblocks, extremes)
 
 
 def macwilliams(A: dict[int, int], n: int, q: int) -> dict[int, int]:

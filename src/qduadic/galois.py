@@ -353,10 +353,27 @@ class Field:
         exp = [0] * size
         log = [0] * self.order
         x = 1
-        for i in range(size):
-            exp[i] = x
-            log[x] = i
-            x = self._raw_mul(x, self.generator)
+        if self.p == 2:
+            # x -> x*g by Horner over the bits of g, highest first: shift by
+            # one, reduce by the modulus, add x where the bit is set
+            bits = [b == "1" for b in bin(self.generator)[2:]]
+            top, mod = self.order, self._mod_mask
+            for i in range(size):
+                exp[i] = x
+                log[x] = i
+                y = 0
+                for bit in bits:
+                    y <<= 1
+                    if y & top:
+                        y ^= mod
+                    if bit:
+                        y ^= x
+                x = y
+        else:
+            for i in range(size):
+                exp[i] = x
+                log[x] = i
+                x = self._raw_mul(x, self.generator)
         if x != 1:
             raise FieldError("generator order mismatch (internal error)")
         self._exp = exp

@@ -9,7 +9,10 @@ value is strictly below d.
 Hermitian path: over GF(q^2), C_0^{perp_h} = D_0 exactly when mu_{-q} gives
 the splitting; the construction is refused otherwise.
 
-Both paths go through `stabilizer_params`, which also gives the
+Both paths read d and the purity off one scan of C0: its weight
+distribution, or for a binary CSS code only its least and greatest weights
+(the odd-like words of D_i are then the complements of the words of C_i).
+Both go through `stabilizer_params`, which also gives the
 square-root interval when the quartet's splitting field is beyond the
 field-size cap.  Only parameters and classical-code witnesses are
 materialized, never the quantum state space.
@@ -29,6 +32,7 @@ from .distance import (
     enumerable,
     macwilliams,
     min_weight,
+    shortened_extremes,
     weight_distribution,
 )
 from .duadic import (
@@ -113,17 +117,18 @@ def theory_distance_interval(n: int, mu_minus1: bool) -> DistanceResult:
 
 @dataclass(frozen=True)
 class QuartetWeights:
-    """Odd-like distances of a duadic quartet C_i subset D_i, read off the
-    weight distribution of C0, which C1 shares, and by MacWilliams those of
-    D0 and D1."""
+    """Odd-like distances of a duadic quartet C_i subset D_i and the least
+    nonzero weight of C0, which C1 shares, from one scan of C0."""
 
     d0: DistanceResult  # min weight of D0 \ C0
     d1: DistanceResult | None  # min weight of D1 \ C1; None beyond the budget
+    least: DistanceResult | None  # least nonzero weight of C0 and of C1
     distributions: dict[str, dict[int, int]] | None  # "C0", "C1", "D0", "D1"
 
 
 def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
-                    workers: int = 1) -> QuartetWeights:
+                    workers: int = 1,
+                    distributions: bool = True) -> QuartetWeights:
     """Enumerate C0 once.  The multiplier mu_a of the splitting swaps S0
     and S1, so it permutes the coordinates of C0 onto C1 and of D0 onto D1:
     C1 has C0's distribution, and D0 and D1 share one.  C0^perp has the
@@ -132,22 +137,40 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
     of the Euclidean dual and has the same distribution.)  D_i \\ C_i is the
     set of odd-like words of D_i, so its minimum weight is the least w with
     A_w(D_i) > A_w(C_i).  Beyond the budget d0 is the vacuous interval
-    [1, n] and d1 is None."""
+    [1, n] and d1 and least are None.
+
+    Without `distributions` a binary quartet is read off the least and
+    greatest weights of C0 instead.  There D0 = C0 + <1>: the all-ones word
+    has every alpha^j, j != 0, as a root and 1(1) = n is odd, so the
+    odd-like words of D0 are c + 1, of weight n - wt(c), and d0 = d1 is n
+    minus the greatest weight of C0.  C0 is even-like and n odd, so no word
+    of C0 has weight n, and every extreme word has a zero coordinate: one
+    scan of the shortened subcode finds both extremes."""
     n, q = quartet.n, quartet.q
     C0, C1 = quartet.C0, quartet.C1
     if not enumerable(C0, budget):  # C1 has the same length, field and k
         return QuartetWeights(
-            DistanceResult("interval", 1, n, "full_enumeration", 0), None, None)
+            DistanceResult("interval", 1, n, "full_enumeration", 0), None,
+            None, None)
     if (C1.field != C0.field
             or mu_apply(C0.T.members, quartet.splitting.a, n) != C1.T.as_set()):
         raise DistanceError(
             "C1 is not the mu_a image of C0, so it cannot share C0's weight "
             "distribution (internal bug)")
+    work = C0.q**(C0.k - 1) - 1  # the nonzero words of {c in C0 : c_0 = 0}
+    if not distributions and q == 2:
+        least, greatest = shortened_extremes(C0, budget, workers)
+        if least % 2 or greatest % 2 or not 0 < least <= greatest < n:
+            raise DistanceError(
+                f"the even-like code C0 of length {n} has extreme weights "
+                f"{least} and {greatest} (internal bug)")
+        d = DistanceResult.exact(n - greatest, "full_enumeration", work)
+        return QuartetWeights(
+            d, d, DistanceResult.exact(least, "full_enumeration", work), None)
     A = {"C0": weight_distribution(C0, budget, workers)}
     A["C1"] = dict(A["C0"])
     A["D0"] = macwilliams(A["C0"], n, q)
     A["D1"] = dict(A["D0"])
-    work = C0.q**(C0.k - 1) - 1  # the nonzero words of {c in C0 : c_0 = 0}
     d = []
     for i in "01":
         D, C = A["D" + i], A["C" + i]
@@ -159,18 +182,20 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
                 f"C{i} (internal bug)")
         odd = min(w for w, c in D.items() if c > C.get(w, 0))
         d.append(DistanceResult.exact(odd, "full_enumeration", work))
-    return QuartetWeights(d[0], d[1], A)
+    least = min(w for w in A["C0"] if w)
+    return QuartetWeights(
+        d[0], d[1], DistanceResult.exact(least, "full_enumeration", work), A)
 
 
 def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
             budget: int, workers: int) -> DistanceResult:
-    """Smallest nonzero weight over the named even-like codes: read off the
-    one enumerated distribution, or by support search beyond the budget."""
-    if weights.distributions is None:
-        return reduce(_combine_min, (min_weight(C, budget, workers)
-                                     for C in codes.values()))
-    val = min(w for name in codes for w in weights.distributions[name] if w)
-    return DistanceResult.exact(val, "full_enumeration", weights.d0.work)
+    """Smallest nonzero weight over the named even-like codes: C0's least
+    nonzero weight, which C1 shares, or by support search beyond the
+    budget."""
+    if weights.least is not None:
+        return weights.least
+    return reduce(_combine_min, (min_weight(C, budget, workers)
+                                 for C in codes.values()))
 
 
 def verify_hermitian_condition(s: Splitting) -> bool:
@@ -190,8 +215,10 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
     that C_0^{perp_h} = D_0 over GF(q^2).  Without a quartet (its splitting
     field is beyond the cap) d is the square-root interval, the purity is
     [1, n] and the verdict undecided; with one, d and the purity are read
-    off C0's distribution, or beyond the budget d falls back to the same
-    interval and a support search bounds the purity."""
+    off C0's distribution, for a binary quartet off its least and greatest
+    weights alone (purity = least, d = n - greatest), or beyond the budget
+    d falls back to the same interval and a support search bounds the
+    purity."""
     n = s.n
     hermitian = construction == "hermitian"
     if hermitian and not verify_hermitian_condition(s):
@@ -212,7 +239,8 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                 raise ConstructionError(
                     "C_0^{perp_h} != D_0 despite the splitting condition "
                     "(internal bug)")
-        weights = quartet_weights(quartet, budget, workers)
+        weights = quartet_weights(quartet, budget, workers,
+                                  distributions=False)
         report = check_square_root_bound(quartet, weights.d0, weights.d1)
         if weights.d0.is_exact:
             d = weights.d0

@@ -99,6 +99,14 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
                           f"n={n} d_o={d}")
             report = check_square_root_bound(quartet, d0, d1)
             res.check("bound_report_consistent", report.all_satisfied, f"n={n}")
+            # binary builds read d and the purity off the least and greatest
+            # weights of C0 instead of its distribution
+            if q == 2 and n <= 45:
+                fast = quartet_weights(quartet, budget, workers,
+                                       distributions=False)
+                res.check("extremes_match_distribution",
+                          (fast.d0, fast.d1, fast.least)
+                          == (d0, d1, weights.least), f"n={n}")
             # the engine scans only {c in C0 : c_0 = 0}; a scan of all of
             # C0 by the same kernel checks the rebuilt histogram
             if n <= 21:

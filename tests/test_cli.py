@@ -212,6 +212,15 @@ class TestDeterminism:
         _, b = run_json(capsys, "build", "css", "31", "2", "--workers", "4")
         assert self._strip_timing(a) == self._strip_timing(b)
 
+    def test_workers_split_the_extremes_scan(self, capsys):
+        # 128 high blocks: each worker takes a range, and only the first
+        # holds the zero word
+        _, a = run_json(capsys, "build", "css", "49", "2", "--workers", "1")
+        _, b = run_json(capsys, "build", "css", "49", "2", "--workers", "2")
+        assert self._strip_timing(a) == self._strip_timing(b)
+        assert (a["stabilizer"]["d"]["lo"], a["stabilizer"]["purity"]["lo"],
+                a["stabilizer"]["degenerate"]) == (9, 4, "yes")
+
     def test_keys_sorted(self, capsys):
         _, out, _ = run(capsys, "build", "css", "7", "2")
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
@@ -324,6 +333,8 @@ class TestVerify:
         assert doc["tallies"] == {
             "bound_report_consistent": {"failed": 0, "passed": 4, "skipped": 0},
             "duadic_dimensions": {"failed": 0, "passed": 4, "skipped": 0},
+            "extremes_match_distribution":
+                {"failed": 0, "passed": 4, "skipped": 0},
             "dual_defining_set_matches_matrix":
                 {"failed": 0, "passed": 4, "skipped": 0},
             "hermitian_dual_is_D0": {"failed": 0, "passed": 3, "skipped": 0},
@@ -374,6 +385,38 @@ class TestVerify:
         assert doc["tallies"]["shortening_matches_full_scan"] == \
             {"passed": 0, "failed": 1, "skipped": 0}
 
+    def test_extremes_tally_bound(self, capsys):
+        # binary lengths up to 45 with a splitting: 7, 17, 23, 31 and 41
+        _, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "49")
+        assert doc["tallies"]["extremes_match_distribution"] == \
+            {"passed": 5, "failed": 0, "skipped": 0}
+        _, doc = run_json(capsys, "verify", "--q", "3", "--max-n", "13")
+        assert "extremes_match_distribution" not in doc["tallies"]
+
+    def test_extremes_check_is_not_vacuous(self, capsys, monkeypatch):
+        import qduadic.stabilizer
+        real = qduadic.stabilizer.shortened_extremes
+
+        def shifted(C, *args, **kwargs):
+            # C0 of length 17 has extremes 6 and 12: a greatest of 10 keeps
+            # every invariant of the route but gives d = 7
+            least, greatest = real(C, *args, **kwargs)
+            return least, greatest - 2 * (C.n == 17)
+
+        monkeypatch.setattr(qduadic.stabilizer, "shortened_extremes", shifted)
+        code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "17")
+        assert code == EXIT_ASSERTION
+        assert doc["tallies"]["extremes_match_distribution"] == \
+            {"passed": 1, "failed": 1, "skipped": 0}
+
+    @pytest.mark.parametrize("max_n", ["10001", "100000"])
+    def test_max_n_cap(self, capsys, max_n):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "verify", "--q", "2", "--max-n", max_n)
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --max-n beyond desk scale (cap 10^4)\n"
+
     def test_no_check_is_not_a_pass(self, capsys):
         code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "1")
         assert doc["tallies"] == {} and doc["all_passed"] is False
@@ -385,9 +428,24 @@ class TestInvariantFailures:
         import qduadic.stabilizer
         monkeypatch.setattr(qduadic.stabilizer, "macwilliams",
                             lambda A, n, q: {0: 1, 1: q**n - 1})
-        code, out, err = run(capsys, "build", "css", "7", "2")
+        # a binary CSS build reads no distribution; this one still does
+        code, out, err = run(capsys, "build", "css", "11", "3")
         assert code == EXIT_ASSERTION and out == ""
         assert "internal error" in err
+
+    @pytest.mark.parametrize("extremes", [(0, 4), (3, 4), (4, 5), (4, 7),
+                                          (6, 4)],
+                             ids=["zero_word", "odd_least", "odd_greatest",
+                                  "greatest_n", "least_above_greatest"])
+    def test_bad_extremes_exit_4(self, capsys, monkeypatch, extremes):
+        # C0 of length 7 has least and greatest weight 4
+        import qduadic.stabilizer
+        monkeypatch.setattr(qduadic.stabilizer, "shortened_extremes",
+                            lambda C, budget, workers: extremes)
+        code, out, err = run(capsys, "build", "css", "7", "2")
+        assert code == EXIT_ASSERTION and out == ""
+        assert err.startswith("internal error") and "extreme weights" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("exc", ["SplittingError", "ConstructionError",
                                      "DistanceError", "CyclicCodeError",
@@ -446,13 +504,16 @@ class TestInvariantFailures:
         import dataclasses
         import qduadic.distance
         import qduadic.duadic
-        if fault == "fractional":  # 7 * 1 / (7 - 3) is not an integer
+        # a binary CSS build reads no histogram, so the doctored histograms
+        # go to the C0 of length 11 over GF(3), k = 5
+        argv = ("build", "css", "11", "3")
+        if fault == "fractional":  # 11 * 1 / (11 - 3) is not an integer
             monkeypatch.setattr(qduadic.distance, "_histogram",
                                 lambda C, rows, workers: {0: 1, 3: 1})
             message = "which no cyclic code"
-        elif fault == "too_many_words":  # rebuilds 15 words, q^k = 8
+        elif fault == "too_many_words":  # rebuilds 1 + 11 * 23 words > 3^5
             monkeypatch.setattr(qduadic.distance, "_histogram",
-                                lambda C, rows, workers: {0: 1, 3: 8})
+                                lambda C, rows, workers: {0: 1, 10: 23})
             message = "more than q^k"
         else:
             message = "not in x^i*g(x) shape"
@@ -464,7 +525,8 @@ class TestInvariantFailures:
                 return dataclasses.replace(C, G=(C.G[0], row1) + C.G[2:])
 
             monkeypatch.setattr(qduadic.duadic, "make_cyclic_code", skewed)
-        code, out, err = run(capsys, "build", "css", "7", "2")
+            argv = ("build", "css", "7", "2")
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_ASSERTION and out == ""
         assert err.startswith("internal error") and message in err
         assert "Traceback" not in err and err.count("\n") == 1

@@ -28,10 +28,16 @@ from qduadic.distance import (
     enumerable,
     macwilliams,
     min_weight,
+    shortened_extremes,
     support_search_min_weight,
     weight_distribution,
 )
-from qduadic.duadic import build_quartet, default_splitting, splitting_by
+from qduadic.duadic import (
+    build_quartet,
+    default_splitting,
+    iter_splittings,
+    splitting_by,
+)
 from qduadic.galois import (
     FIELD_SIZE_CAP,
     field_from_order,
@@ -257,8 +263,8 @@ class TestKernelSteps:
         monkeypatch.setattr(qduadic.distance, "_scan_range", record)
         C = _code(n, q, leaders)
         whole = _full_scan_distribution(C)
-        rows, p, n, m, packed, _, end = calls[0]
-        assert packed == (q == 2) and end > 8
+        rows, p, n, m, packed, _, end, extremes = calls[0]
+        assert packed == (q == 2) and end > 8 and not extremes
         parts = sum(_scan_range(rows, p, n, m, packed, s, t)
                     for s, t in [(0, 1), (1, 4), (4, 7), (7, end)])
         assert {w: c for w, c in enumerate(parts.tolist()) if c} == whole
@@ -287,6 +293,109 @@ class TestKernelSteps:
         # first of a pair of steps, the one a 16-bit key would wrap
         rows = [(1,) * 257] + _shortened_rows(C)
         assert _histogram(C, rows, 1) == expected
+
+
+def _extremes_from_distribution(C):
+    """(least nonzero, greatest) weight over the words of C with a zero
+    coordinate, read off the histogram route: every weight below n."""
+    A = weight_distribution(C)
+    return (min(w for w in A if 0 < w < C.n), max(w for w in A if w < C.n))
+
+
+def _check_extremes(C) -> bool:
+    """shortened_extremes against the histogram route; False, after
+    checking that it raises, where C has no nonzero word below weight n."""
+    if not any(0 < w < C.n for w in weight_distribution(C)):
+        with pytest.raises(DistanceError, match="no nonzero"):
+            shortened_extremes(C)
+        return False
+    assert shortened_extremes(C) == _extremes_from_distribution(C)
+    return True
+
+
+class TestExtremes:
+    """The extremes reduction of the span kernel against the histogram
+    route, which the re-encoder checks above."""
+
+    def test_shortening_corpus(self):
+        f = make_field(2)
+        checked = 0
+        for n in range(3, 40, 2):
+            if 2 ** ord_mod(n, 2) > FIELD_SIZE_CAP:
+                continue  # no splitting field under the cap
+            for T in _coset_unions(n, 2):
+                checked += _check_extremes(
+                    make_cyclic_code(n, f, DefiningSet(n, 2, T)))
+        assert checked >= 30
+
+    @pytest.mark.parametrize("n", [65, 73, 127])
+    def test_digit_rows(self, n):
+        # binary words past 63 bits are scanned as digits
+        f = make_field(2)
+        checked = 0
+        for T in _coset_unions(n, 2, max_words=2**12, sample=4):
+            C = make_cyclic_code(n, f, DefiningSet(n, 2, T))
+            assert not qduadic.distance._packs(C)
+            checked += _check_extremes(C)
+        assert checked
+
+    @pytest.mark.parametrize("n", [7, 17, 23, 31, 41, 47, 49])
+    def test_default_quartets(self, n):
+        qt = build_quartet(default_splitting(n, 2), make_field(2))
+        fast = quartet_weights(qt, distributions=False)
+        full = quartet_weights(qt)
+        assert fast.distributions is None
+        assert (fast.d0, fast.d1, fast.least) == \
+            (full.d0, full.d1, full.least)
+
+    @pytest.mark.parametrize("n", [31, 49])
+    def test_every_splitting(self, n):
+        ids = set()
+        for s in iter_splittings(n, 2):
+            qt = build_quartet(s, make_field(2))
+            fast, full = (quartet_weights(qt, distributions=False),
+                          quartet_weights(qt))
+            assert (fast.d0, fast.d1, fast.least) == \
+                (full.d0, full.d1, full.least)
+            ids.add(s.splitting_id)
+        assert len(ids) > 2  # more than the default's orbit
+
+    @pytest.mark.parametrize("bits", [0, 4])
+    @pytest.mark.parametrize("n,q,leaders", [(15, 2, [1]), (11, 3, [1]),
+                                             (17, 2, [1]), (9, 4, [1])],
+                             ids=["packed", "digits", "packed-17", "gf4"])
+    def test_ranges(self, monkeypatch, n, q, leaders, bits):
+        # every high index its own range, and ranges of several lengths;
+        # only the range of index 0 holds the zero word.  With no low rows
+        # the block is the zero word alone, so every word of the scan is
+        # the first word of its one-step range.
+        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", bits)
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return _scan_range(*args)
+
+        monkeypatch.setattr(qduadic.distance, "_scan_range", record)
+        C = _code(n, q, leaders)
+        expected = list(shortened_extremes(C))
+        assert expected == list(_extremes_from_distribution(C))
+        *args, start, end, extremes = calls[0]
+        assert start == 0 and end > 8 and extremes
+        for bounds in ([0, end], list(range(end + 1)), [0, 1, 4, 7, end]):
+            parts = [_scan_range(*args, s, t, True)
+                     for s, t in zip(bounds, bounds[1:])]
+            assert [min(x[0] for x in parts),
+                    max(x[1] for x in parts)] == expected, bounds
+        assert _scan_range(*args, 0, 1, True)[0] > 0
+
+    @pytest.mark.parametrize("code", [
+        lambda: build_quartet(default_splitting(41, 2), make_field(2)).C0,
+        lambda: _code(35, 3, [1, 5, 7]),
+    ], ids=["packed", "digits"])
+    def test_workers(self, code):
+        C = code()
+        assert shortened_extremes(C, workers=2) == shortened_extremes(C)
 
 
 class TestParallel:

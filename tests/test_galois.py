@@ -75,6 +75,18 @@ class TestMakeField:
         for x in range(1, f.order):
             assert f.exp(f.log(x)) == x
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_binary_tables_match_raw_multiplication(self, m):
+        # the inline shift-and-reduce steps give the tables of one
+        # _raw_mul(x, generator) per element
+        f = make_field(2, m)
+        exp, log, x = [], [0] * f.order, 1
+        for i in range(f.order - 1):
+            exp.append(x)
+            log[x] = i
+            x = f._raw_mul(x, f.generator)
+        assert x == 1 and f._exp == exp and f._log == log
+
     def test_only_small_fields_hold_tables(self):
         # code alphabets keep log tables; splitting fields use direct arithmetic
         assert make_field(3, 2)._exp is not None
