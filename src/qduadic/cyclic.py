@@ -295,25 +295,25 @@ def code_under_mu(C: CyclicCode, a: int) -> CyclicCode:
 def _check_dual(C: CyclicCode, D: CyclicCode, power: int, formula: str) -> None:
     """Raise unless k_C + k_D = n and every row of D.G is orthogonal to every
     row of C.G with its entries raised to `power`.  Row i of either G is
-    x^i*g(x), so both have full rank, and this proves D = C^perp (power 1)
-    or D = C^perp_h (power q0)."""
+    x^i*g(x), with no wrap-around, so both have full rank, and the product
+    of row i of C.G with row j of D.G depends only on the lag i - j: one
+    pair of rows for each of the n - 1 lags in (-k_D, k_C) covers all
+    k_C*k_D pairs.  This proves D = C^perp (power 1) or D = C^perp_h
+    (power q0)."""
     f = C.field
     if C.k + D.k != C.n:
         raise CyclicCodeError(
             f"{formula} formula gives dimension {D.k} for the dual of a "
             f"[{C.n}, {C.k}] code (internal bug)")
-    rows = [[(j, f.pow(x, power)) for j, x in enumerate(row) if x]
-            for row in C.G]
-    for d in D.G:
-        for row in rows:
-            acc = 0
-            for j, x in row:
-                if d[j]:
-                    acc = f.add(acc, f.mul(x, d[j]))
-            if acc:
-                raise CyclicCodeError(
-                    f"{formula} formula gives a code not orthogonal to C "
-                    "(internal bug)")
+    for lag in range(1 - D.k, C.k) if C.k and D.k else ():
+        acc = 0
+        for x, y in zip(C.G[max(lag, 0)], D.G[max(-lag, 0)]):
+            if x and y:
+                acc = f.add(acc, f.mul(f.pow(x, power), y))
+        if acc:
+            raise CyclicCodeError(
+                f"{formula} formula gives a code not orthogonal to C "
+                "(internal bug)")
 
 
 def euclidean_dual(C: CyclicCode) -> CyclicCode:

@@ -16,7 +16,8 @@ rebuilds the full histogram from it exactly.  In its other mode the same
 walk keeps only the least nonzero and the greatest weight, with no key and
 no bincount: a binary duadic quartet needs no more (see
 `stabilizer.quartet_weights`).  Beyond the budget, a low-weight support
-search bounds the minimum weight.
+search bounds the minimum weight, by grouping the scaled columns of H and
+by binary search for prefix sums in a sorted table of pair sums.
 
 Work counters are closed forms of q and k, so they are reproducible and
 independent of the worker count.
@@ -365,9 +366,7 @@ def _scan(C: CyclicCode, rows, workers: int,
         rows = np.array([_pack_row(r, m) for r in rows], dtype=np.uint64)
     else:
         dtype = np.min_scalar_type(2 * (p - 1))  # holds two digits' sum
-        coords = np.array(rows, dtype=np.int64).reshape(-1, n, 1)
-        digits = coords // p ** np.arange(m) % p  # x^i coefficient at i
-        rows = digits.reshape(-1, n * m).astype(dtype)
+        rows = _digits(np.array(rows), p, m).reshape(-1, n * m).astype(dtype)
     nblocks = p ** (len(rows) - _low_rows(p, len(rows)))
     if workers > 1 and nblocks >= 2 * workers:
         # imported here, so a single-process run never loads the pool
@@ -410,87 +409,98 @@ def macwilliams(A: dict[int, int], n: int, q: int) -> dict[int, int]:
     return B
 
 
+def _digits(x, p: int, m: int) -> np.ndarray:
+    """GF(p) digits of element indices x: coefficient of x^i at [..., i]."""
+    return np.asarray(x)[..., None] // p ** np.arange(m) % p
+
+
+def _times(f, u: int, digits: np.ndarray) -> np.ndarray:
+    """Digits of u*x for the elements x with digits on the last axis: the
+    map is GF(p)-linear, with row i of its matrix the digits of u*x^i."""
+    M = _digits([f.mul(u, f.p ** i) for i in range(f.m)], f.p, f.m)
+    return digits @ M % f.p
+
+
 def _unit_multiples(f, base: np.ndarray) -> np.ndarray:
     """Digits of u*h_j for every column h_j and unit u, shape (n, q-1, L),
-    from the digits `base` of H, shape (n, rows, m): multiplication by u is
-    GF(p)-linear on the digits, with row i of its matrix the digits of u*x^i."""
-    n, rows, m = base.shape
-    p = f.p
-    powers = [f.coeffs_to_element((0,) * i + (1,)) for i in range(m)]
-    syn = np.empty((n, f.order - 1, rows * m), np.min_scalar_type(2 * (p - 1)))
+    from the digits `base` of H, shape (n, rows, m)."""
+    syn = np.empty((len(base), f.order - 1, base[0].size), base.dtype)
     for u in range(1, f.order):
-        M = np.array([f.element_to_coeffs(f.mul(u, x)) for x in powers])
-        syn[:, u - 1] = (base @ M % p).reshape(n, -1)
+        syn[:, u - 1] = _times(f, u, base).reshape(len(base), -1)
     return syn
 
 
-def _zero_pair_sums(syn: np.ndarray, j: int, m: int, p: int) -> np.ndarray:
-    """Indices of the zero pair sums h_j + u*h_k among all k > j and units
-    u, in level-2 candidate order, found as a test of each candidate would
-    find them: one row of H (m digits) at a time, each only for the sums
-    that are still zero."""
-    rest = syn[j + 1:].reshape(-1, syn.shape[2])
-    alive = np.arange(len(rest))
-    for c in range(0, syn.shape[2], m):
-        part = (syn[j, 0, c:c + m] + rest[alive, c:c + m]) % p
-        alive = alive[~part.any(axis=1)]
-        if not len(alive):
-            break
-    return alive
+def _first_pair(f, H: np.ndarray, base: np.ndarray) -> int | None:
+    """Level-2 index of the first zero pair sum h_j + u*h_k of nonzero
+    columns, or None.  The sum is zero exactly when h_j and h_k scale to one
+    column with leading entry 1, and u = -lead_j/lead_k, so (j, k) is the
+    least pair of columns in one such group."""
+    n = H.shape[1]
+    lead = H[(H != 0).argmax(axis=0), np.arange(n)]
+    norm = base.copy()
+    for v in set(lead.tolist()) - {1}:  # no products over GF(2)
+        norm[lead == v] = _times(f, f.inv(v), base[lead == v])
+    first: dict[bytes, int] = {}  # each group's least column
+    pairs = [(first.setdefault(norm[k].tobytes(), k), k) for k in range(n)]
+    j, k = min(((j, k) for j, k in pairs if j < k), default=(None, None))
+    if j is None:
+        return None
+    u = f.neg(f.mul(int(lead[j]), f.inv(int(lead[k]))))
+    return _candidate_index(f, n, (j, k), (1, u))
 
 
-def _pair_table(syn: np.ndarray, p: int) -> dict:
-    """The level-2 pair sums h_j + u*h_k (j < k) indexed by their digit
-    bytes: each key maps to its (j, k, u) in candidate order."""
+def _pair_table(syn: np.ndarray, p: int) -> tuple:
+    """The pair sums h_j + u*h_k (j < k) as keys of their digit bytes, sorted
+    by key and then by descending j, so each key's first pair has its
+    largest j; and j, k, u of every pair in that order."""
     n, nu, L = syn.shape
-    size = L * syn.itemsize
-    table: dict[bytes, list] = {}
-    for j in range(n - 1):
-        raw = ((syn[j, 0] + syn[j + 1:]) % p).tobytes()
-        for r in range((n - 1 - j) * nu):
-            k, u = divmod(r, nu)
-            table.setdefault(raw[r * size:(r + 1) * size], []).append(
-                (j, j + 1 + k, u + 1))
-    return table
+    J, K = np.triu_indices(n, 1)
+    sums = ((syn[J, :1] + syn[K]) % p).reshape(-1, L)
+    keys = sums.view(f"S{L * sums.itemsize}").ravel()
+    order = np.lexsort((-np.repeat(J, nu), keys))
+    return keys[order], J[order // nu], K[order // nu], order % nu + 1
 
 
-def _first_codewords(neg: np.ndarray, p: int, table: dict, w: int,
-                     prefix: tuple, acc: np.ndarray) -> list:
-    """Every weight-w codeword on the first (w-2)-column prefix, in
-    combinations order from `prefix` on, that extends to one, as (support,
-    unit scalars) with the scalar at j equal to 1; [] if no prefix does.
-    The prefix sum c_1*h_{i_1} + ... + c_{w-2}*h_{i_{w-2}} completes to a
-    codeword through each pair sum h_j + u*h_k of the table, j beyond the
-    prefix, under the key of -(prefix sum).  `neg` holds the digits of
-    -u*h_j, and `acc` those of -(sum over `prefix`), one row per scalar
-    vector in product order."""
-    n, nu, L = neg.shape
+def _first_codeword(f, neg: np.ndarray, table: tuple, w: int, prefix: tuple,
+                    acc: np.ndarray) -> int | None:
+    """Level-w index of the first weight-w codeword on the first (w-2)-column
+    prefix from `prefix` on that extends to one, through a pair sum
+    h_j + u*h_k of the table under the negated prefix sum, j beyond the
+    prefix; or None.  `neg` holds the digits of -u*h_j, and `acc` those of
+    -(sum over `prefix`), one row per scalar vector in product order.  The
+    last two prefix positions (one at w = 3) are looked up as one block."""
+    (n, nu, L), p = neg.shape, f.p
     lo = prefix[-1] + 1 if prefix else 0
-    if len(prefix) < w - 3:
-        for i in range(lo, n - w + len(prefix) + 1):
-            words = _first_codewords(
-                neg, p, table, w, prefix + (i,),
-                ((acc[:, None] + neg[i]) % p).reshape(-1, L))
-            if words:
-                return words
-        return []
-    # the last prefix position i, for every i at once
-    block = (acc[None, :, None] + neg[lo:n - 2, None]) % p
-    per_i = block.shape[1] * nu
-    raw, size = block.tobytes(), L * block.itemsize
-    r = 0
-    for i in range(lo, n - 2):
-        words = []
-        for s in range(per_i):
-            for j, k, u in table.get(raw[r * size:(r + 1) * size], ()):
-                if j > i:
-                    c = np.unravel_index(s, (nu,) * (w - 2))
-                    words.append((prefix + (i, j, k),
-                                  tuple(int(x) + 1 for x in c) + (1, u)))
-            r += 1
-        if words:
-            return words
-    return []
+    if len(prefix) < w - 4:  # one more fixed position, tried in order
+        found = (_first_codeword(f, neg, table, w, prefix + (i,),
+                                 ((acc[:, None] + neg[i]) % p).reshape(-1, L))
+                 for i in range(lo, n - w + len(prefix) + 1))
+        return next((hit for hit in found if hit is not None), None)
+    pos = (np.arange(lo, n - 2)[:, None] if w == 3
+           else np.transpose(np.triu_indices(n - 2 - lo, 1)) + lo)
+    block = acc[None]
+    for c in range(pos.shape[1]):
+        block = ((block[:, :, None] + neg[pos[:, c], None]) % p).reshape(
+            len(pos), -1, L)
+    keys, J, K, U = table
+    x, per = block.reshape(-1, L).view(keys.dtype).ravel(), block.shape[1]
+    at = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    last = np.repeat(pos[:, -1], per)
+    hits = np.flatnonzero((keys[at] == x) & (J[at] > last))
+    if not len(hits):
+        return None
+    first = hits[0] // per  # the least prefix positions with a hit
+    support = prefix + tuple(int(i) for i in pos[first])
+    index = []
+    for h in hits[hits < (first + 1) * per]:
+        scalars = tuple(int(c) + 1 for c in np.unravel_index(
+            h % per, (nu,) * (w - 2)))
+        s = at[h]
+        while s < len(keys) and keys[s] == x[h] and J[s] > last[h]:
+            index.append(_candidate_index(f, n, support + (J[s], K[s]),
+                                          scalars + (1, U[s])))
+            s += 1
+    return min(index)
 
 
 def _candidate_index(f, n: int, support: tuple, scalars: tuple) -> int:
@@ -506,7 +516,7 @@ def _candidate_index(f, n: int, support: tuple, scalars: tuple) -> int:
     inv = f.inv(scalars[0])
     for u in scalars[1:]:
         index = index * (f.order - 1) + f.mul(inv, u) - 1
-    return index
+    return int(index)
 
 
 def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:
@@ -518,44 +528,33 @@ def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:
     combinations order, each with its scalars in product order, the first
     scalar fixed to 1.  `work` counts the candidates up to the first hit, as
     a loop over them would.  Syndromes are the GF(p) digits of the columns
-    h_j of H: level 1 looks for a zero column; once level 2 fits, each
-    column is scaled by every unit u, and level 2 looks for a zero pair sum
-    h_j + u*h_k, one j at a time; once level 3 fits, those pair sums go into
-    a table, and level w >= 3 looks up each (w-2)-prefix with every scalar
-    vector in it."""
+    h_j of H.  Level 1 looks for a zero column, level 2 for two columns with
+    the same multiple of leading entry 1; level w >= 3 looks up the negated
+    sums of its (w-2)-prefixes in a table of the pair sums h_j + u*h_k
+    sorted by their digit bytes, built once level 3 fits."""
     f = C.field
     n, q, p = C.n, C.q, f.p
-    nu = q - 1
-    coeffs = np.array([f.element_to_coeffs(a) for a in range(q)])
-    base = coeffs[np.array(C.H, dtype=np.intp).reshape(-1, n).T]
+    H = np.array(C.H, dtype=np.intp).reshape(-1, n)
+    digits = _digits(np.arange(q), p, f.m)
+    base = digits.astype(np.min_scalar_type(2 * (p - 1)))[H.T]
     work = 0
     for w in range(1, n + 1):
-        level = comb(n, w) * nu ** (w - 1)
-        if work + level > budget:
-            lo = w  # levels 1..w-1 exhausted with no hit
-            if lo == 1:
+        level = comb(n, w) * (q - 1) ** (w - 1)
+        if work + level > budget:  # levels 1..w-1 exhausted with no hit
+            if w == 1:
                 return DistanceResult("interval", 1, n, "support_search", work)
-            return DistanceResult("lower_bound", lo, None, "support_search", work)
-        hit = None
+            return DistanceResult("lower_bound", w, None, "support_search", work)
         if w == 1:
             zero = np.flatnonzero(~base.any(axis=(1, 2)))
             hit = int(zero[0]) if len(zero) else None
         elif w == 2:
-            syn = _unit_multiples(f, base)
-            offset = 0
-            for j in range(n - 1):
-                zero = _zero_pair_sums(syn, j, f.m, p)
-                if len(zero):
-                    hit = offset + int(zero[0])
-                    break
-                offset += (n - 1 - j) * nu
+            hit = _first_pair(f, H, base)
         else:
             if w == 3:
+                syn = _unit_multiples(f, base)
                 table, neg = _pair_table(syn, p), (p - syn) % p
-            words = _first_codewords(neg, p, table, w, (),
-                                     np.zeros((1, syn.shape[2]), syn.dtype))
-            hit = min((_candidate_index(f, n, *word) for word in words),
-                      default=None)
+            hit = _first_codeword(f, neg, table, w, (),
+                                  np.zeros((1, neg.shape[2]), neg.dtype))
         if hit is not None:
             return DistanceResult.exact(w, "support_search", work + hit + 1)
         work += level

@@ -233,7 +233,7 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                                    bound_sq_strong=None)
     if quartet is not None:
         # build_quartet has checked the CSS containment C_i subset D_i
-        if hermitian and n <= 31:  # check C_0^{perp_h} = D_0 on matrices
+        if hermitian:  # check C_0^{perp_h} = D_0 on matrices
             hd = hermitian_dual(quartet.C0)
             if hd.T.as_set() != quartet.D0.T.as_set():
                 raise ConstructionError(

@@ -103,9 +103,9 @@ def test_criterion_06_hermitian_7_2(capsys):
     assert (st["n"], st["k"], st["q"]) == (7, 1, 2)
     assert st["d"]["kind"] == "exact" and st["d"]["lo"] == 3
     assert doc["splitting"]["q"] == 4
-    # the dual identity holds both by defining sets and by matrices: at
-    # n <= 31 the matrix route recomputes C0^{perp_h} from the conjugated
-    # null space and raises if it disagrees with D0's defining set
+    # the dual identity holds both by defining sets and by matrices: the
+    # matrix route checks C0^{perp_h} against the conjugated generator
+    # matrix and raises if it disagrees with D0's defining set
     qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
     p = stabilizer_params(qt.splitting, qt, "hermitian")
     assert p.d.value == 3

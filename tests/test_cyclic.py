@@ -1,4 +1,6 @@
 import json
+import random
+from dataclasses import replace
 from math import gcd, isqrt
 
 import pytest
@@ -406,6 +408,69 @@ class TestDuals:
         assert doc["tallies"]["hermitian_dual_is_D0"] == \
             {"passed": 0, "failed": 2, "skipped": 0}
         assert [f["detail"][:4] for f in doc["failures"]] == ["n=5:", "n=7:"]
+
+    @staticmethod
+    def _failing_row_pairs(C, D, power):
+        """Every pair (i, j) of a row of C.G, its entries raised to `power`,
+        and a row of D.G whose product is nonzero, pair by pair."""
+        f = C.field
+        pairs = []
+        for i, c in enumerate(C.G):
+            for j, d in enumerate(D.G):
+                acc = 0
+                for x, y in zip(c, d):
+                    acc = f.add(acc, f.mul(f.pow(x, power), y))
+                if acc:
+                    pairs.append((i, j))
+        return pairs
+
+    @staticmethod
+    def _dual_pairs():
+        """(C, its dual, power): Euclidean over GF(2) and GF(3), Hermitian
+        over GF(4)."""
+        for n, q in [(23, 2), (11, 3)]:
+            C = materialize_quartet(default_splitting(n, q)).C0
+            yield C, euclidean_dual(C), 1
+        C = make_cyclic_code(7, make_field(2, 2), DefiningSet(7, 4, (1, 2, 4)))
+        yield C, hermitian_dual(C), 2
+
+    # one entry of D.G changed, so that only the pair of rows at the lag
+    # k_C - 1 (C's last row, D's first) or at -(k_D - 1) (C's first row,
+    # D's last) is not orthogonal
+    @pytest.mark.parametrize("end", ["k_C - 1", "-(k_D - 1)"])
+    def test_orthogonality_checked_at_both_end_lags(self, end):
+        for C, D, power in self._dual_pairs():
+            n = C.n
+            assert self._failing_row_pairs(C, D, power) == []
+            G = [list(row) for row in D.G]
+            if end == "k_C - 1":
+                G[0][n - 1], pair = 1, (C.k - 1, 0)
+            else:
+                G[D.k - 1][0], pair = 1, (0, D.k - 1)
+            doctored = replace(D, G=tuple(map(tuple, G)))
+            assert self._failing_row_pairs(C, doctored, power) == [pair]
+            with pytest.raises(CyclicCodeError, match="not orthogonal to C"):
+                cyclic._check_dual(C, doctored, power, "doctored")
+
+    def test_lag_check_agrees_with_every_row_pair(self):
+        # D.G built from random polynomials of the dual's degree: the lag
+        # check raises exactly when some pair of rows is not orthogonal
+        rng = random.Random(3)
+        for C, D, power in self._dual_pairs():
+            f, n = C.field, C.n
+            degree = n - D.k
+            for t in range(40):
+                g = [rng.randrange(f.order) for _ in range(degree)] + [1]
+                if t % 4 == 0:  # a multiple of the dual's g, orthogonal
+                    u = rng.randrange(1, f.order)
+                    g = [f.mul(u, x) for x in D.genpoly.coeffs]
+                doctored = replace(D, G=cyclic._shifts(g, D.k, n))
+                failing = self._failing_row_pairs(C, doctored, power)
+                if failing:
+                    with pytest.raises(CyclicCodeError):
+                        cyclic._check_dual(C, doctored, power, "doctored")
+                else:
+                    cyclic._check_dual(C, doctored, power, "doctored")
 
     def test_hermitian_dual_needs_square_field(self):
         C = make_cyclic_code(7, make_field(2), DefiningSet(7, 2, (1, 2, 4)))

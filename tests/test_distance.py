@@ -488,6 +488,49 @@ class TestSupportSearch:
 
 
     @staticmethod
+    def _planted(q, rows, seed):
+        """A random rows x 9 check matrix over GF(q) whose only columns that
+        are multiples of each other are the pair {1, 7} and the group of
+        three {2, 4, 5}: its first pair (1, 7) comes first by j, but (2, 4)
+        comes first by k."""
+        f = field_from_order(q)
+        rng = random.Random(seed)
+
+        def normal(col):
+            inv = f.inv(next(x for x in col if x))
+            return tuple(f.mul(inv, x) for x in col)
+        while True:
+            cols = [[rng.randrange(q) for _ in range(rows)] for _ in range(9)]
+            for j, k in [(1, 7), (2, 4), (2, 5)]:
+                u = rng.randrange(1, q)
+                cols[k] = [f.mul(u, x) for x in cols[j]]
+            if all(map(any, cols)) and len({normal(c) for c in cols}) == 6:
+                return SimpleNamespace(field=f, n=9, q=q, H=tuple(zip(*cols)))
+
+    @pytest.mark.parametrize("q,rows", [(4, 3), (5, 3), (9, 2), (256, 2)])
+    def test_level_two_groups_scaled_columns(self, q, rows):
+        for seed in range(3):
+            C = self._planted(q, rows, seed)
+            for budget in self._level_budgets(9, q, self.ORACLE_CAP):
+                r = support_search_min_weight(C, budget)
+                assert r.to_dict() == support_search_loop(C, budget).to_dict()
+            # the first hit is on the support (1, 7): all 9 weight-1
+            # candidates, then those on (0, 1), ..., (0, 8) and (1, 2), ...
+            r = support_search_min_weight(C, 9 + 36 * (q - 1))
+            assert r.kind == "exact" and r.value == 2
+            assert 9 + 13 * (q - 1) < r.work <= 9 + 14 * (q - 1)
+
+    def test_level_two_of_255_256_needs_no_unit_multiples(self):
+        # levels 1 and 2 of 255/256 fit 2^26, level 3 does not; all 255
+        # unit multiples of H's 1024-digit columns would take 66 MB
+        qt = build_quartet(default_splitting(255, 256), field_from_order(256))
+        C = qt.C0
+        r, peak = self._peak_bytes(C, 2**26)
+        assert r.to_dict() == {"kind": "lower_bound", "lo": 3, "hi": None,
+                               "method": "support_search", "work": 8_258_430}
+        assert peak < C.n * 255 * len(C.H) * 8 // 8
+
+    @staticmethod
     def _peak_bytes(C, budget):
         tracemalloc.start()
         try:

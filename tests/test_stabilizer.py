@@ -116,17 +116,28 @@ class TestHermitian:
         with pytest.raises(ConstructionError):
             verify_hermitian_condition(splitting_by(7, 2, 6))
 
-    def test_matrix_check_agrees(self, monkeypatch):
-        # n <= 31: C_0^{perp_h} is recomputed by matrices on every build
+    @staticmethod
+    def _matrix_checks(monkeypatch, n):
+        """The params of the Hermitian code of n over GF(4), and the codes
+        whose Hermitian dual was recomputed by matrices on the way."""
         real, calls = qduadic.stabilizer.hermitian_dual, []
         monkeypatch.setattr(qduadic.stabilizer, "hermitian_dual",
                             lambda C: calls.append(C) or real(C))
-        s = splitting_by(15, 4, (-2) % 15)
-        if s is not None:
-            qt = build_quartet(s, field_from_order(4))
-            p = _params(qt, "hermitian")
-            assert p.d.is_exact
-            assert calls == [qt.C0]
+        qt = build_quartet(splitting_by(n, 4, (-2) % n), field_from_order(4))
+        return _params(qt, "hermitian"), calls, qt
+
+    def test_matrix_check_agrees(self, monkeypatch):
+        # C_0^{perp_h} is recomputed by matrices on every build
+        p, calls, qt = self._matrix_checks(monkeypatch, 7)
+        assert p.d.is_exact
+        assert calls == [qt.C0]
+
+    # past n = 31 too, where d lies beyond the budget
+    @pytest.mark.parametrize("n", [35, 41])
+    def test_matrix_check_at_every_length(self, monkeypatch, n):
+        p, calls, qt = self._matrix_checks(monkeypatch, n)
+        assert not p.d.is_exact
+        assert calls == [qt.C0]
 
     def test_matrix_check_refuses_a_wrong_dual(self, monkeypatch):
         qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
