@@ -19,7 +19,6 @@ from .cyclic import (
 from .distance import (
     DistanceResult,
     macwilliams,
-    min_weight,
     support_search_min_weight,
     weight_distribution,
 )

@@ -264,22 +264,6 @@ def enumerable(C: CyclicCode, budget: int) -> bool:
     return C.q**C.k <= budget
 
 
-def min_weight(C: CyclicCode, budget: int = DEFAULT_BUDGET,
-               workers: int = 1) -> DistanceResult:
-    """Minimum nonzero weight; exhaustive if C is enumerable within the
-    budget, otherwise a low-weight support search producing an exact hit or a
-    lower bound."""
-    if budget <= 0:
-        raise DistanceError("budget must be positive")
-    if C.k == 0:
-        raise DistanceError("zero code has no minimum weight")
-    if not enumerable(C, budget):
-        return support_search_min_weight(C, budget)
-    val = min(w for w in weight_distribution(C, budget, workers) if w)
-    # the nonzero words of the shortened subcode {c in C : c_0 = 0} scanned
-    return DistanceResult.exact(val, "full_enumeration", C.q**(C.k - 1) - 1)
-
-
 def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,
                         workers: int = 1) -> dict[int, int]:
     """Full weight histogram {weight: count}, rebuilt from a scan of the

@@ -6,8 +6,9 @@ index are the coefficients of the element in the polynomial basis
 mod p (XOR for characteristic 2), and the prime subfield occupies indices
 0..p-1.
 
-Fields are canonical and cached: same (p, m) always yields the same modulus,
-generator and tables, so golden-value tests are portable across runs.
+Fields are canonical and cached: same (p, m) always yields the same modulus
+and generator, so golden-value tests are portable across runs.  Products
+are taken mod p in GF(p) and reduced by the modulus in GF(p^m), m > 1.
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-# Hard cap on field cardinality; construction beyond this is refused.
+# Hard cap on field cardinality; construction beyond this is refused.  It
+# bounds the trial-division factoring of order - 1 in Field._find_generator,
+# and a quartet whose splitting field is beyond it is reported by `build`
+# and `survey` with the theory intervals instead.
 FIELD_SIZE_CAP = 1 << 24
-# Log/antilog tables are only materialized up to this cardinality, which
-# covers the code alphabets GF(q) and GF(q^2) for q <= 64; splitting fields
-# above it use direct polynomial arithmetic, since each length needs only
-# the n - 1 powers of alpha there, and over GF(p^m), m > 1, at most about
-# n^2/2 more multiplications for the coset minimal polynomials (see
-# cyclic._coset_minpolys).
-TABLE_CAP = 1 << 12
 
 
 class FieldError(ValueError):
@@ -277,10 +274,6 @@ class Field:
         if p == 2:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
         self.generator = self._find_generator()
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        if order <= TABLE_CAP:
-            self._build_tables()
 
     # -- representation helpers
 
@@ -312,9 +305,11 @@ class Field:
         if not (0 <= a < self.order):
             raise FieldError(f"{a} is not an element of GF({self.p}^{self.m})")
 
-    # -- raw arithmetic (no tables)
+    # -- raw arithmetic (no element checks)
 
     def _raw_mul(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         if self.p == 2:
@@ -330,6 +325,8 @@ class Field:
         return self._undigits(rem)
 
     def _raw_pow(self, a: int, e: int) -> int:
+        if self.m == 1:
+            return pow(a, e, self.p)
         r, b = 1, a
         while e:
             if e & 1:
@@ -347,37 +344,6 @@ class Field:
             if all(self._raw_pow(cand, target // r) != 1 for r in prime_divs):
                 return cand
         raise FieldError("no generator found (internal error)")
-
-    def _build_tables(self) -> None:
-        size = self.order - 1
-        exp = [0] * size
-        log = [0] * self.order
-        x = 1
-        if self.p == 2:
-            # x -> x*g by Horner over the bits of g, highest first: shift by
-            # one, reduce by the modulus, add x where the bit is set
-            bits = [b == "1" for b in bin(self.generator)[2:]]
-            top, mod = self.order, self._mod_mask
-            for i in range(size):
-                exp[i] = x
-                log[x] = i
-                y = 0
-                for bit in bits:
-                    y <<= 1
-                    if y & top:
-                        y ^= mod
-                    if bit:
-                        y ^= x
-                x = y
-        else:
-            for i in range(size):
-                exp[i] = x
-                log[x] = i
-                x = self._raw_mul(x, self.generator)
-        if x != 1:
-            raise FieldError("generator order mismatch (internal error)")
-        self._exp = exp
-        self._log = log
 
     # -- public arithmetic
 
@@ -405,18 +371,12 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._raw_mul(a, b)
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise FieldError("cannot invert zero")
-        if self._exp is not None:
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
         return self._raw_pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -427,22 +387,7 @@ class Field:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 0
-        if self._log is not None:
-            return self._exp[self._log[a] * e % (self.order - 1)]
         return self._raw_pow(a, e)
-
-    def exp(self, i: int) -> int:
-        """generator**i (antilog)."""
-        if self._exp is not None:
-            return self._exp[i % (self.order - 1)]
-        return self._raw_pow(self.generator, i % (self.order - 1))
-
-    def log(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("log of zero is undefined")
-        if self._log is None:
-            raise FieldError("log tables not materialized for this field")
-        return self._log[a]
 
     def elements(self):
         return range(self.order)
@@ -459,7 +404,7 @@ class Field:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> Field:
-    """Canonical GF(p^m); cached, so repeated calls share tables."""
+    """Canonical GF(p^m); cached, so repeated calls share one instance."""
     return Field(p, m)
 
 
@@ -572,16 +517,16 @@ def _subfield_map(ext: Field, base: Field) -> dict[int, int]:
         conjugate = base.pow(g, base.p**i)
         minpoly = minpoly.mul(Poly.make([base.neg(conjugate), 1], base))
     over_ext = Poly.make(minpoly.coeffs, ext)  # GF(p) sits at indices 0..p-1
-    omega = ext.exp((ext.order - 1) // (base.order - 1))
+    omega = ext.pow(ext.generator, (ext.order - 1) // (base.order - 1))
     for j in range(1, base.order - 1):
         if gcd(j, base.order - 1) != 1:
             continue
         root = ext.pow(omega, j)
         if over_ext.eval(root) == 0:
-            table, x = {}, 1
-            for k in range(base.order - 1):
-                table[x] = base.exp(k)
-                x = ext.mul(x, root)
+            table, x, y = {}, 1, 1
+            for _ in range(base.order - 1):
+                table[x] = y  # root^k -> g_base^k
+                x, y = ext.mul(x, root), base.mul(y, g)
             return table
     raise FieldError("subfield embedding failed (internal error)")
 

@@ -21,7 +21,6 @@ materialized, never the quantum state space.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from math import isqrt
 
 from .cyclic import CyclicCode, hermitian_dual, mu_apply
@@ -31,8 +30,8 @@ from .distance import (
     DistanceResult,
     enumerable,
     macwilliams,
-    min_weight,
     shortened_extremes,
+    support_search_min_weight,
     weight_distribution,
 )
 from .duadic import (
@@ -81,18 +80,6 @@ class StabilizerParams:
             "certificate": self.certificate.to_dict() if self.certificate else None,
             "purity_agreement": self.purity_agreement,
         }
-
-
-def _combine_min(a: DistanceResult, b: DistanceResult) -> DistanceResult:
-    """min of two weight results, degrading exactness honestly."""
-    work = a.work + b.work
-    if a.is_exact and b.is_exact:
-        return DistanceResult.exact(min(a.value, b.value), a.method, work)
-    lo = min(x.lo for x in (a, b) if x.lo is not None)
-    his = [x.hi for x in (a, b) if x.hi is not None]
-    hi = min(his) if his else None
-    kind = "interval" if hi is not None else "lower_bound"
-    return DistanceResult(kind, lo, hi, a.method, work)
 
 
 def _degeneracy_tristate(purity: DistanceResult, d: DistanceResult) -> str:
@@ -188,14 +175,23 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
 
 
 def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
-            budget: int, workers: int) -> DistanceResult:
+            budget: int) -> DistanceResult:
     """Smallest nonzero weight over the named even-like codes: C0's least
     nonzero weight, which C1 shares, or by support search beyond the
-    budget."""
+    budget.  C1 = mu_a(C0) has C0's weights, so the searches of the two
+    must agree; their `work` is summed."""
     if weights.least is not None:
         return weights.least
-    return reduce(_combine_min, (min_weight(C, budget, workers)
-                                 for C in codes.values()))
+    first, *rest = (support_search_min_weight(C, budget)
+                    for C in codes.values())
+    for other in rest:
+        if (other.kind, other.lo, other.hi) != (first.kind, first.lo,
+                                                 first.hi):
+            raise DistanceError(
+                f"the support searches of C0 and its mu_a image disagree: "
+                f"{first.to_dict()} and {other.to_dict()} (internal bug)")
+        first = replace(first, work=first.work + other.work)
+    return first
 
 
 def verify_hermitian_condition(s: Splitting) -> bool:
@@ -247,7 +243,7 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
         # the Hermitian stabilizer holds C0 alone; CSS holds C0 and C1
         codes = {"C0": quartet.C0} if hermitian else {"C0": quartet.C0,
                                                       "C1": quartet.C1}
-        purity = _purity(weights, codes, budget, workers)
+        purity = _purity(weights, codes, budget)
     return StabilizerParams(
         n=n, k=1, q=isqrt(s.q) if hermitian else s.q,
         construction="Hermitian" if hermitian else "CSS", d=d, purity=purity,

@@ -11,7 +11,8 @@ multiplies cached minimal polynomials of cyclotomic cosets.  Long division
 checks the check polynomials and containments that the library reads off the
 factorization of x^n - 1, and Gauss-Jordan null spaces check the duals that
 the library verifies by orthogonality.  Coordinate sums of the rows check
-the even-like structure that the quartet reads off g(1).  The other
+the even-like structure that the quartet reads off g(1).  Field
+products are checked against the convolution of digit vectors.  The other
 linear-algebra and field helpers serve the cyclic-code and field tests only.
 """
 
@@ -288,6 +289,26 @@ def even_like_subcode_matrix(C: CyclicCode):
 # Field helpers
 
 
+def digit_products(f: Field, a, b) -> np.ndarray:
+    """Elementwise products a*b of element indices (arrays, broadcast
+    together) in f: the convolution of their base-p digit vectors, reduced
+    by f.modulus by long division in numpy; shares no code with Field."""
+    p, m = f.p, f.m
+    powers = p ** np.arange(m, dtype=np.int64)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
+                               np.asarray(b, dtype=np.int64))
+    da, db = (x[..., None] // powers % p for x in (a, b))
+    prod = np.zeros(a.shape + (2 * m - 1,), dtype=np.int64)
+    for i in range(m):
+        prod[..., i:i + m] += da[..., i:i + 1] * db
+    prod %= p
+    mod = np.array(f.modulus, dtype=np.int64)  # monic, lowest degree first
+    for d in range(2 * m - 2, m - 1, -1):  # cancel x^d with x^(d-m)*mod
+        prod[..., d - m:d + 1] = (prod[..., d - m:d + 1]
+                                  - prod[..., d:d + 1] * mod) % p
+    return prod[..., :m] @ powers
+
+
 def frobenius(f: Field, x: int, q: int) -> int:
     """The conjugation x -> x^q on GF(q^2) (or any field containing GF(q))."""
     if f.order == q:
@@ -318,10 +339,15 @@ def embed_into_extension(poly: Poly, ext: Field) -> Poly:
     # whole field (phi(c + 1) = phi(c) + 1 for all c suffices)
     q = base.order
     step = (ext.order - 1) // (q - 1)
+    log, x = {}, 1  # discrete logarithms to the base of base.generator
+    for k in range(q - 1):
+        log[x] = k
+        x = base.mul(x, base.generator)
     for j in range(1, q - 1):
         if math.gcd(j, q - 1) != 1:
             continue
-        lift = [0] + [ext.exp(step * j * base.log(c)) for c in range(1, q)]
+        lift = [0] + [ext.pow(ext.generator, step * j * log[c])
+                      for c in range(1, q)]
         if all(lift[base.add(c, 1)] == ext.add(lift[c], 1) for c in range(q)):
             return Poly.make([lift[c] for c in poly.coeffs], ext)
     raise FieldError(f"no embedding of {base} into {ext} found")

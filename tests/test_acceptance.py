@@ -133,6 +133,10 @@ def test_criterion_07_verify_q2_to_61(capsys):
         assert t["failed"] == 0, name
     for name in expected_checks:
         assert tallies[name]["passed"] > 0, name
+    # the duals of every materialized quartet are checked, n = 41, 47 and
+    # 49 among them
+    assert (tallies["dual_defining_set_matches_matrix"]["passed"]
+            == tallies["duadic_dimensions"]["passed"] == 7)
     total = sum(t["passed"] for t in tallies.values())
     _report(7, f"verify q=2 n<=61: {total} checks, zero violations, "
                f"{elapsed:.2f}s")

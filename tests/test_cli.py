@@ -447,6 +447,28 @@ class TestInvariantFailures:
         assert err.startswith("internal error") and "extreme weights" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_disagreeing_support_searches_exit_4(self, capsys, monkeypatch):
+        # beyond the budget C0 and C1 = mu_a(C0) are searched separately;
+        # their bounds must agree (the purity of 23/2 at 2^10 is >= 3)
+        import dataclasses
+        import qduadic.stabilizer
+        real = qduadic.stabilizer.support_search_min_weight
+        seen = []
+
+        def doctored(C, budget):
+            r = real(C, budget)
+            seen.append(r)
+            return dataclasses.replace(r, lo=r.lo + 1) if len(seen) == 2 else r
+
+        monkeypatch.setattr(qduadic.stabilizer, "support_search_min_weight",
+                            doctored)
+        code, out, err = run(capsys, "build", "css", "23", "2", "--budget",
+                             "2^10")
+        assert [(r.kind, r.lo) for r in seen] == [("lower_bound", 3)] * 2
+        assert code == EXIT_ASSERTION and out == ""
+        assert err.startswith("internal error") and "disagree" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("exc", ["SplittingError", "ConstructionError",
                                      "DistanceError", "CyclicCodeError",
                                      "AssertionError"])
@@ -486,16 +508,16 @@ class TestInvariantFailures:
 
         def broken(self):
             raise qduadic.galois.FieldError(
-                "generator order mismatch (internal error)")
+                "no generator found (internal error)")
 
-        monkeypatch.setattr(qduadic.galois.Field, "_build_tables", broken)
+        monkeypatch.setattr(qduadic.galois.Field, "_find_generator", broken)
         qduadic.galois.make_field.cache_clear()
         try:
             code, out, err = run(capsys, "build", "css", "7", "2")
         finally:
             qduadic.galois.make_field.cache_clear()
         assert code == EXIT_ASSERTION and out == ""
-        assert err == ("internal error: generator order mismatch "
+        assert err == ("internal error: no generator found "
                        "(internal error)\n")
 
     @pytest.mark.parametrize("fault", ["fractional", "too_many_words",

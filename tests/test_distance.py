@@ -27,7 +27,6 @@ from qduadic.distance import (
     _shortened_rows,
     enumerable,
     macwilliams,
-    min_weight,
     shortened_extremes,
     support_search_min_weight,
     weight_distribution,
@@ -44,7 +43,7 @@ from qduadic.galois import (
     make_field,
     ord_mod,
 )
-from qduadic.stabilizer import quartet_weights
+from qduadic.stabilizer import quartet_weights, stabilizer_params
 
 
 def _code(n, q, leaders):
@@ -54,6 +53,11 @@ def _code(n, q, leaders):
     for j in leaders:
         members.update(cs.coset_of(j))
     return make_cyclic_code(n, f, DefiningSet(n, q, tuple(members)))
+
+
+def _least_weight(C):
+    """Least nonzero weight, read off the engine's weight distribution."""
+    return min(w for w in weight_distribution(C) if w)
 
 
 def _odd_like_from_distributions(D):
@@ -91,7 +95,7 @@ class TestAgainstNaiveOracle:
     @pytest.mark.parametrize("n,q,leaders", CASES)
     def test_min_weight(self, n, q, leaders):
         C = _code(n, q, leaders)
-        assert min_weight(C).value == naive_min_weight(C)
+        assert _least_weight(C) == naive_min_weight(C)
 
     @pytest.mark.parametrize("n,q,leaders", CASES)
     def test_distribution(self, n, q, leaders):
@@ -108,12 +112,10 @@ class TestAgainstNaiveOracle:
 class TestKnownValues:
     def test_hamming(self):
         C = _code(7, 2, [1])
-        assert min_weight(C).value == 3
+        assert _least_weight(C) == 3
 
     def test_golay(self):
-        C = _code(23, 2, [1])
-        r = min_weight(C)
-        assert r.value == 7 and r.work == 2**11 - 1
+        assert _least_weight(_code(23, 2, [1])) == 7
 
     def test_golay_distribution(self):
         hist = weight_distribution(_code(23, 2, [1]))
@@ -122,8 +124,11 @@ class TestKnownValues:
 
     def test_work_counts_all_messages(self):
         # every message of the shortened subcode {c_0 = 0} the kernel scans
-        C = _code(17, 2, [1])
-        assert min_weight(C).work == 2**(C.k - 1) - 1
+        qt = build_quartet(default_splitting(17, 2), make_field(2))
+        k = qt.C0.k
+        for distributions in (True, False):
+            r = quartet_weights(qt, distributions=distributions)
+            assert r.d0.work == r.least.work == 2**(k - 1) - 1
 
 
 def _coset_unions(n, q, max_words=2**14, sample=64):
@@ -401,7 +406,8 @@ class TestExtremes:
 class TestParallel:
     def test_parallel_matches_serial(self):
         C = _code(31, 2, [1, 3, 5])  # k = 16: enough blocks to split
-        assert min_weight(C, workers=4) == min_weight(C, workers=1)
+        assert (shortened_extremes(C, workers=4)
+                == shortened_extremes(C, workers=1))
 
     def test_parallel_odd_like(self):
         qt = build_quartet(default_splitting(31, 2), make_field(2))
@@ -417,7 +423,7 @@ class TestSupportSearch:
         for n, q, leaders in [(7, 2, [1]), (15, 2, [1, 3]), (7, 4, [1])]:
             C = _code(n, q, leaders)
             r = support_search_min_weight(C, budget=10**7)
-            assert r.kind == "exact" and r.value == min_weight(C).value
+            assert r.kind == "exact" and r.value == _least_weight(C)
 
     def test_budget_exhaustion_is_lower_bound(self):
         C = _code(23, 2, [1])
@@ -425,8 +431,9 @@ class TestSupportSearch:
         assert r.kind == "lower_bound" and 1 < r.lo <= 7
 
     def test_selected_when_budget_small(self):
-        C = _code(23, 2, [1])
-        r = min_weight(C, budget=100)
+        s = default_splitting(23, 2)
+        qt = build_quartet(s, make_field(2))
+        r = stabilizer_params(s, qt, "css", budget=100).purity
         assert r.method == "support_search"
 
     # default quartets; C1 and D1 carry other scalars than C0 and D0 for q > 2
@@ -596,15 +603,18 @@ class TestEdgeCases:
         f = make_field(2)
         C = make_cyclic_code(7, f, DefiningSet(7, 2, tuple(range(7))))
         with pytest.raises(DistanceError):
-            min_weight(C)
+            shortened_extremes(C)
+        with pytest.raises(DistanceError, match="no nonzero codeword"):
+            support_search_min_weight(C, budget=10**6)
 
     def test_full_space(self):
         C = _code(7, 2, [])
-        assert min_weight(C).value == 1
+        assert _least_weight(C) == 1
+        assert support_search_min_weight(C, budget=10).value == 1
 
     def test_bad_budget(self):
         with pytest.raises(DistanceError):
-            min_weight(_code(7, 2, [1]), budget=0)
+            weight_distribution(_code(7, 2, [1]), budget=0)
 
     def test_odd_like_interval_when_infeasible(self):
         qt = build_quartet(default_splitting(23, 2), make_field(2))
@@ -615,14 +625,13 @@ class TestEdgeCases:
     def test_odd_p_field_extension(self):
         # GF(9) exercises the digit kernel with a nontrivial extension
         C = _code(5, 9, [1])
-        assert min_weight(C).value == naive_min_weight(C)
+        assert _least_weight(C) == naive_min_weight(C)
 
     def test_char2_beyond_63_bits(self):
         # 17 coordinates of 4 bits do not pack: the kernel scans digits
         C = _code(17, 16, [0, 2, 3, 4, 5, 6, 7, 8])  # k = 2
         assert weight_distribution(C) == naive_distribution(C)
         assert enumerable(C, DEFAULT_BUDGET)
-        assert min_weight(C).method == "full_enumeration"
 
 
 class TestMacWilliams:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import embed_into_extension, frobenius, poly_divides, poly_divmod
+from oracles import (
+    digit_products,
+    embed_into_extension,
+    frobenius,
+    poly_divides,
+    poly_divmod,
+)
 
 from qduadic.cyclic import cyclotomic_cosets
 from qduadic.galois import (
@@ -70,32 +76,6 @@ class TestMakeField:
         assert a is b
         assert a.modulus == b.modulus and a.generator == b.generator
 
-    def test_tables_roundtrip(self):
-        f = make_field(3, 2)
-        for x in range(1, f.order):
-            assert f.exp(f.log(x)) == x
-
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_binary_tables_match_raw_multiplication(self, m):
-        # the inline shift-and-reduce steps give the tables of one
-        # _raw_mul(x, generator) per element
-        f = make_field(2, m)
-        exp, log, x = [], [0] * f.order, 1
-        for i in range(f.order - 1):
-            exp.append(x)
-            log[x] = i
-            x = f._raw_mul(x, f.generator)
-        assert x == 1 and f._exp == exp and f._log == log
-
-    def test_only_small_fields_hold_tables(self):
-        # code alphabets keep log tables; splitting fields use direct arithmetic
-        assert make_field(3, 2)._exp is not None
-        for p, m in [(2, 20), (3, 11)]:
-            f = make_field(p, m)
-            assert f._exp is None and f._log is None
-            with pytest.raises(FieldError):
-                f.log(1)
-
 
 class TestArithmetic:
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (7, 1)])
@@ -124,32 +104,64 @@ class TestArithmetic:
         with pytest.raises(FieldError):
             make_field(2, 2).inv(0)
 
-    def test_tablefree_matches_tables(self):
-        # same arithmetic with and without log/antilog tables
-        f = make_field(2, 4)
-        for a in f.elements():
-            for b in f.elements():
-                assert f.mul(a, b) == f._raw_mul(a, b)
 
-    @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2)])
-    def test_tablefree_matches_tables_odd_characteristic(self, p, m):
+# GF(2^m) for m <= 8, and fields of odd characteristic up to 3^5 elements
+EXHAUSTIVE = [(2, m) for m in range(1, 9)] + [(3, 1), (3, 2), (3, 3), (3, 4),
+                                             (3, 5), (5, 2), (7, 2)]
+
+
+class TestAgainstDigitProducts:
+    """Multiplication, inversion and powers against `digit_products`, which
+    multiplies digit vectors in numpy and shares no code with Field."""
+
+    @pytest.mark.parametrize("p,m", EXHAUSTIVE)
+    def test_mul_exhaustive(self, p, m):
         f = make_field(p, m)
-        assert f._exp is not None
-        for a in f.elements():
-            for b in f.elements():
-                assert f.mul(a, b) == f._raw_mul(a, b)
-            for e in range(2 * f.order):
-                assert f.pow(a, e) == f._raw_pow(a, e)
-            if a:
-                assert f.inv(a) == f._raw_pow(a, f.order - 2)
+        table = np.array([[f.mul(x, y) for y in f.elements()]
+                          for x in f.elements()])
+        a = np.arange(f.order)
+        assert (table == digit_products(f, a[:, None], a[None, :])).all()
 
-    @given(st.integers(0, 242), st.integers(0, 242), st.integers(0, 10**6))
-    def test_tablefree_matches_tables_gf243(self, a, b, e):
-        f = make_field(3, 5)
-        assert f.mul(a, b) == f._raw_mul(a, b)
-        assert f.pow(a, e) == f._raw_pow(a, e)
+    @pytest.mark.parametrize("p,m", EXHAUSTIVE)
+    def test_inv_and_pow(self, p, m):
+        f = make_field(p, m)
+        for a in range(1, f.order):
+            inv = f.inv(a)
+            assert f.mul(a, inv) == 1
+            acc = 1
+            for e in range(2 * m + 2):
+                assert f.pow(a, e) == acc
+                acc = f.mul(acc, a)
+            assert f.pow(a, f.order - 1) == 1 and f.pow(a, f.order) == a
+            assert f.pow(a, -1) == inv and f.pow(a, -3) == f.pow(inv, 3)
+        assert [f.pow(0, e) for e in range(3)] == [1, 0, 0]
+
+    @pytest.mark.parametrize("p,m", [(2, 20), (3, 11)])
+    @given(data=st.data())
+    def test_large_field_sample(self, p, m, data):
+        f = make_field(p, m)
+        element = st.integers(0, f.order - 1)
+        a, b = data.draw(element), data.draw(element)
+        assert f.mul(a, b) == digit_products(f, a, b)
+        e1, e2 = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 10**9))
+        acc = 1
+        for _ in range(e1):
+            acc = f.mul(acc, a)
+        assert f.pow(a, e1) == acc
+        assert f.pow(a, e1 + e2) == f.mul(acc, f.pow(a, e2))
         if a:
-            assert f.inv(a) == f._raw_pow(a, f.order - 2)
+            assert f.mul(a, f.inv(a)) == 1
+
+    @pytest.mark.parametrize("p,m", EXHAUSTIVE + [(2, 12), (3, 7), (5, 4)])
+    def test_generator_order_is_order_minus_one(self, p, m):
+        # the generator's powers run through every nonzero element before
+        # the first return to 1
+        f = make_field(p, m)
+        seen, x = set(), 1
+        for _ in range(f.order - 1):
+            seen.add(x)
+            x = f.mul(x, f.generator)
+        assert x == 1 and len(seen) == f.order - 1
 
 
 def _addition_table(f) -> np.ndarray:
@@ -157,15 +169,14 @@ def _addition_table(f) -> np.ndarray:
                      for a in f.elements()])
 
 
-class TestZechAddition:
-    """Addition in the fields GF(p^m), p odd and m > 1, tabled or not,
-    against digitwise addition mod p, with the digits of an element index
-    taken by numpy rather than by the field."""
+class TestDigitAddition:
+    """Addition in the fields GF(p^m), p odd and m > 1, against digitwise
+    addition mod p, with the digits of an element index taken by numpy
+    rather than by the field."""
 
     @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 5)])
     def test_exhaustive(self, p, m):
         f = make_field(p, m)
-        assert f._exp is not None
         shape = (p,) * m  # an index's base-p digits, the x^0 digit last
         digits = np.array(np.unravel_index(np.arange(f.order), shape))
         sums = (digits[:, :, None] + digits[:, None, :]) % p
@@ -173,18 +184,16 @@ class TestZechAddition:
                 == np.ravel_multi_index(tuple(sums), shape)).all()
 
     @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 5)])
-    def test_log_table_products_distribute(self, p, m):
-        # x -> g*x read off the log tables is additive; every nonzero
-        # element is a power of g, so every product distributes over add
+    def test_products_distribute(self, p, m):
+        # x -> g*x is additive; every nonzero element is a power of g, so
+        # every product distributes over add
         f = make_field(p, m)
         add = _addition_table(f)
-        times_g = np.array([0] + [f._exp[(f._log[a] + 1) % (f.order - 1)]
-                                  for a in range(1, f.order)])
+        times_g = np.array([f.mul(f.generator, a) for a in f.elements()])
         assert (times_g[add] == add[np.ix_(times_g, times_g)]).all()
 
-    def test_untabled_field_adds_by_digits(self):
+    def test_large_field_adds_by_digits(self):
         f = make_field(3, 11)
-        assert f._log is None
         a, b = 3**11 - 1, 2 * 3**10 + 5
         digits = [(x + y) % 3 for x, y in zip(f.element_to_coeffs(a),
                                               f.element_to_coeffs(b))]
@@ -247,7 +256,7 @@ class TestPrimitiveNthRoot:
     def test_golden_alpha_in_untabled_fields(self, n, q, m, alpha):
         # pinned before these splitting fields lost their log tables
         ext, a = primitive_nth_root(n, q)
-        assert ext.m == m and ext._exp is None
+        assert ext.m == m
         assert a == alpha
 
 
@@ -286,7 +295,8 @@ class TestCoercion:
     def test_subfield_embedding_is_field_isomorphism(self, p, base_m, ext_m):
         base, ext = make_field(p, base_m), make_field(p, ext_m)
         step = (ext.order - 1) // (base.order - 1)
-        sub = [0] + [ext.exp(step * k) for k in range(base.order - 1)]
+        sub = [0] + [ext.pow(ext.generator, step * k)
+                     for k in range(base.order - 1)]
         phi = {a: embed_subfield_element(ext, base, a) for a in sub}
         assert sorted(phi.values()) == list(range(base.order))
         for a in sub:
