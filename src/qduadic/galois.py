@@ -385,8 +385,6 @@ class Field:
             return 1
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 0
         return self._raw_pow(a, e)
 
     def elements(self):
