@@ -39,7 +39,6 @@ from .galois import (
     Field,
     FieldError,
     Poly,
-    coerce_to_base,
     make_field,
     primitive_nth_root,
 )

@@ -26,7 +26,6 @@ from math import gcd
 from .galois import (  # ord_mod is re-exported from here
     Field,
     Poly,
-    coerce_to_base,
     ord_mod,
     primitive_nth_root,
 )
@@ -214,37 +213,60 @@ def _first_dependency(ext: Field, elements: list[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _subfield_basis(ext: Field, field: Field) -> tuple[tuple[int, int], ...]:
+    """(b_i, g^i) for i < field.m, g = field.generator: the GF(p)-basis
+    b_i = root^i of the subfield of `ext` of size q = field.order, with its
+    images under the isomorphism root -> g.  root = omega^j, omega =
+    g_ext^((Q-1)/(q-1)), for the least j coprime to q - 1 at which root and g
+    have the same minimal polynomial over GF(p)."""
+    m, q = field.m, field.order
+    if m == 1:
+        return ((1, 1),)
+    images = [field.pow(field.generator, i) for i in range(m + 1)]
+    minpoly = _first_dependency(field, images)
+    omega = ext.pow(ext.generator, (ext.order - 1) // (q - 1))
+    for j in range(1, q - 1):
+        if gcd(j, q - 1) != 1:
+            continue
+        basis = [ext.pow(omega, j * i) for i in range(m + 1)]
+        if _first_dependency(ext, basis) == minpoly:
+            return tuple(zip(basis, images[:m]))
+    raise CyclicCodeError(f"no subfield of {ext} is {field} (internal bug)")
+
+
+@lru_cache(maxsize=None)
 def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
     """(s, M_s) for each cyclotomic coset, s its smallest member and M_s the
     minimal polynomial over `field` of beta = alpha^s.  The powers alpha^j
-    take one splitting-field multiplication each.  Over a prime field M_s is
-    read off the first linear dependency among beta^0, ..., beta^|s|, all
-    of them powers alpha^(s*i mod n), so it takes no multiplication; over
-    GF(p^m), m > 1, it is the product of its factors (x - alpha^j), one per
-    step, coerced to the base field.  Every cyclic code of length n takes
-    its generator and check polynomials from these factors, so their product
-    is checked here against x^n - 1, once."""
+    take one splitting-field multiplication each.  M_s is read off the first
+    linear dependency e over GF(p) among the b_i*beta^j of _subfield_basis,
+    ordered by j and then i: those with j < |s| are independent, so it ends
+    at beta^|s|, and the x^j coefficient of M_s is sum_i e_(i,j)*g^i.  Over
+    a prime field b_0 = 1 is the only b_i and e is M_s.  Every cyclic code
+    of length n takes its generator and check polynomials from these
+    factors, so their product is checked here against x^n - 1, once."""
     ext, alpha = primitive_nth_root(n, field.order)
     powers = [1]
     for _ in range(n - 1):
         powers.append(ext.mul(powers[-1], alpha))
+    m, basis = field.m, _subfield_basis(ext, field)
     minpolys = []
     product = Poly.one(field)
     for coset in cyclotomic_cosets(n, field.order).cosets:
-        s = coset[0]
-        if field.m == 1:  # GF(p) sits at indices 0..p-1 of ext
-            M = Poly.make(_first_dependency(
-                ext, [powers[s * i % n] for i in range(len(coset) + 1)]), field)
-        else:
-            coeffs = [1]  # lowest degree first
-            for j in coset:
-                # (x - alpha^j) * c(x) has x^i coefficient c_{i-1} - alpha^j*c_i
-                minus_root = ext.neg(powers[j])
-                coeffs = ([ext.mul(minus_root, coeffs[0])]
-                          + [ext.add(a, ext.mul(minus_root, b))
-                             for a, b in zip(coeffs, coeffs[1:])]
-                          + [1])
-            M = coerce_to_base(Poly.make(coeffs, ext), field)
+        s, size = coset[0], len(coset)
+        e = _first_dependency(ext, [  # no multiplication by 1
+            x if b == 1 else b if x == 1 else ext.mul(b, x)
+            for x in (powers[s * j % n] for j in range(size)) for b, _ in basis
+        ] + [powers[s * size % n]])
+        if m > 1:  # GF(p) sits at indices 0..p-1 of field
+            coeffs = [0] * size + [1]
+            for k, e_ij in enumerate(e[:-1]):
+                term = basis[k % m][1]  # g^i
+                if e_ij:
+                    term = term if e_ij == 1 else field.mul(e_ij, term)
+                    coeffs[k // m] = field.add(coeffs[k // m], term)
+            e = coeffs
+        M = Poly.make(e, field)
         minpolys.append((s, M))
         product = product.mul(M)
     if product != Poly.make((field.neg(1),) + (0,) * (n - 1) + (1,), field):

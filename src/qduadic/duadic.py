@@ -68,9 +68,6 @@ class Splitting:
         payload = f"{self.n}:{self.q}:" + ",".join(map(str, self.S0))
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
-    def swapped(self) -> "Splitting":
-        return Splitting(self.n, self.q, self.S1, self.S0, self.a)
-
     def is_given_by(self, a: int) -> bool:
         """Whether mu_a also swaps the two sides of this splitting."""
         if gcd(a, self.n) != 1:
@@ -361,7 +358,8 @@ def degeneracy_certificate(n: int, q: int, construction: str) -> DegeneracyCerti
         raise ValueError(f"n = {n} exceeds the trial-division cap {FACTORIZATION_CAP}")
     base = q * q if construction == "Hermitian" else q
     primes = []
-    for p, m in sorted(factorize(n).items()):
+    fac = factorize(n)
+    for p, m in sorted(fac.items()):
         t = ord_mod(p, base)
         z = p_adic_valuation(p, base**t - 1)
         if z < 1 or (base**t - 1) % p**z != 0:
@@ -381,7 +379,6 @@ def degeneracy_certificate(n: int, q: int, construction: str) -> DegeneracyCerti
         met = all_qr and all_m
     else:
         met = ord_odd and all_p3 and all_m
-    fac = factorize(n)
     example = (q == 2 and list(fac) == [7] and fac[7] >= 2
                and construction == "CSS")
     cert = DegeneracyCertificate(

@@ -365,9 +365,6 @@ class Field:
             return (-a) % self.p
         return self._undigits([(-x) % self.p for x in self._digits(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
@@ -386,9 +383,6 @@ class Field:
         if e < 0:
             return self.pow(self.inv(a), -e)
         return self._raw_pow(a, e)
-
-    def elements(self):
-        return range(self.order)
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -441,27 +435,12 @@ class Poly:
     def one(field: Field) -> "Poly":
         return Poly((1,), field)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def _same_field(self, other: "Poly") -> None:
         if self.field != other.field:
             raise FieldError("polynomials live in different fields")
-
-    def add(self, other: "Poly") -> "Poly":
-        self._same_field(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly.make(out, f)
 
     def mul(self, other: "Poly") -> "Poly":
         self._same_field(other)
@@ -499,60 +478,3 @@ def primitive_nth_root(n: int, base_q: int) -> tuple[Field, int]:
     alpha = ext.pow(ext.generator, (ext.order - 1) // n)
     return ext, alpha
 
-
-@lru_cache(maxsize=None)
-def _subfield_map(ext: Field, base: Field) -> dict[int, int]:
-    """The field isomorphism from the subfield of `ext` of size base.order
-    onto `base`, as a table of the nonzero elements.
-
-    omega = g^((Q-1)/(q-1)) generates that subfield, but omega -> g_base is
-    an isomorphism only if both have the same minimal polynomial over GF(p).
-    Some power omega^j with gcd(j, q-1) = 1 always has g_base's; the first
-    such j is taken, so the map is omega^(jk) -> g_base^k."""
-    g = base.generator
-    minpoly = Poly.one(base)
-    for i in range(base.m):  # the conjugates g^(p^i) of a primitive element
-        conjugate = base.pow(g, base.p**i)
-        minpoly = minpoly.mul(Poly.make([base.neg(conjugate), 1], base))
-    over_ext = Poly.make(minpoly.coeffs, ext)  # GF(p) sits at indices 0..p-1
-    omega = ext.pow(ext.generator, (ext.order - 1) // (base.order - 1))
-    for j in range(1, base.order - 1):
-        if gcd(j, base.order - 1) != 1:
-            continue
-        root = ext.pow(omega, j)
-        if over_ext.eval(root) == 0:
-            table, x, y = {}, 1, 1
-            for _ in range(base.order - 1):
-                table[x] = y  # root^k -> g_base^k
-                x, y = ext.mul(x, root), base.mul(y, g)
-            return table
-    raise FieldError("subfield embedding failed (internal error)")
-
-
-def embed_subfield_element(ext: Field, base: Field, a: int) -> int:
-    """Map an element of `ext` lying in the subfield of size base.order to
-    its index in the canonical `base` field."""
-    if base.p != ext.p or ext.m % base.m != 0:
-        raise FieldError(f"{base} is not a subfield of {ext}")
-    if a == 0:
-        return 0
-    if a == 1:
-        return 1
-    if ext.pow(a, base.order) != a:
-        raise FieldError(
-            f"element {a} of {ext} is not fixed by x -> x^{base.order}"
-        )
-    if base.m == 1:
-        # prime subfield occupies indices 0..p-1 in the polynomial basis
-        return a
-    return _subfield_map(ext, base)[a]
-
-
-def coerce_to_base(poly: Poly, base: Field) -> Poly:
-    """Re-express a polynomial whose coefficients all lie in the subfield of
-    size base.order as a polynomial over the canonical base field."""
-    ext = poly.field
-    if ext == base:
-        return poly
-    coeffs = [embed_subfield_element(ext, base, c) for c in poly.coeffs]
-    return Poly.make(coeffs, base)

@@ -6,8 +6,10 @@ with the span kernel, the shortened-subcode rebuild or the MacWilliams
 transform.  The support-search loop tests every candidate against the check
 matrix one by one, as the library did before its pair-table search.  The
 per-root generator polynomial multiplies one factor (x - alpha^j) per member
-of the defining set, each root a separate power of alpha, where the library
-multiplies cached minimal polynomials of cyclotomic cosets.  Long division
+of the defining set, each root a separate power of alpha, and maps its
+coefficients to GF(q) by inverting a subfield lift found by an additivity
+search, where the library multiplies cached minimal polynomials of
+cyclotomic cosets read off linear dependencies over GF(p).  Long division
 checks the check polynomials and containments that the library reads off the
 factorization of x^n - 1, and Gauss-Jordan null spaces check the duals that
 the library verifies by orthogonality.  Coordinate sums of the rows check
@@ -23,13 +25,7 @@ import numpy as np
 
 from qduadic.cyclic import CyclicCode
 from qduadic.distance import DistanceError, DistanceResult
-from qduadic.galois import (
-    Field,
-    FieldError,
-    Poly,
-    coerce_to_base,
-    primitive_nth_root,
-)
+from qduadic.galois import Field, FieldError, Poly, primitive_nth_root
 
 
 def enumerate_codewords_naive(C) -> np.ndarray:
@@ -147,12 +143,13 @@ def support_search_loop(C: CyclicCode, budget: int) -> DistanceResult:
 def genpoly_per_root(n: int, field: Field, members) -> Poly:
     """prod_{j in members}(x - alpha^j) over `field`: the product is formed
     in the splitting field, one factor per root and one power of alpha per
-    root, and coerced to `field` at the end."""
+    root, and mapped to `field` at the end by the inverse of subfield_lift."""
     ext, alpha = primitive_nth_root(n, field.order)
     g = Poly.one(ext)
     for j in members:
         g = g.mul(Poly.make([ext.neg(ext.pow(alpha, j)), 1], ext))
-    return coerce_to_base(g, field)
+    down = {x: c for c, x in enumerate(subfield_lift(field, ext))}
+    return Poly.make([down[x] for x in g.coeffs], field)
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -169,13 +166,19 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     quo = [0] * (dq + 1)
     inv_lead = f.inv(b.coeffs[-1])
     for shift in range(dq, -1, -1):
-        lead = rem[shift + b.degree]
+        lead = rem[shift + len(b.coeffs) - 1]
         if lead:
             factor = f.mul(lead, inv_lead)
             quo[shift] = factor
             for i, c in enumerate(b.coeffs):
-                rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, c))
+                rem[shift + i] = f.add(rem[shift + i], f.neg(f.mul(factor, c)))
     return Poly.make(quo, f), Poly.make(rem, f)
+
+
+def poly_add(a: Poly, b: Poly) -> Poly:
+    """Coefficientwise sum."""
+    pairs = itertools.zip_longest(a.coeffs, b.coeffs, fillvalue=0)
+    return Poly.make([a.field.add(x, y) for x, y in pairs], a.field)
 
 
 def poly_divides(a: Poly, b: Poly) -> bool:
@@ -204,7 +207,8 @@ def rref(A, f: Field):
         for i in range(nrows):
             if i != r and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [f.add(x, f.neg(f.mul(factor, y)))
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -324,20 +328,17 @@ def frobenius(f: Field, x: int, q: int) -> int:
     return f.pow(x, q)
 
 
-def embed_into_extension(poly: Poly, ext: Field) -> Poly:
-    """Inverse direction of coerce_to_base: lift a base-field polynomial into
-    an extension via the canonical subfield embedding."""
-    base = poly.field
-    if base == ext:
-        return poly
+def subfield_lift(base: Field, ext: Field) -> list[int]:
+    """lift[c] in `ext` for each element c of `base`: the embedding of `base`
+    onto the subfield of `ext` of its size.  g^k -> omega^(jk) is
+    multiplicative for every j; the first j coprime to q - 1 for which it
+    also respects addition, checked on the whole field (phi(c + 1) =
+    phi(c) + 1 for all c suffices), is taken."""
     if base.p != ext.p or ext.m % base.m != 0:
         raise FieldError(f"{base} is not a subfield of {ext}")
-    if base.m == 1:
-        return Poly.make(poly.coeffs, ext)
-    # g^k -> omega^(jk) is multiplicative for every j; take the first j
-    # coprime to q - 1 for which it also respects addition, checked on the
-    # whole field (phi(c + 1) = phi(c) + 1 for all c suffices)
     q = base.order
+    if base.m == 1:  # GF(p) sits at indices 0..p-1 of ext
+        return list(range(q))
     step = (ext.order - 1) // (q - 1)
     log, x = {}, 1  # discrete logarithms to the base of base.generator
     for k in range(q - 1):
@@ -349,5 +350,11 @@ def embed_into_extension(poly: Poly, ext: Field) -> Poly:
         lift = [0] + [ext.pow(ext.generator, step * j * log[c])
                       for c in range(1, q)]
         if all(lift[base.add(c, 1)] == ext.add(lift[c], 1) for c in range(q)):
-            return Poly.make([lift[c] for c in poly.coeffs], ext)
+            return lift
     raise FieldError(f"no embedding of {base} into {ext} found")
+
+
+def embed_into_extension(poly: Poly, ext: Field) -> Poly:
+    """Lift a base-field polynomial into an extension by subfield_lift."""
+    lift = subfield_lift(poly.field, ext)
+    return Poly.make([lift[c] for c in poly.coeffs], ext)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -128,7 +129,7 @@ class TestBuild:
         # plain scan over each splitting and its swap, `a` included
         first = {}
         for s in iter_splittings(n, q):
-            for cand in (s, s.swapped()):
+            for cand in (s, dataclasses.replace(s, S0=s.S1, S1=s.S0)):
                 first.setdefault(cand.splitting_id, cand)
         for sid, cand in first.items():
             assert _select_splitting(n, q, "css", sid) == cand
@@ -450,7 +451,6 @@ class TestInvariantFailures:
     def test_disagreeing_support_searches_exit_4(self, capsys, monkeypatch):
         # beyond the budget C0 and C1 = mu_a(C0) are searched separately;
         # their bounds must agree (the purity of 23/2 at 2^10 is >= 3)
-        import dataclasses
         import qduadic.stabilizer
         real = qduadic.stabilizer.support_search_min_weight
         seen = []
@@ -523,7 +523,6 @@ class TestInvariantFailures:
     @pytest.mark.parametrize("fault", ["fractional", "too_many_words",
                                        "row_1_at_coordinate_0"])
     def test_shortening_invariants_exit_4(self, capsys, monkeypatch, fault):
-        import dataclasses
         import qduadic.distance
         import qduadic.duadic
         # a binary CSS build reads no histogram, so the doctored histograms

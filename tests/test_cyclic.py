@@ -200,7 +200,7 @@ class TestMakeCyclicCode:
         from qduadic.galois import field_from_order, Poly
         f = field_from_order(q)
         C = make_cyclic_code(n, f, DefiningSet(n, q, T))
-        assert C.genpoly.degree == len(C.T)
+        assert len(C.genpoly.coeffs) - 1 == len(C.T)
         assert C.k == n - len(C.T)
         # genpoly * checkpoly = x^n - 1, and checkpoly is the quotient that
         # long division gives
@@ -281,10 +281,55 @@ class TestGenpolyAgainstPerRootProduct:
     ])
     def test_quartets(self, q, max_n, hermitian):
         # splitting fields from GF(2^3) to GF(2^23) (n = 47), GF(5^9) for
-        # 19/5 and GF(7^7) for 29/7; over a prime field the coset minimal
-        # polynomials come from linear dependencies, over GF(4) and GF(9)
-        # from linear factors
+        # 19/5 and GF(7^7) for 29/7; the coset minimal polynomials come from
+        # linear dependencies among their roots' powers over a prime field,
+        # and among those powers times a basis of GF(4) or GF(9) otherwise
         self._check(_quartets(q, max_n, hermitian))
+
+    # D0 and C0 of the default quartets and of the mu_(-2) quartet of
+    # `build hermitian 23 2`, whose coefficients go through the isomorphism
+    # of _subfield_basis.  Those over GF(25), GF(16) and GF(27) lie outside
+    # GF(p), so taking another root of g's minimal polynomial, which
+    # conjugates them, fails these pins; GF(9) and GF(25) have the
+    # non-primitive moduli x^2 + 1 and x^2 + 2.
+    @pytest.mark.parametrize("n,q,a,sid,d0,c0", [
+        (23, 4, None, "1a94b0eef396", (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1),
+         (1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1)),
+        (13, 9, None, "5dc236b7a62c", (1, 2, 2, 2, 1, 2, 1),
+         (2, 2, 0, 0, 1, 2, 1, 1)),
+        (7, 25, None, "95bfaf57f81f", (4, 17, 18, 1), (1, 12, 4, 17, 1)),
+        (5, 16, None, "9bb28e31f1a5", (10, 4, 1), (10, 14, 5, 1)),
+        (13, 27, None, "88e38659e697", (7, 1, 17, 3, 26, 25, 1),
+         (5, 6, 23, 14, 16, 1, 24, 1)),
+        (23, 4, 21, "1a94b0eef396", (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1),
+         (1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1)),
+    ], ids=["23-4", "13-9", "7-25", "5-16", "13-27", "hermitian-23-2"])
+    def test_golden_quartets(self, n, q, a, sid, d0, c0):
+        s = default_splitting(n, q) if a is None else splitting_by(n, q, a)
+        quartet = materialize_quartet(s)
+        assert s.splitting_id == sid
+        assert (quartet.D0.genpoly.coeffs, quartet.C0.genpoly.coeffs) \
+            == (d0, c0)
+
+    def test_no_subfield_basis_is_an_internal_error(self, capsys,
+                                                    monkeypatch):
+        # a minimal polynomial of the generator of GF(4) that no root in
+        # the splitting field GF(64) of 7/4 matches
+        first_dependency = cyclic._first_dependency
+        monkeypatch.setattr(
+            cyclic, "_first_dependency",
+            lambda f, elements: (first_dependency(f, elements)
+                                 if f.order != 4 else ()))
+        cyclic._subfield_basis.cache_clear()
+        cyclic._coset_minpolys.cache_clear()
+        try:
+            code = main(["build", "css", "7", "4"])
+            out, err = capsys.readouterr()
+        finally:
+            cyclic._subfield_basis.cache_clear()
+            cyclic._coset_minpolys.cache_clear()
+        assert code == EXIT_ASSERTION and out == ""
+        assert err.startswith("internal error") and "subfield" in err
 
     def test_coset_of_a_divisor(self):
         # 49/2: the coset {7, 14, 28} has gcd(7, 49) = 7, so its roots
