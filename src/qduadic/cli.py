@@ -1,30 +1,53 @@
-"""Command-line surface: construct, survey, and verify duadic quantum codes.
+"""qduadic: construct, survey and verify quantum codes from duadic codes.
 
-Subcommands:
-    exists N Q            duadic existence test with quadratic-residue witness
-    build {css,hermitian} N Q
-                          full pipeline: splitting, quartet, distances, verdicts
-    survey --q Q --max-n N
-                          one row per admissible odd length
-    verify --q Q --max-n N
-                          run the cross-module property suite
+usage: qduadic exists N Q [--output FILE]
+       qduadic build {css,hermitian} N Q [--splitting-id ID] [--budget B]
+                     [--workers W] [--output FILE]
+       qduadic survey --q Q --max-n N [--construction {css,hermitian}]
+                      [--format {json,csv}] [--budget B] [--workers W]
+                      [--output FILE]
+       qduadic verify --q Q --max-n N [--budget B] [--workers W]
+                      [--output FILE]
+
+commands:
+  exists N Q         duadic existence test with quadratic-residue witness
+  build C N Q        full pipeline: splitting, quartet, distances, verdicts,
+                     by the css or the hermitian construction
+  survey             one row per admissible odd length up to --max-n
+  verify             run the cross-module property suite up to --max-n
+
+options, each given in full as --name value or --name=value:
+  --q Q              survey, verify: a prime power below 2^64 (required)
+  --max-n N          survey, verify: the largest length, at most 10^4
+                     (required)
+  --splitting-id ID  build: the splitting with this id, as printed in every
+                     report (default: mu_(-1) if it splits, else the
+                     smallest splitting multiplier; for hermitian, mu_(-q))
+  --budget B         enumeration budget in words, a positive integer or a
+                     power such as 2^30, at most 2^64 (default 2^26)
+  --workers W        worker processes for the enumeration, a positive
+                     integer; the pool is imported only above 1 (default 1)
+  --output FILE      write the report to FILE (default: stdout)
+  --construction C   survey: css or hermitian (default css)
+  --format F         survey: json or csv (default json)
+  -h, --help         print this text and exit
 
 stdout is machine-parseable (JSON, or CSV with --format csv); progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
 2 mathematical nonexistence, 3 partial (interval) results, 4 assertion
-failure (a violated property in `verify`, or an internal invariant).
+failure (a violated property in `verify`, or an internal invariant).  A
+usage error prints one usage line and one error line.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
-import locale  # noqa: F401  argparse's gettext needs it in every run; load it here
 import sys
 import time
 from math import gcd, isqrt
+from types import SimpleNamespace
 
 from .cyclic import (
     CyclicCodeError,
@@ -65,22 +88,17 @@ EXIT_ASSERTION = 4
 # theory intervals; below it (and for the root of q^2) the prime-power test
 # is exact and fast
 Q_CAP = 1 << 64
+# the char-2 kernel scans about 7e8 words/s, so a larger budget is never spent
+BUDGET_CAP = 1 << 64
 
 
 class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive(value: int) -> int:
     if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
+        raise ValueError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -89,14 +107,21 @@ def positive_int(text: str) -> int:
 
 
 def parse_budget(text: str) -> int:
-    """Accepts positive plain integers and the 2^k shorthand."""
+    """Accepts positive plain integers and the 2^k shorthand, up to 2^64."""
     if "^" in text:
         base, _, exp = text.partition("^")
-        if int(exp) < 0:  # a negative power is a fraction, not a budget
-            raise argparse.ArgumentTypeError(
-                f"must be a positive integer, got {text}")
-        return _positive(int(base) ** int(exp))
-    return _positive(int(text))
+        base, exp = int(base), int(exp)
+        if exp < 0:  # a negative power is a fraction, not a budget
+            raise ValueError(f"must be a positive integer, got {text}")
+        # base^exp >= 2^(exp * (bit_length - 1)): a power that large is
+        # refused before it is computed, since 3^10^9 would take minutes
+        fits = exp * (base.bit_length() - 1) <= 64
+        value = base ** exp if fits else BUDGET_CAP + 1
+    else:
+        value = int(text)
+    if value > BUDGET_CAP:
+        raise ValueError(f"beyond desk scale (cap 2^64), got {text}")
+    return _positive(value)
 
 
 def _validate_q(q: int) -> None:
@@ -300,60 +325,76 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qduadic",
-                     description="Duadic quantum stabilizer code construction "
-                                 "and verification")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's function and parameters, positionals first, each with a
+# converter (a tuple lists the choices) and a default (or _REQUIRED)
+_REQUIRED = object()
+_CONSTRUCTION = ("css", "hermitian")
+_N_Q = {"n": (int, _REQUIRED), "q": (int, _REQUIRED)}
+_RANGE = {"--q": (int, _REQUIRED), "--max-n": (int, _REQUIRED)}
+_RUN = {"--budget": (parse_budget, DEFAULT_BUDGET),
+        "--workers": (positive_int, 1), "--output": (str, None)}
+COMMANDS = {
+    "exists": (cmd_exists, {**_N_Q, "--output": (str, None)}),
+    "build": (cmd_build, {"construction": (_CONSTRUCTION, _REQUIRED), **_N_Q,
+                          "--splitting-id": (str, None), **_RUN}),
+    "survey": (cmd_survey, {**_RANGE,
+                            "--construction": (_CONSTRUCTION, "css"),
+                            "--format": (("json", "csv"), "json"), **_RUN}),
+    "verify": (cmd_verify, {**_RANGE, **_RUN}),
+}
 
-    p = sub.add_parser("exists", parents=[], help="duadic existence test")
-    p.add_argument("n", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_exists)
 
-    p = sub.add_parser("build", help="construct a quantum duadic code")
-    p.add_argument("construction", choices=["css", "hermitian"])
-    p.add_argument("n", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--splitting-id")
-    p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("survey", help="tabulate admissible lengths")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--construction", choices=["css", "hermitian"],
-                   default="css")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_survey)
-
-    p = sub.add_parser("verify", help="run the cross-module property suite")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
-    return parser
+def _parse_argv(argv: list[str]) -> tuple:
+    """argv -> its command's function and arguments, or a UsageError."""
+    func, params = COMMANDS.get(argv[0] if argv else "", (None, {}))
+    if func is None:
+        raise UsageError(f"choose a command from {', '.join(COMMANDS)}")
+    positionals = (name for name in params if not name.startswith("--"))
+    texts, rest = {}, list(reversed(argv[1:]))  # pop() takes the next word
+    while rest:
+        word = rest.pop()
+        # an option's value is inline after "=" or the next word
+        name, inline, text = (word.partition("=") if word.startswith("--")
+                              else (next(positionals, None), True, word))
+        if name not in params:
+            raise UsageError(f"unrecognized argument {word}")
+        if not inline and (not rest or rest[-1].startswith("--")):
+            raise UsageError(f"argument {name}: expected one value")
+        texts[name] = text if inline else rest.pop()
+    args = SimpleNamespace()
+    for name, (conv, default) in params.items():
+        text = texts.get(name)
+        try:
+            value = (default if text is None else
+                     text if isinstance(conv, tuple) else conv(text))
+            if value is _REQUIRED:
+                raise ValueError("required")
+            if isinstance(conv, tuple) and value not in conv:
+                raise ValueError(f"choose from {', '.join(conv)}, got {value}")
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+        setattr(args, name.strip("-").replace("-", "_"), value)
+    return func, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
+        func, args = _parse_argv(argv)
+    except UsageError as exc:
+        command = (argv[0] if argv and argv[0] in COMMANDS
+                   else "{%s} ..." % ",".join(COMMANDS))
+        usage = [name if default is _REQUIRED else f"[{name}]"
+                 for name, (_, default)
+                 in COMMANDS.get(command, (None, {}))[1].items()]
+        sys.stderr.write(f"usage: qduadic {' '.join([command, *usage])}\n"
+                         f"qduadic: error: {exc}\n")
         return EXIT_USAGE
     try:
-        return args.func(args)
+        return func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -567,6 +567,9 @@ class TestRobustness:
                         (construction, n, q, err)
 
 
+HELP_SHOWS = ["exists", "build", "survey", "verify"]
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -598,6 +601,64 @@ class TestUsage:
 
     def test_negative_n(self, capsys):
         assert run(capsys, "exists", "-3", "2")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["2^65", "3^1000000000", "3^41",
+                                       str(2**64 + 1)])
+    def test_budget_beyond_desk_scale(self, capsys, value):
+        # refused before the power is computed, so 3^10^9 does not stall
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "build", "css", "7", "2", "--budget",
+                             value)
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_USAGE and out == ""
+        assert "beyond desk scale" in err
+
+    def test_budget_at_the_cap(self, capsys):
+        assert run(capsys, "build", "css", "7", "2", "--budget", "2^64")[0] \
+            == EXIT_OK
+
+    # argv, exit code, and strings stdout must show
+    @pytest.mark.parametrize("argv,expected,shown", [
+        (("survey", "--q=2", "--max-n=9", "--format=csv"), EXIT_OK,
+         ["n,q,exists"]),
+        # options before positionals; 2^10 is too small to enumerate 23/2
+        (("build", "--budget", "2^10", "css", "23", "2"), EXIT_PARTIAL,
+         ['"support_search"']),
+        (("survey", "--q", "2", "--max-n", "9", "--format", "json",
+          "--format", "csv"), EXIT_OK, ["n,q,exists"]),  # the last one wins
+        (("exists", "7", "2", "--bogus", "1"), EXIT_USAGE, []),
+        (("verify", "--q", "2", "--max", "15"), EXIT_USAGE, []),
+        (("exists", "7"), EXIT_USAGE, []),
+        (("exists", "7", "2", "3"), EXIT_USAGE, []),
+        (("verify", "--max-n", "15"), EXIT_USAGE, []),
+        (("build", "css", "7", "2", "--budget"), EXIT_USAGE, []),
+        (("build", "css", "7", "2", "--output", "--workers", "1"),
+         EXIT_USAGE, []),
+        (("survey", "--q", "2", "--max-n", "9", "--format", "xml"),
+         EXIT_USAGE, []),
+        (("exists", "seven", "2"), EXIT_USAGE, []),
+        (("frobnicate", "7", "2"), EXIT_USAGE, []),
+        (("-h",), EXIT_OK, HELP_SHOWS),
+        (("--help",), EXIT_OK, HELP_SHOWS),
+        (("build", "css", "-h"), EXIT_OK, HELP_SHOWS),
+        (("verify", "--help"), EXIT_OK, HELP_SHOWS),
+    ])
+    def test_argv(self, capsys, argv, expected, shown):
+        code, out, err = run(capsys, *argv)
+        assert code == expected, err
+        assert all(s in out for s in shown)
+        if code == EXIT_USAGE:
+            lines = err.splitlines()
+            assert out == "" and len(lines) == 2
+            assert lines[0].startswith("usage: qduadic ")
+            assert lines[1].startswith("qduadic: error: ")
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        # the console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["qduadic", "exists", "7", "2"])
+        code = main()
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["exists"] is True
 
 
 class TestLargeQ:
@@ -632,12 +693,14 @@ class TestLargeQ:
 
 
 def test_import_leaves_the_process_pool_out():
-    # the pool is imported only when --workers > 1 asks for it
+    # the pool is imported only when --workers > 1 asks for it, and argv is
+    # parsed from a table, without argparse and the gettext and locale it
+    # loads
     src = os.path.dirname(os.path.dirname(qduadic.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, qduadic.cli; print(sorted("
-         "m for m in ('concurrent.futures', 'multiprocessing') "
-         "if m in sys.modules))"],
+         "m for m in ('concurrent.futures', 'multiprocessing', 'argparse', "
+         "'gettext', 'locale') if m in sys.modules))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
