@@ -27,7 +27,6 @@ from .duadic import (
     DuadicQuartet,
     Splitting,
     build_quartet,
-    check_square_root_bound,
     default_splitting,
     degeneracy_certificate,
     duadic_exists,
@@ -44,6 +43,7 @@ from .galois import (
 )
 from .stabilizer import (
     StabilizerParams,
+    check_square_root_bound,
     degeneracy_verdict,
     quartet_weights,
     stabilizer_params,

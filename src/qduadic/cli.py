@@ -57,6 +57,7 @@ from .cyclic import (
 )
 from .distance import DEFAULT_BUDGET, DistanceError
 from .duadic import (
+    FACTORIZATION_CAP,
     DuadicQuartet,
     Splitting,
     SplittingError,
@@ -203,6 +204,9 @@ def _select_splitting(n: int, code_q: int, construction: str,
 def cmd_build(args) -> int:
     n, q = args.n, args.q
     _validate_nq(n, q)
+    if n > FACTORIZATION_CAP:  # the certificate's cap, checked before work
+        raise UsageError(
+            f"n = {n} exceeds the trial-division cap {FACTORIZATION_CAP}")
     construction = args.construction
     code_q = q * q if construction == "hermitian" else q
     t0 = time.monotonic()

@@ -25,7 +25,7 @@ independent of the worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import comb
 
@@ -74,8 +74,7 @@ class DistanceResult:
         return DistanceResult("exact", value, value, method, work)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi,
-                "method": self.method, "work": self.work}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Splittings, duadic code quartets, square-root-bound checks, and
-degeneracy certificates.
+"""Splittings, duadic code quartets and degeneracy certificates.
 
 A splitting of n is a partition {S0, S1} of {1,...,n-1} into unions of
 q-ary cyclotomic cosets swapped by multiplication with some a coprime to n.
@@ -11,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from math import gcd
 
@@ -25,7 +24,6 @@ from .cyclic import (
     mu_apply,
     ord_mod,
 )
-from .distance import DistanceResult
 from .galois import Field, FieldCapError, Poly, factorize, field_from_order
 
 
@@ -233,52 +231,6 @@ def materialize_quartet(s: Splitting, on_cap=None) -> DuadicQuartet | None:
         return None
 
 
-@dataclass(frozen=True)
-class SquareRootBoundReport:
-    """Outcome of the square-root bound checks on a quartet's odd-like
-    minimum weights."""
-
-    n: int
-    d_o: DistanceResult
-    equal_across_pair: bool | None  # None if only one side was computed
-    bound_sq: bool | None  # d_o^2 >= n
-    mu_minus1: bool  # the splitting is given by mu_{-1}
-    bound_sq_strong: bool | None  # d_o^2 - d_o + 1 >= n (mu_{-1} case only)
-
-    @property
-    def all_satisfied(self) -> bool | None:
-        """Whether every check that ran passed; None when none ran."""
-        checks = [c for c in (self.bound_sq, self.bound_sq_strong,
-                              self.equal_across_pair) if c is not None]
-        return all(checks) if checks else None
-
-
-def check_square_root_bound(quartet: DuadicQuartet, d_o0: DistanceResult,
-                            d_o1: DistanceResult | None = None) -> SquareRootBoundReport:
-    """Assert the square-root bound on computed odd-like distances.  A
-    violation with exact inputs indicates an implementation bug; interval
-    inputs make the checks vacuous (None)."""
-    n = quartet.n
-    mu1 = quartet.splitting.is_given_by(n - 1)
-    if not d_o0.is_exact or (d_o1 is not None and not d_o1.is_exact):
-        return SquareRootBoundReport(n=n, d_o=d_o0, equal_across_pair=None,
-                                     bound_sq=None, mu_minus1=mu1,
-                                     bound_sq_strong=None)
-    d = d_o0.value
-    equal = d_o1.value == d if d_o1 is not None else None
-    report = SquareRootBoundReport(
-        n=n, d_o=d_o0, equal_across_pair=equal,
-        bound_sq=d * d >= n, mu_minus1=mu1,
-        bound_sq_strong=(d * d - d + 1 >= n) if mu1 else None,
-    )
-    if equal is False or report.bound_sq is False or report.bound_sq_strong is False:
-        raise SplittingError(
-            f"square-root bound violated at n={n}, d_o={d}: "
-            "this is a theorem, so the implementation is buggy"
-        )
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Degeneracy certificates
 
@@ -294,10 +246,7 @@ class PrimeLocalData:
     q_is_qr_mod_p: bool
     m_gt_2z: bool
     p_cong_3_mod_4: bool
-
-    @property
-    def purity_term(self) -> int:
-        return self.p**self.z
+    purity_term: int  # p^z
 
 
 @dataclass(frozen=True)
@@ -319,23 +268,7 @@ class DegeneracyCertificate:
     example_clause_7m: bool  # the 7^m, q=2 family stated with m >= 2
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "q": self.q, "construction": self.construction,
-            "primes": [{
-                "p": pl.p, "m": pl.m, "t": pl.t, "z": pl.z,
-                "purity_term": pl.purity_term,
-                "q_is_qr_mod_p": pl.q_is_qr_mod_p,
-                "m_gt_2z": pl.m_gt_2z,
-                "p_cong_3_mod_4": pl.p_cong_3_mod_4,
-            } for pl in self.primes],
-            "purity_bound": self.purity_bound,
-            "all_q_qr": self.all_q_qr,
-            "all_m_gt_2z": self.all_m_gt_2z,
-            "all_p_cong_3_mod_4": self.all_p_cong_3_mod_4,
-            "ord_n_q_odd": self.ord_n_q_odd,
-            "hypotheses_met": self.hypotheses_met,
-            "example_clause_7m": self.example_clause_7m,
-        }
+        return asdict(self)
 
 
 FACTORIZATION_CAP = 10**6
@@ -369,6 +302,7 @@ def degeneracy_certificate(n: int, q: int, construction: str) -> DegeneracyCerti
             q_is_qr_mod_p=is_quadratic_residue(q, p) if p > 2 else False,
             m_gt_2z=m > 2 * z,
             p_cong_3_mod_4=p % 4 == 3,
+            purity_term=p**z,
         ))
     purity_bound = min(pl.purity_term for pl in primes)
     all_qr = all(pl.q_is_qr_mod_p for pl in primes)

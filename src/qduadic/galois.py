@@ -261,11 +261,15 @@ class Field:
             raise FieldError(f"{p} is not prime")
         if m < 1:
             raise FieldError("extension degree must be >= 1")
-        order = p**m
-        if order > FIELD_SIZE_CAP:
+        # p^m >= 2^(m * (bit_length(p) - 1)): an order that large is
+        # neither computed nor printed, as str() refuses past 4300 digits
+        huge = m * (p.bit_length() - 1) > 4096
+        order = None if huge else p**m
+        if huge or order > FIELD_SIZE_CAP:
             raise FieldCapError(
-                f"GF({p}^{m}) has {order} elements, beyond the cap of "
-                f"{FIELD_SIZE_CAP}; larger extensions are out of scope"
+                f"GF({p}^{m}) has {'over 2^4096' if huge else order} "
+                f"elements, beyond the cap of {FIELD_SIZE_CAP}; larger "
+                "extensions are out of scope"
             )
         self.p = p
         self.m = m

@@ -12,10 +12,11 @@ the splitting; the construction is refused otherwise.
 Both paths read d and the purity off one scan of C0: its weight
 distribution, or for a binary CSS code only its least and greatest weights
 (the odd-like words of D_i are then the complements of the words of C_i).
-Both go through `stabilizer_params`, which also gives the
-square-root interval when the quartet's splitting field is beyond the
-field-size cap.  Only parameters and classical-code witnesses are
-materialized, never the quantum state space.
+mu_a maps D0 onto D1, so d is also D1's odd-like distance.  Both go through
+`stabilizer_params`, which also gives the square-root interval when the
+quartet's splitting field is beyond the field-size cap, and checks the
+square-root bound on d once.  Only parameters and classical-code witnesses
+are materialized, never the quantum state space.
 """
 
 from __future__ import annotations
@@ -38,14 +39,53 @@ from .duadic import (
     DegeneracyCertificate,
     DuadicQuartet,
     Splitting,
-    SquareRootBoundReport,
-    check_square_root_bound,
+    SplittingError,
 )
-
 
 
 class ConstructionError(ValueError):
     """A stabilizer construction's hypotheses are not met."""
+
+
+@dataclass(frozen=True)
+class SquareRootBoundReport:
+    """Outcome of the square-root bound checks on a quartet's odd-like
+    distance d; with an interval d every check but mu_{-1} is None."""
+
+    bound_sq: bool | None  # d^2 >= n
+    mu_minus1: bool  # the splitting is given by mu_{-1}
+    bound_sq_strong: bool | None  # d^2 - d + 1 >= n (mu_{-1} case only)
+
+    @property
+    def equal_across_pair(self) -> bool | None:
+        """D1 = mu_a(D0) has D0's odd-like distance, which `quartet_weights`
+        checks on the defining sets, so this holds whenever d is exact."""
+        return None if self.bound_sq is None else True
+
+    @property
+    def all_satisfied(self) -> bool | None:
+        """Whether every check that ran passed; None when none ran."""
+        checks = [c for c in (self.bound_sq, self.bound_sq_strong,
+                              self.equal_across_pair) if c is not None]
+        return all(checks) if checks else None
+
+
+def check_square_root_bound(s: Splitting,
+                            d: DistanceResult) -> SquareRootBoundReport:
+    """Check the square-root bound on the odd-like distance d of the quartet
+    of s.  The bound is a theorem, so a violation is an implementation bug
+    and raises: every check in a returned report passed.  An interval d
+    makes the checks vacuous (None)."""
+    n = s.n
+    mu1 = s.is_given_by(n - 1)
+    if not d.is_exact:
+        return SquareRootBoundReport(None, mu1, None)
+    v = d.value
+    if v * v < n or (mu1 and v * v - v + 1 < n):
+        raise SplittingError(
+            f"square-root bound violated at n={n}, d_o={v}: "
+            "this is a theorem, so the implementation is buggy")
+    return SquareRootBoundReport(True, mu1, True if mu1 else None)
 
 
 @dataclass(frozen=True)
@@ -104,13 +144,12 @@ def theory_distance_interval(n: int, mu_minus1: bool) -> DistanceResult:
 
 @dataclass(frozen=True)
 class QuartetWeights:
-    """Odd-like distances of a duadic quartet C_i subset D_i and the least
-    nonzero weight of C0, which C1 shares, from one scan of C0."""
+    """The odd-like distance of a duadic quartet C_i subset D_i and the
+    least nonzero weight of C0, which C1 shares, from one scan of C0."""
 
-    d0: DistanceResult  # min weight of D0 \ C0
-    d1: DistanceResult | None  # min weight of D1 \ C1; None beyond the budget
+    d0: DistanceResult  # min weight of D0 \ C0, and of D1 \ C1
     least: DistanceResult | None  # least nonzero weight of C0 and of C1
-    distributions: dict[str, dict[int, int]] | None  # "C0", "C1", "D0", "D1"
+    distributions: dict[str, dict[int, int]] | None  # "C0" and "D0"
 
 
 def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
@@ -118,19 +157,20 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
                     distributions: bool = True) -> QuartetWeights:
     """Enumerate C0 once.  The multiplier mu_a of the splitting swaps S0
     and S1, so it permutes the coordinates of C0 onto C1 and of D0 onto D1:
-    C1 has C0's distribution, and D0 and D1 share one.  C0^perp has the
+    C1 has C0's distribution, and D0 and D1 share one (checked here on the
+    defining sets), so d0 is D1's odd-like distance too.  C0^perp has the
     defining set -S1, the mu_{-1} image of D1's, so that shared distribution
     is the MacWilliams transform of C0's.  (A Hermitian dual is the conjugate
-    of the Euclidean dual and has the same distribution.)  D_i \\ C_i is the
-    set of odd-like words of D_i, so its minimum weight is the least w with
-    A_w(D_i) > A_w(C_i).  Beyond the budget d0 is the vacuous interval
-    [1, n] and d1 and least are None.
+    of the Euclidean dual and has the same distribution.)  D0 \\ C0 is the
+    set of odd-like words of D0, so its minimum weight is the least w with
+    A_w(D0) > A_w(C0).  Beyond the budget d0 is the vacuous interval [1, n]
+    and least is None.
 
     Without `distributions` a binary quartet is read off the least and
     greatest weights of C0 instead.  There D0 = C0 + <1>: the all-ones word
     has every alpha^j, j != 0, as a root and 1(1) = n is odd, so the
-    odd-like words of D0 are c + 1, of weight n - wt(c), and d0 = d1 is n
-    minus the greatest weight of C0.  C0 is even-like and n odd, so no word
+    odd-like words of D0 are c + 1, of weight n - wt(c), and d0 is n minus
+    the greatest weight of C0.  C0 is even-like and n odd, so no word
     of C0 has weight n, and every extreme word has a zero coordinate: one
     scan of the shortened subcode finds both extremes."""
     n, q = quartet.n, quartet.q
@@ -138,7 +178,7 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
     if not enumerable(C0, budget):  # C1 has the same length, field and k
         return QuartetWeights(
             DistanceResult("interval", 1, n, "full_enumeration", 0), None,
-            None, None)
+            None)
     if (C1.field != C0.field
             or mu_apply(C0.T.members, quartet.splitting.a, n) != C1.T.as_set()):
         raise DistanceError(
@@ -151,27 +191,22 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
             raise DistanceError(
                 f"the even-like code C0 of length {n} has extreme weights "
                 f"{least} and {greatest} (internal bug)")
-        d = DistanceResult.exact(n - greatest, "full_enumeration", work)
         return QuartetWeights(
-            d, d, DistanceResult.exact(least, "full_enumeration", work), None)
-    A = {"C0": weight_distribution(C0, budget, workers)}
-    A["C1"] = dict(A["C0"])
-    A["D0"] = macwilliams(A["C0"], n, q)
-    A["D1"] = dict(A["D0"])
-    d = []
-    for i in "01":
-        D, C = A["D" + i], A["C" + i]
-        k_D = getattr(quartet, "D" + i).k
-        if (D.get(0) != 1 or sum(D.values()) != q**k_D
-                or any(D.get(w, 0) < c for w, c in C.items())):
-            raise DistanceError(
-                f"transformed distribution of D{i} does not contain that of "
-                f"C{i} (internal bug)")
-        odd = min(w for w, c in D.items() if c > C.get(w, 0))
-        d.append(DistanceResult.exact(odd, "full_enumeration", work))
-    least = min(w for w in A["C0"] if w)
+            DistanceResult.exact(n - greatest, "full_enumeration", work),
+            DistanceResult.exact(least, "full_enumeration", work), None)
+    C = weight_distribution(C0, budget, workers)
+    D = macwilliams(C, n, q)
+    if (D.get(0) != 1 or sum(D.values()) != q**quartet.D0.k
+            or any(D.get(w, 0) < c for w, c in C.items())):
+        raise DistanceError(
+            "transformed distribution of D0 does not contain that of C0 "
+            "(internal bug)")
+    odd = min(w for w, c in D.items() if c > C.get(w, 0))
+    least = min(w for w in C if w)
     return QuartetWeights(
-        d[0], d[1], DistanceResult.exact(least, "full_enumeration", work), A)
+        DistanceResult.exact(odd, "full_enumeration", work),
+        DistanceResult.exact(least, "full_enumeration", work),
+        {"C0": C, "D0": D})
 
 
 def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
@@ -214,19 +249,15 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
     off C0's distribution, for a binary quartet off its least and greatest
     weights alone (purity = least, d = n - greatest), or beyond the budget
     d falls back to the same interval and a support search bounds the
-    purity."""
+    purity.  The square-root bound is checked on d in every case."""
     n = s.n
     hermitian = construction == "hermitian"
     if hermitian and not verify_hermitian_condition(s):
         raise ConstructionError(
             f"mu_(-q) does not give this splitting of n={n}; the Hermitian "
             "construction does not apply")
-    mu1 = s.is_given_by(n - 1)
-    d = theory_distance_interval(n, mu1)
+    d = theory_distance_interval(n, s.is_given_by(n - 1))
     purity = DistanceResult("interval", 1, n, "defining_set_theory", 0)
-    report = SquareRootBoundReport(n=n, d_o=d, equal_across_pair=None,
-                                   bound_sq=None, mu_minus1=mu1,
-                                   bound_sq_strong=None)
     if quartet is not None:
         # build_quartet has checked the CSS containment C_i subset D_i
         if hermitian:  # check C_0^{perp_h} = D_0 on matrices
@@ -237,7 +268,6 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                     "(internal bug)")
         weights = quartet_weights(quartet, budget, workers,
                                   distributions=False)
-        report = check_square_root_bound(quartet, weights.d0, weights.d1)
         if weights.d0.is_exact:
             d = weights.d0
         # the Hermitian stabilizer holds C0 alone; CSS holds C0 and C1
@@ -247,7 +277,8 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
     return StabilizerParams(
         n=n, k=1, q=isqrt(s.q) if hermitian else s.q,
         construction="Hermitian" if hermitian else "CSS", d=d, purity=purity,
-        degenerate=_degeneracy_tristate(purity, d), bound_report=report,
+        degenerate=_degeneracy_tristate(purity, d),
+        bound_report=check_square_root_bound(s, d),
     )
 
 

@@ -16,9 +16,11 @@ from qduadic.cli import (
     EXIT_PARTIAL,
     EXIT_USAGE,
     _select_splitting,
+    _survey_row,
     main,
     parse_budget,
 )
+from qduadic.distance import DEFAULT_BUDGET
 from qduadic.duadic import default_splitting, iter_splittings
 
 
@@ -102,6 +104,15 @@ class TestBuild:
         assert st["d"]["kind"] == "interval" and st["d"]["lo"] == 19
         assert st["degenerate"] == "undecided"
         assert st["certificate"]["hypotheses_met"] is True
+
+    @pytest.mark.parametrize("construction", ["css", "hermitian"])
+    def test_far_beyond_the_cap(self, capsys, construction):
+        # GF(2^25012) is refused without printing its 7530-digit order
+        code, out, err = run(capsys, "build", construction, "100049", "2")
+        doc = json.loads(out)
+        assert code == EXIT_PARTIAL and doc["quartet"] is None
+        assert doc["stabilizer"]["d"]["method"] == "defining_set_theory"
+        assert err.count("\n") == 1 and "beyond the cap" in err
 
     def test_splitting_id_roundtrip(self, capsys):
         _, doc = run_json(capsys, "build", "css", "7", "2")
@@ -195,6 +206,33 @@ class TestBuild:
         code, doc = run_json(capsys, "build", "css", "17", "2",
                              "--budget", "2^20")
         assert code == EXIT_OK and doc["stabilizer"]["d"]["lo"] == 5
+
+    EXACT_CHECKS = {"d_squared_ge_n": True, "mu_minus1_splitting": True,
+                    "d_sq_minus_d_plus_1_ge_n": True,
+                    "odd_like_weights_equal": True}
+    VACUOUS_CHECKS = {"d_squared_ge_n": None, "mu_minus1_splitting": True,
+                      "d_sq_minus_d_plus_1_ge_n": None,
+                      "odd_like_weights_equal": None}
+
+    # values recorded before the square-root report was built once per
+    # build; the survey row's bounds_ok is None exactly when no check ran
+    @pytest.mark.parametrize("argv,checks,bounds_ok", [
+        (("css", "7", "2"), EXACT_CHECKS, True),  # binary extremes
+        (("css", "17", "2"), {**EXACT_CHECKS, "mu_minus1_splitting": False,
+                              "d_sq_minus_d_plus_1_ge_n": None}, True),
+        (("css", "11", "3"), EXACT_CHECKS, True),  # odd q: the histogram
+        (("hermitian", "7", "2"), EXACT_CHECKS, True),  # over GF(4)
+        (("css", "73", "2", "--budget", "2^22"), VACUOUS_CHECKS, None),
+        (("css", "71", "2"), VACUOUS_CHECKS, None),  # theory: no quartet
+    ])
+    def test_bound_checks(self, capsys, argv, checks, bounds_ok):
+        _, doc = run_json(capsys, "build", *argv)
+        assert doc["stabilizer"]["bound_checks"] == checks
+        construction, n, q, *budget = argv
+        row = _survey_row(int(n), int(q), construction,
+                          parse_budget(budget[-1]) if budget
+                          else DEFAULT_BUDGET, 1)
+        assert row["bounds_ok"] is bounds_ok
 
 
 class TestDeterminism:
@@ -612,6 +650,15 @@ class TestUsage:
         assert time.monotonic() - t0 < 1
         assert code == EXIT_USAGE and out == ""
         assert "beyond desk scale" in err
+
+    def test_length_beyond_the_factorization_cap(self, capsys):
+        # refused before the quartet and the distances, not after them
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "build", "css", "9999991", "2")
+        assert time.monotonic() - t0 < 2
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: n = 9999991 exceeds the trial-division cap "
+                       "1000000\n")
 
     def test_budget_at_the_cap(self, capsys):
         assert run(capsys, "build", "css", "7", "2", "--budget", "2^64")[0] \

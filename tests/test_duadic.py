@@ -14,7 +14,6 @@ from qduadic.duadic import (
     Splitting,
     SplittingError,
     build_quartet,
-    check_square_root_bound,
     default_splitting,
     degeneracy_certificate,
     duadic_exists,
@@ -24,7 +23,7 @@ from qduadic.duadic import (
     splitting_by,
 )
 from qduadic.galois import make_field
-from qduadic.stabilizer import quartet_weights
+from qduadic.stabilizer import check_square_root_bound, quartet_weights
 
 
 class TestDuadicExists:
@@ -206,7 +205,7 @@ class TestSquareRootBound:
     def test_n7(self):
         qt = build_quartet(splitting_by(7, 2, 6), make_field(2))
         w = quartet_weights(qt)
-        r = check_square_root_bound(qt, w.d0, w.d1)
+        r = check_square_root_bound(qt.splitting, w.d0)
         assert r.equal_across_pair and r.bound_sq
         assert r.mu_minus1 and r.bound_sq_strong  # 3^2 - 3 + 1 = 7 >= 7
         assert r.all_satisfied
@@ -215,22 +214,36 @@ class TestSquareRootBound:
         qt = build_quartet(default_splitting(23, 2), make_field(2))
         w = quartet_weights(qt)
         assert w.d0.value == 7
-        r = check_square_root_bound(qt, w.d0, w.d1)
+        r = check_square_root_bound(qt.splitting, w.d0)
         assert r.bound_sq and r.mu_minus1 and r.bound_sq_strong
 
     def test_n17_mu_minus1_not_applicable(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
         w = quartet_weights(qt)
         assert w.d0.value == 5
-        r = check_square_root_bound(qt, w.d0, w.d1)
+        r = check_square_root_bound(qt.splitting, w.d0)
         assert r.bound_sq and not r.mu_minus1 and r.bound_sq_strong is None
 
     def test_interval_input_vacuous(self):
         from qduadic.distance import DistanceResult
         qt = build_quartet(splitting_by(7, 2, 6), make_field(2))
         r = check_square_root_bound(
-            qt, DistanceResult("interval", 1, 7, "full_enumeration", 0))
+            qt.splitting,
+            DistanceResult("interval", 1, 7, "full_enumeration", 0))
         assert r.bound_sq is None and r.equal_across_pair is None
+        assert r.mu_minus1 and r.bound_sq_strong is None
+        assert r.all_satisfied is None
+
+    # d^2 < n; under mu_{-1} only d^2 - d + 1 < n (25 >= 23 > 21); and
+    # d^2 < n where mu_{-1} gives no splitting of 17
+    @pytest.mark.parametrize("n,d", [(7, 2), (23, 5), (17, 4)])
+    def test_violation_raises(self, n, d):
+        # the bound is a theorem, so only a bug can produce such a d
+        from qduadic.distance import DistanceResult
+        s = default_splitting(n, 2)
+        with pytest.raises(SplittingError, match="square-root bound"):
+            check_square_root_bound(
+                s, DistanceResult.exact(d, "full_enumeration", 0))
 
 
 class TestLemma6:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ class TestMakeField:
     def test_cap_rejected(self):
         with pytest.raises(FieldCapError):
             make_field(2, 60)
+
+    @pytest.mark.parametrize("p,m", [(2, 100000), (2**61 - 1, 100000)])
+    def test_cap_decided_without_the_order(self, p, m):
+        # str() of an order past 4300 digits raises ValueError, and
+        # (2^61 - 1)^100000 would take long to compute
+        t0 = time.monotonic()
+        with pytest.raises(FieldCapError, match=r"has over 2\^4096 elements"):
+            make_field(p, m)
+        assert time.monotonic() - t0 < 1
 
     def test_determinism(self):
         a, b = make_field(3, 2), make_field(3, 2)

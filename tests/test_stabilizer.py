@@ -75,6 +75,30 @@ class TestCSS:
         assert p.degenerate in ("yes", "no", "undecided")
 
 
+class TestOneBoundReport:
+    """stabilizer_params checks the square-root bound once, on the d it
+    reports, whether d comes from theory, a budget or an enumeration."""
+
+    @pytest.mark.parametrize("n,budget,exact", [(71, 2**10, False),
+                                                (23, 100, False),
+                                                (23, 2**20, True)])
+    def test_one_report(self, monkeypatch, n, budget, exact):
+        calls = []
+        real = qduadic.stabilizer.check_square_root_bound
+
+        def counted(s, d):
+            calls.append(d)
+            return real(s, d)
+
+        monkeypatch.setattr(qduadic.stabilizer, "check_square_root_bound",
+                            counted)
+        s = default_splitting(n, 2)
+        qt = None if n == 71 else build_quartet(s, make_field(2))
+        p = stabilizer_params(s, qt, "css", budget)
+        assert calls == [p.d] and p.d.is_exact == exact
+        assert p.bound_report.equal_across_pair is (True if exact else None)
+
+
 class TestDegenerateExample:
     def test_n49_is_degenerate(self):
         p = _css(49)
@@ -227,19 +251,22 @@ def _oracle_quartets():
 
 
 class TestEngineAgainstOracles:
-    """d0, d1 and purity from one enumeration of C0 and C1 plus MacWilliams
-    equal the set difference D_i minus C_i and the minimum weights found by
-    re-encoding every message."""
+    """d0 and the purity from one enumeration of C0 plus MacWilliams equal
+    the set differences D0 minus C0 and D1 minus C1 and the minimum weights
+    found by re-encoding every message; C0's and D0's distributions are
+    those of C1 and D1 too."""
 
     @pytest.mark.parametrize("construction,s", _oracle_quartets())
     def test_quartet(self, construction, s):
         qt = build_quartet(s, field_from_order(s.q))
         w = quartet_weights(qt)
-        for name in ("C0", "C1", "D0", "D1"):
-            assert w.distributions[name] == \
-                naive_distribution(getattr(qt, name)), name
-        assert w.d0.value == min_weight_diffset(qt.D0, qt.C0)
-        assert w.d1.value == min_weight_diffset(qt.D1, qt.C1)
+        assert set(w.distributions) == {"C0", "D0"}
+        for name, images in (("C0", ("C0", "C1")), ("D0", ("D0", "D1"))):
+            for image in images:
+                assert w.distributions[name] == \
+                    naive_distribution(getattr(qt, image)), image
+        assert w.d0.value == min_weight_diffset(qt.D0, qt.C0) == \
+            min_weight_diffset(qt.D1, qt.C1)
         p = _params(qt, construction)
         if construction == "css":
             purity = min(naive_min_weight(qt.C0), naive_min_weight(qt.C1))
