@@ -23,10 +23,14 @@ options, each given in full as --name value or --name=value:
   --splitting-id ID  build: the splitting with this id, as printed in every
                      report (default: mu_(-1) if it splits, else the
                      smallest splitting multiplier; for hermitian, mu_(-q))
-  --budget B         enumeration budget in words, a positive integer or a
-                     power such as 2^30, at most 2^64 (default 2^26)
-  --workers W        worker processes for the enumeration, a positive
-                     integer; the pool is imported only above 1 (default 1)
+  --budget B         a positive integer or a power such as 2^30, at most
+                     2^64 (default 2^26): d and the purity are exact when
+                     q^k of the code C0 fits; build and survey then run a
+                     Brouwer-Zimmermann search, and verify enumerates
+  --workers W        worker processes for verify's exhaustive scans, a
+                     positive integer; the pool is imported only above 1
+                     (default 1); build and survey accept it, and their
+                     search runs in one process
   --output FILE      write the report to FILE (default: stdout)
   --construction C   survey: css or hermitian (default css)
   --format F         survey: json or csv (default json)
@@ -232,8 +236,7 @@ def cmd_build(args) -> int:
 
     quartet = materialize_quartet(splitting, lambda exc: sys.stderr.write(
         f"quartet not materialized: {exc}\n"))
-    params = stabilizer_params(splitting, quartet, construction, args.budget,
-                               args.workers)
+    params = stabilizer_params(splitting, quartet, construction, args.budget)
     cert_kind = "Hermitian" if construction == "hermitian" else "CSS"
     params = degeneracy_verdict(params,
                                 degeneracy_certificate(n, q, cert_kind))
@@ -258,8 +261,7 @@ SURVEY_COLUMNS = ("n", "q", "exists", "ord_n_q", "mu_minus1_splits",
                   "bounds_ok")
 
 
-def _survey_row(n: int, q: int, construction: str, budget: int,
-                workers: int) -> dict:
+def _survey_row(n: int, q: int, construction: str, budget: int) -> dict:
     code_q = q * q if construction == "hermitian" else q
     row = dict.fromkeys(SURVEY_COLUMNS)
     row.update({
@@ -276,7 +278,7 @@ def _survey_row(n: int, q: int, construction: str, budget: int,
     if splitting is None:
         return row
     params = stabilizer_params(splitting, materialize_quartet(splitting),
-                               construction, budget, workers)
+                               construction, budget)
     row.update({
         "d_kind": params.d.kind, "d_lo": params.d.lo, "d_hi": params.d.hi,
         "purity_kind": params.purity.kind,
@@ -301,8 +303,7 @@ def cmd_survey(args) -> int:
         if gcd(n, q) != 1:
             continue
         sys.stderr.write(f"survey n={n}\n")
-        rows.append(_survey_row(n, q, args.construction, args.budget,
-                                args.workers))
+        rows.append(_survey_row(n, q, args.construction, args.budget))
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SURVEY_COLUMNS)

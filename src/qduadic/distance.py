@@ -1,30 +1,34 @@
-"""Exact weight distributions by exhaustive message-space enumeration.
+"""Minimum weights of cyclic codes: a Brouwer-Zimmermann search, exact
+weight distributions by exhaustive enumeration, and a support search.
 
-The engine has one kernel product, the weight histogram of a code; minimum
-weights are read off it, and the MacWilliams transform turns it into the
-histogram of the dual code.  Every GF(p^m) code is reduced to a prime-field
-message space: the generator rows are expanded by the polynomial basis of the
-field, so a k-dimensional code over GF(p^m) becomes a (k*m)-row code over
-GF(p).  One span kernel enumerates it: a numpy block of every combination of
-the first rows, plus one high word per step of a p-ary counter over the
-rest; the weights of two steps are counted by one bincount of joint keys.
+Builds and survey rows take their minimum weights from a Brouwer-Zimmermann
+search over cyclic information sets (`brouwer_zimmermann`): it enumerates
+the words of a systematic generator matrix by their number of nonzero
+message coordinates, and stops once ceil(n*(w+1)/k) after level w reaches
+the least weight found.  The weight histogram is the independent route
+that `verify` compares with, and the MacWilliams transform turns it into
+the histogram of the dual code.  Every GF(p^m) code is reduced to a
+prime-field message space: the generator rows are expanded by the
+polynomial basis of the field, so a k-dimensional code over GF(p^m) becomes
+a (k*m)-row code over GF(p).  One span kernel enumerates it: a numpy block
+of every combination of the first rows, plus one high word per step of a
+p-ary counter over the rest; the weights of two steps are counted by one
+bincount of joint keys.  It scans only the shortened subcode {c_0 = 0},
+q^(k-1) words, and the cyclic symmetry rebuilds the full histogram from it
+exactly.  Beyond the budget, a low-weight support search bounds the minimum
+weight, by grouping the scaled columns of H and by binary search for prefix
+sums in a sorted table of pair sums.
+
 Codewords are packed into uint64 words (one m-bit cell per coordinate,
-addition = XOR) in characteristic 2 when they fit 63 bits, and are arrays of
-GF(p) digits otherwise, the block held as element indices.  The kernel scans
-only the shortened subcode {c_0 = 0}, q^(k-1) words, and the cyclic symmetry
-rebuilds the full histogram from it exactly.  In its other mode the same
-walk keeps only the least nonzero and the greatest weight, with no key and
-no bincount: a binary duadic quartet needs no more (see
-`stabilizer.quartet_weights`).  Beyond the budget, a low-weight support
-search bounds the minimum weight, by grouping the scaled columns of H and
-by binary search for prefix sums in a sorted table of pair sums.
-
-Work counters are closed forms of q and k, so they are reproducible and
+addition = XOR) in characteristic 2 when they fit 64 bits, and are arrays
+of GF(p) digits otherwise.  Work counters are closed forms of q and k (and
+of the level where the search stops), so they are reproducible and
 independent of the worker count.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import comb
@@ -49,7 +53,8 @@ class DistanceResult:
     kind: str  # exact | lower_bound | interval
     lo: int | None
     hi: int | None
-    method: str  # full_enumeration | support_search | defining_set_theory
+    method: str  # brouwer_zimmermann | full_enumeration | support_search
+    #              | defining_set_theory
     work: int
 
     def __post_init__(self):
@@ -110,7 +115,7 @@ def _low_rows(p: int, K: int) -> int:
 
 
 def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
-                end: int, extremes: bool = False) -> np.ndarray:
+                end: int) -> np.ndarray:
     """Weight histogram of the GF(p)-span words at high indices [start, end).
 
     The first h rows span the low block, every one of their p^h
@@ -124,12 +129,6 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
     block word at both form the key w_a*(n+1) + w_b into an (n+1)^2 joint
     table, whose two marginals are the two steps' histograms.  An odd last
     step is counted alone.
-
-    With `extremes` the walk keeps, per block word, the least and the
-    greatest weight over the steps instead, and returns [least nonzero
-    weight, greatest weight] of the range; least is n + 1 where the range
-    holds no nonzero word.  The zero word is block word 0 at index 0, so
-    only the range holding index 0 leaves it out.
 
     Packed rows are uint64 words of m bits per coordinate, added by XOR;
     otherwise rows are arrays of n*m GF(p) digits, m per coordinate."""
@@ -155,17 +154,12 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
         x //= p
     prefix = list(accumulate(high, add))
     key_type = np.min_scalar_type((n + 1) ** 2 - 1)
-    weight_type = np.min_scalar_type(n + 1) if extremes else key_type
     if packed:
         weights = _cell_weights(block, n, m)
     else:
-        weights = _element_weights(block, p, n, m, weight_type)
-    if extremes:
-        least = np.full(len(block), n + 1, weight_type)
-        greatest = np.zeros_like(least)
-    else:
-        key = np.empty(len(block), key_type)
-        joint = np.zeros((n + 1) ** 2, dtype=np.int64)
+        weights = _element_weights(block, p, n, m, key_type)
+    key = np.empty(len(block), key_type)
+    joint = np.zeros((n + 1) ** 2, dtype=np.int64)
     for i in range(start, end):
         if i > start:
             j, x = 0, i
@@ -173,18 +167,11 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
                 j, x = j + 1, x // p
             word = add(word, prefix[j])
         w = weights(word)
-        if extremes:
-            np.minimum(least, w, out=least)
-            np.maximum(greatest, w, out=greatest)
-            if i == 0:
-                least[0] = n + 1  # the zero word
-        elif (i - start) % 2 == 0:
+        if (i - start) % 2 == 0:
             np.multiply(w, key_type.type(n + 1), out=key)
         else:
             key += w
             joint += np.bincount(key, minlength=(n + 1) ** 2)
-    if extremes:
-        return np.array([least.min(), greatest.max()], np.int64)
     joint = joint.reshape(n + 1, n + 1)
     hist = joint.sum(axis=1) + joint.sum(axis=0)
     if (end - start) % 2:
@@ -248,10 +235,10 @@ def _element_indices(digits: np.ndarray, p: int, dtype) -> np.ndarray:
     return out
 
 
-def _packs(C: CyclicCode) -> bool:
-    """Whether codewords pack into uint64 words: characteristic 2 and
-    n*m <= 63 bits."""
-    return C.field.p == 2 and C.n * C.field.m <= 63
+def _packs(C: CyclicCode, cells: int) -> bool:
+    """Whether words of `cells` cells of C's field pack into uint64 words:
+    characteristic 2 and cells*m <= 64 bits."""
+    return C.field.p == 2 and cells * C.field.m <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +292,6 @@ def _shortened_rows(C: CyclicCode):
     return _expanded_rows(C)[C.field.m:]
 
 
-def shortened_extremes(C: CyclicCode, budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> tuple[int, int]:
-    """(least nonzero weight, greatest weight) over the shortened subcode
-    {c : c_0 = 0}, from one span scan of its q^(k-1) words with no
-    histogram.  A word of C with a zero coordinate has a cyclic shift in the
-    subcode, so these are C's extremes over such words; only a word with no
-    zero coordinate, of weight n, is left out."""
-    total = C.q**C.k
-    if total > budget:
-        raise DistanceError(f"q^k = {total} exceeds the budget {budget}")
-    if C.k == 0:
-        raise DistanceError("zero code has no nonzero word")
-    least, greatest = map(int, _scan(C, _shortened_rows(C), workers,
-                                     extremes=True))
-    if least > C.n:
-        raise DistanceError("the shortened subcode has no nonzero word")
-    return least, greatest
-
-
 def _full_scan_distribution(C: CyclicCode, workers: int = 1) -> dict[int, int]:
     """Weight histogram of C from a scan of all q^k words, without the
     shortening; an independent route to check `weight_distribution`."""
@@ -335,16 +303,14 @@ def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
     return {int(w): int(c) for w, c in enumerate(_scan(C, rows, workers)) if c}
 
 
-def _scan(C: CyclicCode, rows, workers: int,
-          extremes: bool = False) -> np.ndarray:
-    """One span kernel over the GF(p)-span of `rows`, prime-field rows of C,
-    over packed words where they fit, else over digits: its histogram, or
-    with `extremes` its [least nonzero, greatest] weights.  `workers`
-    processes split the high indices; histograms add, extremes combine by
-    min and max."""
+def _scan(C: CyclicCode, rows, workers: int) -> np.ndarray:
+    """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C,
+    from one span kernel over packed words where they fit, else over
+    digits.  `workers` processes split the high indices, and their
+    histograms add."""
     f = C.field
     p, m, n = f.p, f.m, C.n
-    packed = _packs(C)
+    packed = _packs(C, n)
     if packed:
         rows = np.array([_pack_row(r, m) for r in rows], dtype=np.uint64)
     else:
@@ -357,12 +323,180 @@ def _scan(C: CyclicCode, rows, workers: int,
         chunk = (nblocks + workers - 1) // workers
         ranges = [(s, min(s + chunk, nblocks)) for s in range(0, nblocks, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = np.array(list(pool.map(_scan_range, *zip(*[
-                (rows, p, n, m, packed, s, t, extremes) for s, t in ranges]))))
-        if extremes:
-            return np.array([parts[:, 0].min(), parts[:, 1].max()])
-        return parts.sum(axis=0)
-    return _scan_range(rows, p, n, m, packed, 0, nblocks, extremes)
+            return sum(pool.map(_scan_range, *zip(*[
+                (rows, p, n, m, packed, s, t) for s, t in ranges])))
+    return _scan_range(rows, p, n, m, packed, 0, nblocks)
+
+
+# ---------------------------------------------------------------------------
+# Brouwer-Zimmermann search over cyclic information sets
+
+
+def _systematic_rows(C: CyclicCode) -> np.ndarray:
+    """GF(p) digits, shape (k, n + 1, m), of the rows x^(n-k+i) -
+    (x^(n-k+i) mod g(x)), i < k, each with its coordinate sum in an extra
+    cell: C's generator matrix in systematic form on the last k
+    coordinates, row i being 1 at coordinate n-k+i and 0 at the others of
+    them.  g is monic, so x^(n-k) mod g = x^(n-k) - g, and each later
+    remainder is x times the one before, less its overflow times g."""
+    f, n, k = C.field, C.n, C.k
+    p, m, r = f.p, f.m, n - k
+    if p == 2:
+        sub = operator.xor  # on element indices, in every GF(2^m)
+    elif m == 1:
+        def sub(a, b):
+            return (a - b) % p
+    else:
+        def sub(a, b):
+            return f.add(a, f.neg(b))
+    g = C.genpoly.coeffs
+    multiples = {1: g}  # top -> top*g
+    rem, rems = [sub(0, c) for c in g[:r]], []
+    for _ in range(k):
+        rems.append(rem)
+        top, rem = (rem[-1], [0] + rem[:-1]) if r else (0, rem)
+        if top:
+            if top not in multiples:
+                multiples[top] = [f.mul(top, x) for x in g]
+            rem = list(map(sub, rem, multiples[top]))
+    digits = np.zeros((k, n + 1, m), np.int64)
+    digits[:, :r] = -_digits(np.array(rems, np.int64).reshape(k, r), p, m) % p
+    digits[np.arange(k), r + np.arange(k), 0] = 1
+    digits[:, n] = digits[:, :n].sum(axis=1) % p
+    return digits
+
+
+def _extend(blocks, table, units: int, limit: int, add):
+    """The blocks (words, j) of the next level after `blocks`, the words
+    sum_i u_i*row_(j_i) of one level with j their last row: every word
+    plus u*row_j for each row j past its own and each unit u, in that
+    order.  `table` holds u*row_j for every unit u, ordered by j and then
+    u, so a word has at most len(table) extensions, and a block extends
+    limit // len(table) words (at least one)."""
+    size = len(table)
+    step = max(1, limit // size)
+    for words, last in blocks:
+        for lo in range(0, len(words), step):
+            first = (last[lo:lo + step] + 1) * units  # first table entry
+            count = size - first
+            ends = np.cumsum(count)
+            if not ends[-1]:
+                continue
+            # table index of every extension, word by word
+            index = np.arange(ends[-1]) + np.repeat(first - ends + count,
+                                                    count)
+            yield (add(np.repeat(words[lo:lo + step], count, axis=0),
+                       table[index]), index // units)
+
+
+def brouwer_zimmermann(C: CyclicCode,
+                       odd_like: bool = False) -> tuple[DistanceResult,
+                                                        tuple[int, ...]]:
+    """The least weight of a nonzero word of C, or with `odd_like` of a word
+    with nonzero coordinate sum, and the first such word found.
+
+    The generator matrix is put in systematic form on the last k
+    coordinates, and level w = 1, 2, ... enumerates the words with w nonzero
+    message coordinates, the first of them 1: comb(k, w)*(q-1)^(w-1) words.
+    Any k cyclically consecutive coordinates of a cyclic code form an
+    information set, and a cyclic shift keeps the weight and the coordinate
+    sum.  A word of weight t has, by averaging over its n windows of k
+    consecutive coordinates, a shift with at most k*t/n nonzero message
+    coordinates, so a word not met up to level w weighs at least
+    ceil(n*(w+1)/k) (Chen, IEEE Trans. IT 16 (1970); Grassl, "Searching
+    for linear codes with large minimum distance", 2006).  Over GF(2) that
+    bound rounds up to odd for odd-like words, and to even in an even-like
+    code (0 in T).  The search stops at the first level whose bound reaches
+    the least weight found; `work` counts the words of levels 1 to w.
+
+    Words are uint64 of m bits a coordinate in characteristic 2 when
+    (n+1)*m <= 64 bits fit, else arrays of (n+1)*m GF(p) digits; the extra
+    cell carries the coordinate sum.  Blocks hold at most
+    2^_LOW_BLOCK_BITS words, or k*(q-1) if more, and a level is kept for
+    the next one only if it fits one block."""
+    f, n, k = C.field, C.n, C.k
+    p, m, q = f.p, f.m, f.order
+    if k == 0:
+        raise DistanceError("zero code has no nonzero word")
+    digits = _systematic_rows(C)  # (k, n + 1, m), the sum cell last
+    packed = _packs(C, n + 1)
+    if packed:
+        def pack(d):
+            bits = d.reshape(len(d), -1).astype(np.uint64)
+            return np.bitwise_or.reduce(
+                bits << np.arange(bits.shape[1], dtype=np.uint64), axis=1)
+
+        add = np.bitwise_xor
+        fold = [np.uint64(b) for b in range(1, m)]
+        cells = np.uint64(((1 << n * m) - 1) // ((1 << m) - 1))  # lowest bits
+        top = np.uint64(n * m)
+
+        def weights(words):
+            y = words
+            for b in fold:  # every bit of a cell into its lowest bit
+                y = y | words >> b
+            return np.bitwise_count(y & cells), words >> top != 0
+    else:
+        dtype = np.min_scalar_type(2 * (p - 1))  # holds two digits' sum
+
+        def pack(d):
+            return d.reshape(len(d), -1).astype(dtype)
+
+        def add(x, y):
+            return (x + y) % p
+
+        def weights(words):
+            nonzero = words.reshape(len(words), n + 1, m).any(axis=2)
+            return nonzero[:, :n].sum(axis=1), nonzero[:, n]
+
+    rows = pack(digits)
+    # u*row_j for every unit u, ordered by j and then u; over GF(q), q > 2,
+    # built only once level 2 needs it
+    table = rows
+    # over GF(2) odd-like weights are odd, and an even-like code's even
+    parity = int(odd_like) if q == 2 and (odd_like or 0 in C.T.as_set()) \
+        else None
+    limit = 1 << _LOW_BLOCK_BITS
+    # levels[w]: level w's blocks (words, last row), held while they fit
+    # one block, else None and enumerated again from the last one held
+    levels = [None, [(rows, np.arange(k))]]
+
+    def level(w):
+        held = levels[w] if w < len(levels) else None
+        if held is not None:
+            return iter(held)
+        return _extend(level(w - 1), table, q - 1, limit, add)
+
+    best, witness, work = n + 1, None, 0
+    for w in range(1, k + 1):
+        size = comb(k, w) * (q - 1) ** (w - 1)
+        if w == 2 and q > 2:
+            table = pack(np.stack([_times(f, u, digits) for u in
+                                   range(1, q)], axis=1).reshape(-1, n + 1, m))
+        if w > 1:
+            levels.append(list(level(w)) if size <= limit else None)
+        for words, _ in level(w):
+            weight, odd = weights(words)
+            if odd_like:
+                weight = np.where(odd, weight, n + 1)
+            i = int(np.argmin(weight))
+            if weight[i] < best:
+                best, witness = int(weight[i]), words[i]
+        work += size
+        bound = -(-n * (w + 1) // k)
+        if parity is not None and bound % 2 != parity:
+            bound += 1
+        if bound >= best:
+            break
+    if witness is None:
+        raise DistanceError("the code has no odd-like word")
+    if packed:
+        cell = (1 << m) - 1
+        word = tuple(int(witness) >> (i * m) & cell for i in range(n))
+    else:
+        word = tuple(int(x) for x in
+                     witness.reshape(n + 1, m)[:n] @ p ** np.arange(m))
+    return DistanceResult.exact(best, "brouwer_zimmermann", work), word
 
 
 def macwilliams(A: dict[int, int], n: int, q: int) -> dict[int, int]:

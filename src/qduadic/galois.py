@@ -8,7 +8,9 @@ mod p (XOR for characteristic 2), and the prime subfield occupies indices
 
 Fields are canonical and cached: same (p, m) always yields the same modulus
 and generator, so golden-value tests are portable across runs.  Products
-are taken mod p in GF(p) and reduced by the modulus in GF(p^m), m > 1.
+are taken mod p in GF(p) and reduced by the modulus in GF(p^m), m > 1: by
+carry-less bitmask products for p = 2, and for odd p by one product of two
+ints that hold the operands' digits (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -277,6 +279,17 @@ class Field:
         self.modulus: tuple[int, ...] = _canonical_modulus(p, m)
         if p == 2:
             self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
+        elif m > 1:
+            # Kronecker substitution: a polynomial's digits packed into one
+            # int, `_bits` bits a coefficient, enough for the coefficients
+            # of a product plus the m - 1 reductions in _raw_mul,
+            # (2m-1)(p-1)^2; digit i sits at bit _shifts[i]
+            self._bits = ((2 * m - 1) * (p - 1) ** 2).bit_length()
+            self._shifts = [self._bits * i for i in range(m)]
+            self._overflow = [  # x^(m+i) mod the modulus, i < m - 1, packed
+                sum(d << s for d, s in zip(_poly_rem(
+                    [0] * (m + i) + [1], list(self.modulus), p), self._shifts))
+                for i in range(m - 1)]
         self.generator = self._find_generator()
 
     # -- representation helpers
@@ -312,21 +325,33 @@ class Field:
     # -- raw arithmetic (no element checks)
 
     def _raw_mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
+        p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
         if a == 0 or b == 0:
             return 0
-        if self.p == 2:
-            return _gf2_mulmod(a, b, self._mod_mask, self.m)
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = _poly_rem(prod, list(self.modulus), self.p)
-        rem += [0] * (self.m - len(rem))
-        return self._undigits(rem)
+        if p == 2:
+            return _gf2_mulmod(a, b, self._mod_mask, m)
+        # one int product of the packed digits; each coefficient of x^(m+i)
+        # is reduced mod p and folded back as that multiple of x^(m+i) mod
+        # the modulus, and the m low coefficients are then reduced mod p
+        bits, shifts = self._bits, self._shifts
+        mask = (1 << bits) - 1
+        x = y = 0
+        for s in shifts:
+            x |= a % p << s
+            y |= b % p << s
+            a //= p
+            b //= p
+        prod = x * y
+        acc, high = prod & ((1 << bits * m) - 1), prod >> bits * m
+        for overflow in self._overflow:
+            acc += (high & mask) % p * overflow
+            high >>= bits
+        out = 0
+        for s in reversed(shifts):
+            out = out * p + (acc >> s & mask) % p
+        return out
 
     def _raw_pow(self, a: int, e: int) -> int:
         if self.m == 1:

@@ -9,29 +9,34 @@ value is strictly below d.
 Hermitian path: over GF(q^2), C_0^{perp_h} = D_0 exactly when mu_{-q} gives
 the splitting; the construction is refused otherwise.
 
-Both paths read d and the purity off one scan of C0: its weight
-distribution, or for a binary CSS code only its least and greatest weights
-(the odd-like words of D_i are then the complements of the words of C_i).
-mu_a maps D0 onto D1, so d is also D1's odd-like distance.  Both go through
-`stabilizer_params`, which also gives the square-root interval when the
-quartet's splitting field is beyond the field-size cap, and checks the
-square-root bound on d once.  Only parameters and classical-code witnesses
-are materialized, never the quantum state space.
+Both paths read the purity off a Brouwer-Zimmermann search of C0 (its least
+nonzero weight) and d off one of D0 over its odd-like words, each stopping
+once the bound ceil(n*(w+1)/k) after level w reaches the least weight found;
+`work` counts the words enumerated, and each least word is re-checked
+against the check matrix.  mu_a maps C0 onto C1 and D0 onto D1, so these
+are C1's and D1's values too.  Both paths go through `stabilizer_params`,
+which searches only when q^k of C0 fits the budget, and otherwise gives the
+square-root interval (with a support search when the quartet exists), and
+checks the square-root bound on d once.  Only parameters and classical-code
+witnesses are materialized, never the quantum state space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from math import isqrt
+
+import numpy as np
 
 from .cyclic import CyclicCode, hermitian_dual, mu_apply
 from .distance import (
     DEFAULT_BUDGET,
     DistanceError,
     DistanceResult,
+    brouwer_zimmermann,
     enumerable,
     macwilliams,
-    shortened_extremes,
     support_search_min_weight,
     weight_distribution,
 )
@@ -145,7 +150,7 @@ def theory_distance_interval(n: int, mu_minus1: bool) -> DistanceResult:
 @dataclass(frozen=True)
 class QuartetWeights:
     """The odd-like distance of a duadic quartet C_i subset D_i and the
-    least nonzero weight of C0, which C1 shares, from one scan of C0."""
+    least nonzero weight of C0, which C1 shares."""
 
     d0: DistanceResult  # min weight of D0 \ C0, and of D1 \ C1
     least: DistanceResult | None  # least nonzero weight of C0 and of C1
@@ -155,26 +160,26 @@ class QuartetWeights:
 def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
                     workers: int = 1,
                     distributions: bool = True) -> QuartetWeights:
-    """Enumerate C0 once.  The multiplier mu_a of the splitting swaps S0
-    and S1, so it permutes the coordinates of C0 onto C1 and of D0 onto D1:
-    C1 has C0's distribution, and D0 and D1 share one (checked here on the
-    defining sets), so d0 is D1's odd-like distance too.  C0^perp has the
-    defining set -S1, the mu_{-1} image of D1's, so that shared distribution
-    is the MacWilliams transform of C0's.  (A Hermitian dual is the conjugate
-    of the Euclidean dual and has the same distribution.)  D0 \\ C0 is the
-    set of odd-like words of D0, so its minimum weight is the least w with
-    A_w(D0) > A_w(C0).  Beyond the budget d0 is the vacuous interval [1, n]
-    and least is None.
+    """d0 and the least nonzero weight of C0, within the budget (q^k of C0
+    at most `budget`); beyond it d0 is the vacuous interval [1, n] and
+    least is None.  The multiplier mu_a of the splitting swaps S0 and S1,
+    so it permutes the coordinates of C0 onto C1 and of D0 onto D1: C1 has
+    C0's weights, and D0 and D1 share theirs (checked here on the defining
+    sets), so d0 is D1's odd-like distance too.  D0 \\ C0 is the set of
+    odd-like words of D0.
 
-    Without `distributions` a binary quartet is read off the least and
-    greatest weights of C0 instead.  There D0 = C0 + <1>: the all-ones word
-    has every alpha^j, j != 0, as a root and 1(1) = n is odd, so the
-    odd-like words of D0 are c + 1, of weight n - wt(c), and d0 is n minus
-    the greatest weight of C0.  C0 is even-like and n odd, so no word
-    of C0 has weight n, and every extreme word has a zero coordinate: one
-    scan of the shortened subcode finds both extremes."""
+    Without `distributions` (every build and survey row) two
+    Brouwer-Zimmermann searches give the values: C0's for its least nonzero
+    weight, and D0's over its odd-like words for d0.  Each minimum-weight
+    word is re-checked against the check matrix (see `_checked`).
+
+    With `distributions` (the independent route of `verify`) C0 is
+    enumerated once.  C0^perp has the defining set -S1, the mu_{-1} image of
+    D1's, so D0's distribution is the MacWilliams transform of C0's.  (A
+    Hermitian dual is the conjugate of the Euclidean dual and has the same
+    distribution.)  d0 is the least w with A_w(D0) > A_w(C0)."""
     n, q = quartet.n, quartet.q
-    C0, C1 = quartet.C0, quartet.C1
+    C0, C1, D0 = quartet.C0, quartet.C1, quartet.D0
     if not enumerable(C0, budget):  # C1 has the same length, field and k
         return QuartetWeights(
             DistanceResult("interval", 1, n, "full_enumeration", 0), None,
@@ -184,19 +189,14 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
         raise DistanceError(
             "C1 is not the mu_a image of C0, so it cannot share C0's weight "
             "distribution (internal bug)")
-    work = C0.q**(C0.k - 1) - 1  # the nonzero words of {c in C0 : c_0 = 0}
-    if not distributions and q == 2:
-        least, greatest = shortened_extremes(C0, budget, workers)
-        if least % 2 or greatest % 2 or not 0 < least <= greatest < n:
-            raise DistanceError(
-                f"the even-like code C0 of length {n} has extreme weights "
-                f"{least} and {greatest} (internal bug)")
+    if not distributions:
         return QuartetWeights(
-            DistanceResult.exact(n - greatest, "full_enumeration", work),
-            DistanceResult.exact(least, "full_enumeration", work), None)
+            _checked(D0, *brouwer_zimmermann(D0, odd_like=True), "D0", True),
+            _checked(C0, *brouwer_zimmermann(C0), "C0", False), None)
+    work = C0.q**(C0.k - 1) - 1  # the nonzero words of {c in C0 : c_0 = 0}
     C = weight_distribution(C0, budget, workers)
     D = macwilliams(C, n, q)
-    if (D.get(0) != 1 or sum(D.values()) != q**quartet.D0.k
+    if (D.get(0) != 1 or sum(D.values()) != q**D0.k
             or any(D.get(w, 0) < c for w, c in C.items())):
         raise DistanceError(
             "transformed distribution of D0 does not contain that of C0 "
@@ -207,6 +207,45 @@ def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
         DistanceResult.exact(odd, "full_enumeration", work),
         DistanceResult.exact(least, "full_enumeration", work),
         {"C0": C, "D0": D})
+
+
+def _checked(C: CyclicCode, result: DistanceResult, word: tuple, name: str,
+             odd_like: bool) -> DistanceResult:
+    """`result` of a search of C, once its value and its word pass checks
+    that share nothing with the search: the value is at most the Singleton
+    bound n - k + 1 (some row of a systematic generator matrix is odd-like
+    if any word is), over GF(2) odd for an odd-like word and even in the
+    even-like C0, and the word is a nonzero codeword of that weight, with a
+    nonzero coordinate sum if odd-like.  Membership is H*word = 0, summed
+    over the word's support alone: one integer matrix product mod p over a
+    prime field, the field's products otherwise."""
+    f, n, v = C.field, C.n, result.value
+    kind = "odd-like weight" if odd_like else "nonzero weight"
+    if v > n - C.k + 1:
+        raise DistanceError(
+            f"{name} of length {n} and dimension {C.k} has least {kind} {v}, "
+            "above the Singleton bound (internal bug)")
+    if C.q == 2 and v % 2 != odd_like:
+        raise DistanceError(
+            f"{name} over GF(2) has least {kind} {v}, of the wrong parity "
+            "(internal bug)")
+    support = [i for i, x in enumerate(word) if x] if len(word) == n else []
+    scalars = [word[i] for i in support]
+    if f.m == 1:  # integers mod p
+        columns = np.array([[h[i] for i in support] for h in C.H], np.int64)
+        syndrome = (columns @ np.array(scalars, np.int64) % f.p).tolist()
+        total = sum(scalars) % f.p
+    else:
+        syndrome = [reduce(f.add, map(f.mul, [h[i] for i in support],
+                                      scalars), 0) for h in C.H]
+        total = reduce(f.add, scalars, 0)
+    if (len(word) != n or not 0 < len(support) == v or any(syndrome)
+            or odd_like and not total):
+        raise DistanceError(
+            f"the word found for {name} is not a codeword of weight {v}"
+            f"{' with a nonzero coordinate sum' if odd_like else ''} "
+            "(internal bug)")
+    return result
 
 
 def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
@@ -239,16 +278,15 @@ def verify_hermitian_condition(s: Splitting) -> bool:
 
 
 def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
-                      construction: str, budget: int = DEFAULT_BUDGET,
-                      workers: int = 1) -> StabilizerParams:
+                      construction: str,
+                      budget: int = DEFAULT_BUDGET) -> StabilizerParams:
     """[[n, 1, d]]_q parameters of the "css" or "hermitian" code of a
     splitting.  The Hermitian route needs mu_{-q} to give the splitting, so
     that C_0^{perp_h} = D_0 over GF(q^2).  Without a quartet (its splitting
     field is beyond the cap) d is the square-root interval, the purity is
-    [1, n] and the verdict undecided; with one, d and the purity are read
-    off C0's distribution, for a binary quartet off its least and greatest
-    weights alone (purity = least, d = n - greatest), or beyond the budget
-    d falls back to the same interval and a support search bounds the
+    [1, n] and the verdict undecided; with one, d and the purity come from
+    the Brouwer-Zimmermann searches of D0 and C0, or beyond the budget d
+    falls back to the same interval and a support search bounds the
     purity.  The square-root bound is checked on d in every case."""
     n = s.n
     hermitian = construction == "hermitian"
@@ -266,8 +304,7 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                 raise ConstructionError(
                     "C_0^{perp_h} != D_0 despite the splitting condition "
                     "(internal bug)")
-        weights = quartet_weights(quartet, budget, workers,
-                                  distributions=False)
+        weights = quartet_weights(quartet, budget, distributions=False)
         if weights.d0.is_exact:
             d = weights.d0
         # the Hermitian stabilizer holds C0 alone; CSS holds C0 and C1

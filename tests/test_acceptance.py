@@ -35,8 +35,9 @@ def test_criterion_01_css_7_2(capsys):
     st = doc["stabilizer"]
     assert code == EXIT_OK
     assert (st["n"], st["k"], st["q"]) == (7, 1, 2)
+    # level 1 of D0 = [7, 4]: its 4 rows, where ceil(7*2/4) = 4, odd 5
     assert st["d"] == {"kind": "exact", "lo": 3, "hi": 3,
-                       "method": "full_enumeration", "work": st["d"]["work"]}
+                       "method": "brouwer_zimmermann", "work": 4}
     assert st["purity"]["kind"] == "exact" and st["purity"]["lo"] == 4
     assert st["degenerate"] == "no"
     assert st["bound_checks"]["mu_minus1_splitting"] is True

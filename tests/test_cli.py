@@ -21,7 +21,11 @@ from qduadic.cli import (
     parse_budget,
 )
 from qduadic.distance import DEFAULT_BUDGET
-from qduadic.duadic import default_splitting, iter_splittings
+from qduadic.duadic import (
+    default_splitting,
+    iter_splittings,
+    materialize_quartet,
+)
 
 
 def run(capsys, *argv):
@@ -182,11 +186,14 @@ class TestBuild:
         assert code == EXIT_OK
         st = doc["stabilizer"]
         assert (st["n"], st["k"], st["q"]) == (23, 1, 3)
+        # levels 1-3 of D0 (k = 12) and of C0 (k = 11): the bound
+        # ceil(23*4/k) reaches 8 and 9 at level 3
         assert st["d"] == {"kind": "exact", "lo": 8, "hi": 8,
-                           "method": "full_enumeration", "work": 3**10 - 1}
+                           "method": "brouwer_zimmermann",
+                           "work": 12 + 66 * 2 + 220 * 4}
         assert st["purity"] == {"kind": "exact", "lo": 9, "hi": 9,
-                                "method": "full_enumeration",
-                                "work": 3**10 - 1}
+                                "method": "brouwer_zimmermann",
+                                "work": 11 + 55 * 2 + 165 * 4}
         assert st["degenerate"] == "no"
 
     def test_hermitian_7_9_golden(self, capsys):
@@ -195,11 +202,12 @@ class TestBuild:
         assert doc["splitting"]["id"] == "97e5bb9c23cc"
         st = doc["stabilizer"]
         assert (st["n"], st["k"], st["q"]) == (7, 1, 9)
+        # level 1 alone: the rows of D0 (k = 4) and of C0 (k = 3), where
+        # ceil(7*2/k) is 4 and 5
         assert st["d"] == {"kind": "exact", "lo": 4, "hi": 4,
-                           "method": "full_enumeration", "work": 81**2 - 1}
+                           "method": "brouwer_zimmermann", "work": 4}
         assert st["purity"] == {"kind": "exact", "lo": 5, "hi": 5,
-                                "method": "full_enumeration",
-                                "work": 81**2 - 1}
+                                "method": "brouwer_zimmermann", "work": 3}
         assert st["degenerate"] == "no"
 
     def test_budget_shorthand(self, capsys):
@@ -217,10 +225,10 @@ class TestBuild:
     # values recorded before the square-root report was built once per
     # build; the survey row's bounds_ok is None exactly when no check ran
     @pytest.mark.parametrize("argv,checks,bounds_ok", [
-        (("css", "7", "2"), EXACT_CHECKS, True),  # binary extremes
+        (("css", "7", "2"), EXACT_CHECKS, True),  # binary search
         (("css", "17", "2"), {**EXACT_CHECKS, "mu_minus1_splitting": False,
                               "d_sq_minus_d_plus_1_ge_n": None}, True),
-        (("css", "11", "3"), EXACT_CHECKS, True),  # odd q: the histogram
+        (("css", "11", "3"), EXACT_CHECKS, True),  # odd q
         (("hermitian", "7", "2"), EXACT_CHECKS, True),  # over GF(4)
         (("css", "73", "2", "--budget", "2^22"), VACUOUS_CHECKS, None),
         (("css", "71", "2"), VACUOUS_CHECKS, None),  # theory: no quartet
@@ -231,7 +239,7 @@ class TestBuild:
         construction, n, q, *budget = argv
         row = _survey_row(int(n), int(q), construction,
                           parse_budget(budget[-1]) if budget
-                          else DEFAULT_BUDGET, 1)
+                          else DEFAULT_BUDGET)
         assert row["bounds_ok"] is bounds_ok
 
 
@@ -252,10 +260,9 @@ class TestDeterminism:
         assert self._strip_timing(a) == self._strip_timing(b)
 
     def test_workers_split_the_extremes_scan(self, capsys):
-        # 128 high blocks: each worker takes a range, and only the first
-        # holds the zero word
+        # the search runs in one process whatever --workers says
         _, a = run_json(capsys, "build", "css", "49", "2", "--workers", "1")
-        _, b = run_json(capsys, "build", "css", "49", "2", "--workers", "2")
+        _, b = run_json(capsys, "build", "css", "49", "2", "--workers", "4")
         assert self._strip_timing(a) == self._strip_timing(b)
         assert (a["stabilizer"]["d"]["lo"], a["stabilizer"]["purity"]["lo"],
                 a["stabilizer"]["degenerate"]) == (9, 4, "yes")
@@ -429,24 +436,76 @@ class TestVerify:
         _, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "49")
         assert doc["tallies"]["extremes_match_distribution"] == \
             {"passed": 5, "failed": 0, "skipped": 0}
+        # every q: 11 and 13 over GF(3)
         _, doc = run_json(capsys, "verify", "--q", "3", "--max-n", "13")
-        assert "extremes_match_distribution" not in doc["tallies"]
+        assert doc["tallies"]["extremes_match_distribution"] == \
+            {"passed": 2, "failed": 0, "skipped": 0}
 
     def test_extremes_check_is_not_vacuous(self, capsys, monkeypatch):
+        # a d two above the searched one at n = 17, as if the search had
+        # stopped too early: the tally, not an abort, reports it
+        import qduadic.verify
+        real = qduadic.verify.quartet_weights
+
+        def shifted(quartet, *args, distributions=True, **kwargs):
+            w = real(quartet, *args, distributions=distributions, **kwargs)
+            if distributions or quartet.n != 17:
+                return w
+            return dataclasses.replace(w, d0=dataclasses.replace(
+                w.d0, lo=w.d0.lo + 2, hi=w.d0.hi + 2))
+
+        monkeypatch.setattr(qduadic.verify, "quartet_weights", shifted)
+        for q, passed in ((2, 1), (4, 7)):  # 3, 5, ..., 15 over GF(4)
+            code, doc = run_json(capsys, "verify", "--q", str(q), "--max-n",
+                                 "17")
+            assert code == EXIT_ASSERTION
+            assert doc["tallies"]["extremes_match_distribution"] == \
+                {"passed": passed, "failed": 1, "skipped": 0}
+            assert doc["failures"] == [
+                {"assertion": "extremes_match_distribution", "detail": "n=17"}]
+
+    @pytest.mark.parametrize("q,n,name", [
+        (2, 7, "square_root_bound"),  # 2^2 < 7
+        (2, 23, "square_root_bound_mu_minus1"),  # 5^2 >= 23 > 5^2 - 5 + 1
+    ])
+    def test_square_root_violation_is_a_failed_tally(self, capsys,
+                                                     monkeypatch, q, n, name):
+        import qduadic.verify
+        real = qduadic.verify.quartet_weights
+        d = {7: 2, 23: 5}[n]
+
+        def doctored(quartet, *args, **kwargs):
+            w = real(quartet, *args, **kwargs)
+            if quartet.n != n:
+                return w
+            return dataclasses.replace(w, d0=dataclasses.replace(
+                w.d0, lo=d, hi=d))
+
+        monkeypatch.setattr(qduadic.verify, "quartet_weights", doctored)
+        code, out, err = run(capsys, "verify", "--q", str(q), "--max-n", "31")
+        assert code == EXIT_ASSERTION and err == ""
+        doc = json.loads(out)
+        assert {"assertion": name, "detail": f"n={n} d_o={d}"} in \
+            doc["failures"]
+        assert doc["tallies"][name]["failed"] == 1
+        assert doc["tallies"]["square_root_bound"]["passed"] >= 3
+
+    def test_square_root_violation_in_build_exits_4(self, capsys,
+                                                     monkeypatch):
         import qduadic.stabilizer
-        real = qduadic.stabilizer.shortened_extremes
+        real = qduadic.stabilizer.quartet_weights
 
-        def shifted(C, *args, **kwargs):
-            # C0 of length 17 has extremes 6 and 12: a greatest of 10 keeps
-            # every invariant of the route but gives d = 7
-            least, greatest = real(C, *args, **kwargs)
-            return least, greatest - 2 * (C.n == 17)
+        def doctored(quartet, *args, **kwargs):
+            w = real(quartet, *args, **kwargs)
+            return dataclasses.replace(w, d0=dataclasses.replace(
+                w.d0, lo=2, hi=2))
 
-        monkeypatch.setattr(qduadic.stabilizer, "shortened_extremes", shifted)
-        code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "17")
-        assert code == EXIT_ASSERTION
-        assert doc["tallies"]["extremes_match_distribution"] == \
-            {"passed": 1, "failed": 1, "skipped": 0}
+        monkeypatch.setattr(qduadic.stabilizer, "quartet_weights", doctored)
+        code, out, err = run(capsys, "build", "css", "7", "2")
+        assert code == EXIT_ASSERTION and out == ""
+        assert err == ("internal error: square-root bound violated at n=7, "
+                       "d_o=2: this is a theorem, so the implementation is "
+                       "buggy\n")
 
     @pytest.mark.parametrize("max_n", ["10001", "100000"])
     def test_max_n_cap(self, capsys, max_n):
@@ -467,23 +526,43 @@ class TestInvariantFailures:
         import qduadic.stabilizer
         monkeypatch.setattr(qduadic.stabilizer, "macwilliams",
                             lambda A, n, q: {0: 1, 1: q**n - 1})
-        # a binary CSS build reads no distribution; this one still does
-        code, out, err = run(capsys, "build", "css", "11", "3")
+        # builds read no distribution; verify's independent route does
+        code, out, err = run(capsys, "verify", "--q", "3", "--max-n", "11")
         assert code == EXIT_ASSERTION and out == ""
         assert "internal error" in err
 
-    @pytest.mark.parametrize("extremes", [(0, 4), (3, 4), (4, 5), (4, 7),
-                                          (6, 4)],
-                             ids=["zero_word", "odd_least", "odd_greatest",
-                                  "greatest_n", "least_above_greatest"])
-    def test_bad_extremes_exit_4(self, capsys, monkeypatch, extremes):
-        # C0 of length 7 has least and greatest weight 4
+    # (purity, d) claimed by the searches of C0 = [7, 3] and D0 = [7, 4],
+    # whose values are 4 and 3.  The ids name the least and greatest weights
+    # of C0 that the binary route once read them from (d = 7 - greatest);
+    # a claimed value comes with a word of that weight from a code of the
+    # quartet, or with the zero word at weight 0
+    @pytest.mark.parametrize("claim,message", [
+        ((0, 3), "not a codeword of weight 0"),  # the zero word
+        ((3, 3), "of the wrong parity"),  # an odd purity over GF(2)
+        ((4, 2), "of the wrong parity"),  # an even d over GF(2)
+        ((4, 5), "above the Singleton bound"),  # d > 7 - 4 + 1
+        ((6, 3), "above the Singleton bound"),  # purity > 7 - 3 + 1
+        ((4, 3), "not a codeword of weight 3"),  # a D1 word, not in D0
+    ], ids=["zero_word", "odd_least", "odd_greatest", "greatest_n",
+            "least_above_greatest", "witness_not_in_code"])
+    def test_bad_extremes_exit_4(self, capsys, monkeypatch, claim, message):
         import qduadic.stabilizer
-        monkeypatch.setattr(qduadic.stabilizer, "shortened_extremes",
-                            lambda C, budget, workers: extremes)
+        real = qduadic.stabilizer.brouwer_zimmermann
+        d1 = real(materialize_quartet(default_splitting(7, 2)).D1, True)[1]
+
+        def claimed(C, odd_like=False):
+            result, word = real(C, odd_like)
+            value = claim[odd_like]
+            if value == 0:
+                word = (0,) * C.n
+            elif odd_like and claim == (4, 3):
+                word = d1  # D1's least odd-like word: weight 3
+            return dataclasses.replace(result, lo=value, hi=value), word
+
+        monkeypatch.setattr(qduadic.stabilizer, "brouwer_zimmermann", claimed)
         code, out, err = run(capsys, "build", "css", "7", "2")
         assert code == EXIT_ASSERTION and out == ""
-        assert err.startswith("internal error") and "extreme weights" in err
+        assert err.startswith("internal error") and message in err
         assert "Traceback" not in err and err.count("\n") == 1
 
     def test_disagreeing_support_searches_exit_4(self, capsys, monkeypatch):
@@ -563,9 +642,9 @@ class TestInvariantFailures:
     def test_shortening_invariants_exit_4(self, capsys, monkeypatch, fault):
         import qduadic.distance
         import qduadic.duadic
-        # a binary CSS build reads no histogram, so the doctored histograms
-        # go to the C0 of length 11 over GF(3), k = 5
-        argv = ("build", "css", "11", "3")
+        # builds read no histogram, so the doctored histograms go to the
+        # C0 of length 11 over GF(3), k = 5, that verify enumerates
+        argv = ("verify", "--q", "3", "--max-n", "11")
         if fault == "fractional":  # 11 * 1 / (11 - 3) is not an integer
             monkeypatch.setattr(qduadic.distance, "_histogram",
                                 lambda C, rows, workers: {0: 1, 3: 1})
@@ -584,7 +663,7 @@ class TestInvariantFailures:
                 return dataclasses.replace(C, G=(C.G[0], row1) + C.G[2:])
 
             monkeypatch.setattr(qduadic.duadic, "make_cyclic_code", skewed)
-            argv = ("build", "css", "7", "2")
+            argv = ("verify", "--q", "2", "--max-n", "7")
         code, out, err = run(capsys, *argv)
         assert code == EXIT_ASSERTION and out == ""
         assert err.startswith("internal error") and message in err

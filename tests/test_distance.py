@@ -1,12 +1,15 @@
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
 from math import comb, gcd
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from oracles import (
+    enumerate_codewords_naive,
     min_weight_diffset,
     naive_binary_distribution,
     naive_distribution,
@@ -21,13 +24,14 @@ from qduadic.distance import (
     DistanceError,
     DistanceResult,
     _full_scan_distribution,
+    _extend,
     _histogram,
     _low_rows,
     _scan_range,
     _shortened_rows,
+    brouwer_zimmermann,
     enumerable,
     macwilliams,
-    shortened_extremes,
     support_search_min_weight,
     weight_distribution,
 )
@@ -123,12 +127,14 @@ class TestKnownValues:
         assert sum(hist.values()) == 2**12
 
     def test_work_counts_all_messages(self):
-        # every message of the shortened subcode {c_0 = 0} the kernel scans
+        # every message of the shortened subcode {c_0 = 0} the kernel scans,
+        # and every word of the search's levels up to where it stops
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        k = qt.C0.k
-        for distributions in (True, False):
-            r = quartet_weights(qt, distributions=distributions)
-            assert r.d0.work == r.least.work == 2**(k - 1) - 1
+        r = quartet_weights(qt)
+        assert r.d0.work == r.least.work == 2**(qt.C0.k - 1) - 1
+        r = quartet_weights(qt, distributions=False)
+        assert r.d0.work == _search_work(qt.D0, True) == 9
+        assert r.least.work == _search_work(qt.C0, False) == 8
 
 
 def _coset_unions(n, q, max_words=2**14, sample=64):
@@ -268,8 +274,8 @@ class TestKernelSteps:
         monkeypatch.setattr(qduadic.distance, "_scan_range", record)
         C = _code(n, q, leaders)
         whole = _full_scan_distribution(C)
-        rows, p, n, m, packed, _, end, extremes = calls[0]
-        assert packed == (q == 2) and end > 8 and not extremes
+        rows, p, n, m, packed, _, end = calls[0]
+        assert packed == (q == 2) and end > 8
         parts = sum(_scan_range(rows, p, n, m, packed, s, t)
                     for s, t in [(0, 1), (1, 4), (4, 7), (7, end)])
         assert {w: c for w, c in enumerate(parts.tolist()) if c} == whole
@@ -300,27 +306,96 @@ class TestKernelSteps:
         assert _histogram(C, rows, 1) == expected
 
 
-def _extremes_from_distribution(C):
-    """(least nonzero, greatest) weight over the words of C with a zero
-    coordinate, read off the histogram route: every weight below n."""
+def _least_from_distributions(C, odd_like):
+    """The least nonzero weight of C, or its least odd-like weight (None
+    where it has no odd-like word), read off the histogram route: the
+    odd-like words are those outside the even-like subcode, whose defining
+    set adds 0."""
     A = weight_distribution(C)
-    return (min(w for w in A if 0 < w < C.n), max(w for w in A if w < C.n))
+    if not odd_like:
+        return min(w for w in A if w)
+    if 0 in C.T.members:
+        return None
+    E = make_cyclic_code(C.n, C.field,
+                         DefiningSet(C.n, C.q, C.T.members + (0,)))
+    A_E = weight_distribution(E)
+    return min(w for w, c in A.items() if c > A_E.get(w, 0))
 
 
-def _check_extremes(C) -> bool:
-    """shortened_extremes against the histogram route; False, after
-    checking that it raises, where C has no nonzero word below weight n."""
-    if not any(0 < w < C.n for w in weight_distribution(C)):
-        with pytest.raises(DistanceError, match="no nonzero"):
-            shortened_extremes(C)
-        return False
-    assert shortened_extremes(C) == _extremes_from_distribution(C)
+def _level_sums(k, q):
+    """sum_(i <= w) comb(k, i)*(q-1)^(i-1) for w = 1, ..., k."""
+    return list(itertools.accumulate(comb(k, i) * (q - 1) ** (i - 1)
+                                     for i in range(1, k + 1)))
+
+
+def _search_work(C, odd_like):
+    """The search's `work` replayed from every codeword of C, re-encoded by
+    the oracle: a codeword is met at level w when w of its last k
+    coordinates (the systematic message) are nonzero, and the search stops
+    after the first level w at which ceil(n*(w+1)/k), over GF(2) made odd
+    for odd-like words and even in an even-like code, reaches the least
+    weight met so far (or at w = k)."""
+    n, k, q = C.n, C.k, C.q
+    words = enumerate_codewords_naive(C).astype(np.int64)
+    level = (words[:, n - k:] != 0).sum(axis=1)
+    weight = (words != 0).sum(axis=1)
+    if odd_like:  # coordinate sums, digit by digit
+        p, m = C.field.p, C.field.m
+        digits = words[..., None] // p ** np.arange(m) % p
+        weight[~(digits.sum(axis=1) % p).any(axis=1)] = n + 1
+    weight[level == 0] = n + 1  # the zero word
+    for w in range(1, k + 1):
+        bound = -(-n * (w + 1) // k)
+        if q == 2 and (odd_like or 0 in C.T.members):
+            bound += (bound - odd_like) % 2
+        if bound >= weight[level <= w].min():
+            break
+    return _level_sums(k, q)[w - 1]
+
+
+def _is_codeword(C, word) -> bool:
+    """H*word = 0, with the field's own products."""
+    f = C.field
+    for h in C.H:
+        acc = 0
+        for x, y in zip(h, word):
+            acc = f.add(acc, f.mul(x, y))
+        if acc:
+            return False
     return True
 
 
+def _check_search(C) -> int:
+    """brouwer_zimmermann against the histogram route, over nonzero and
+    over odd-like words: its value, its word (a codeword of that weight,
+    odd-like where asked) and its `work`.  Returns the number of searches
+    compared; a code with no odd-like word must be refused."""
+    checked = 0
+    for odd_like in (False, True):
+        expected = _least_from_distributions(C, odd_like)
+        if expected is None:
+            with pytest.raises(DistanceError, match="no odd-like word"):
+                brouwer_zimmermann(C, odd_like)
+            continue
+        r, word = brouwer_zimmermann(C, odd_like)
+        assert (r.kind, r.value, r.method) == ("exact", expected,
+                                               "brouwer_zimmermann")
+        if C.q ** C.k <= 2**14:
+            assert r.work == _search_work(C, odd_like)
+        assert r.work in _level_sums(C.k, C.q)
+        assert sum(map(bool, word)) == expected and _is_codeword(C, word)
+        if odd_like:
+            total = 0
+            for x in word:
+                total = C.field.add(total, x)
+            assert total
+        checked += 1
+    return checked
+
+
 class TestExtremes:
-    """The extremes reduction of the span kernel against the histogram
-    route, which the re-encoder checks above."""
+    """The Brouwer-Zimmermann search against the histogram route, which
+    the re-encoder checks above."""
 
     def test_shortening_corpus(self):
         f = make_field(2)
@@ -329,19 +404,19 @@ class TestExtremes:
             if 2 ** ord_mod(n, 2) > FIELD_SIZE_CAP:
                 continue  # no splitting field under the cap
             for T in _coset_unions(n, 2):
-                checked += _check_extremes(
+                checked += _check_search(
                     make_cyclic_code(n, f, DefiningSet(n, 2, T)))
-        assert checked >= 30
+        assert checked >= 60
 
     @pytest.mark.parametrize("n", [65, 73, 127])
     def test_digit_rows(self, n):
-        # binary words past 63 bits are scanned as digits
+        # binary words with their sum cell past 64 bits are held as digits
         f = make_field(2)
         checked = 0
         for T in _coset_unions(n, 2, max_words=2**12, sample=4):
             C = make_cyclic_code(n, f, DefiningSet(n, 2, T))
-            assert not qduadic.distance._packs(C)
-            checked += _check_extremes(C)
+            assert not qduadic.distance._packs(C, n + 1)
+            checked += _check_search(C)
         assert checked
 
     @pytest.mark.parametrize("n", [7, 17, 23, 31, 41, 47, 49])
@@ -350,7 +425,9 @@ class TestExtremes:
         fast = quartet_weights(qt, distributions=False)
         full = quartet_weights(qt)
         assert fast.distributions is None
-        assert (fast.d0, fast.least) == (full.d0, full.least)
+        assert fast.d0.method == fast.least.method == "brouwer_zimmermann"
+        assert (fast.d0.value, fast.least.value) == (full.d0.value,
+                                                     full.least.value)
 
     @pytest.mark.parametrize("n", [31, 49])
     def test_every_splitting(self, n):
@@ -359,7 +436,8 @@ class TestExtremes:
             qt = build_quartet(s, make_field(2))
             fast, full = (quartet_weights(qt, distributions=False),
                           quartet_weights(qt))
-            assert (fast.d0, fast.least) == (full.d0, full.least)
+            assert (fast.d0.value, fast.least.value) == (full.d0.value,
+                                                         full.least.value)
             ids.add(s.splitting_id)
         assert len(ids) > 2  # more than the default's orbit
 
@@ -368,44 +446,104 @@ class TestExtremes:
                                              (17, 2, [1]), (9, 4, [1])],
                              ids=["packed", "digits", "packed-17", "gf4"])
     def test_ranges(self, monkeypatch, n, q, leaders, bits):
-        # every high index its own range, and ranges of several lengths;
-        # only the range of index 0 holds the zero word.  With no low rows
-        # the block is the zero word alone, so every word of the scan is
-        # the first word of its one-step range.
-        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", bits)
-        calls = []
-
-        def record(*args):
-            calls.append(args)
-            return _scan_range(*args)
-
-        monkeypatch.setattr(qduadic.distance, "_scan_range", record)
+        # blocks of one word, or of at most 16, or of k*(q-1) where that is
+        # more: the same values, words and work as whole levels
         C = _code(n, q, leaders)
-        expected = list(shortened_extremes(C))
-        assert expected == list(_extremes_from_distribution(C))
-        *args, start, end, extremes = calls[0]
-        assert start == 0 and end > 8 and extremes
-        for bounds in ([0, end], list(range(end + 1)), [0, 1, 4, 7, end]):
-            parts = [_scan_range(*args, s, t, True)
-                     for s, t in zip(bounds, bounds[1:])]
-            assert [min(x[0] for x in parts),
-                    max(x[1] for x in parts)] == expected, bounds
-        assert _scan_range(*args, 0, 1, True)[0] > 0
+        whole = [brouwer_zimmermann(C, odd) for odd in (False, True)]
+        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", bits)
+        assert [brouwer_zimmermann(C, odd) for odd in (False, True)] == whole
+        assert _check_search(C) == 2
 
     @pytest.mark.parametrize("code", [
-        lambda: build_quartet(default_splitting(41, 2), make_field(2)).C0,
-        lambda: _code(35, 3, [1, 5, 7]),
+        lambda: build_quartet(default_splitting(41, 2), make_field(2)),
+        lambda: build_quartet(default_splitting(23, 3), make_field(3)),
     ], ids=["packed", "digits"])
     def test_workers(self, code):
-        C = code()
-        assert shortened_extremes(C, workers=2) == shortened_extremes(C)
+        # the search runs in one process, whatever the worker count
+        qt = code()
+        assert (quartet_weights(qt, workers=2, distributions=False)
+                == quartet_weights(qt, distributions=False))
+
+
+class TestLevels:
+    """Levels built by `_extend` against itertools: level w is every choice
+    of w rows in increasing order, the first scaled by 1 and the others by
+    every unit, in lexicographic order, in blocks of at most `limit` words
+    (or the extensions of one word)."""
+
+    @pytest.mark.parametrize("limit", [1, 5, 64, 1 << 16])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_lexicographic_blocks(self, p, limit):
+        k, units = 6, p - 1
+        # row j is the unit vector e_j; the table holds u*e_j by j, then u
+        rows = np.eye(k, dtype=np.int64)
+        table = np.array([u * r for r in rows for u in range(1, p)])
+
+        def add(x, y):
+            return (x + y) % p
+
+        blocks = [(rows, np.arange(k))]
+        for w in range(1, k + 1):
+            if w > 1:
+                blocks = list(_extend(blocks, table, units, limit, add))
+            words = np.concatenate([b for b, _ in blocks])
+            last = np.concatenate([j for _, j in blocks])
+            # (rows, scalars) sorted by (j_1, u_1, j_2, u_2, ...), u_1 = 1
+            choices = sorted(
+                ((js, (1,) + us)
+                 for js in itertools.combinations(range(k), w)
+                 for us in itertools.product(range(1, p), repeat=w - 1)),
+                key=lambda c: [x for pair in zip(*c) for x in pair])
+            expected = [[dict(zip(js, us)).get(i, 0) for i in range(k)]
+                        for js, us in choices]
+            assert words.tolist() == expected
+            assert last.tolist() == [max(np.flatnonzero(x)) for x in expected]
+            assert len(expected) == comb(k, w) * units ** (w - 1)
+            assert all(len(b) <= max(limit, k * units) for b, _ in blocks)
+
+
+class TestSearch:
+    """Every in-budget default splitting: builds read d and the purity off
+    the search, checked against the distribution route."""
+
+    # the lengths with a splitting, and C0 within the default budget
+    CASES = ([("css", n, 2) for n in (7, 17, 23, 31, 41, 47, 49)]
+             + [("css", n, 4) for n in (5, 7, 13, 15, 17, 19, 21, 23, 25, 27)]
+             + [("css", n, 3) for n in (11, 13, 23)]
+             + [("css", n, 5) for n in (11, 19)]
+             + [("css", n, 9) for n in (5, 11, 13)]
+             + [("hermitian", n, 2) for n in (5, 7, 13, 17, 23, 25)]
+             + [("hermitian", n, 3) for n in (5, 11, 13)])
+
+    @pytest.mark.parametrize("construction,n,q", CASES,
+                             ids=[f"{c}-{n}-{q}" for c, n, q in CASES])
+    def test_matches_distribution_route(self, construction, n, q):
+        code_q = q * q if construction == "hermitian" else q
+        s = (splitting_by(n, code_q, (-q) % n) if construction == "hermitian"
+             else default_splitting(n, code_q))
+        qt = build_quartet(s, field_from_order(code_q))
+        fast = quartet_weights(qt, distributions=False)
+        full = quartet_weights(qt)
+        assert (fast.d0.value, fast.least.value) == (full.d0.value,
+                                                     full.least.value)
+        assert fast.d0.work in _level_sums(qt.D0.k, code_q)
+        assert fast.least.work in _level_sums(qt.C0.k, code_q)
+
+    @pytest.mark.parametrize("n,values", [(5, (3, 4)), (23, (7, 8))])
+    def test_gf4_cells(self, n, values):
+        # every bit of a 2-bit cell counts: masking the cells before
+        # folding their bits once gave purity 2 at 5/2
+        s = splitting_by(n, 4, (-2) % n)
+        p = stabilizer_params(s, build_quartet(s, make_field(2, 2)),
+                              "hermitian")
+        assert (p.d.value, p.purity.value) == values
 
 
 class TestParallel:
     def test_parallel_matches_serial(self):
-        C = _code(31, 2, [1, 3, 5])  # k = 16: enough blocks to split
-        assert (shortened_extremes(C, workers=4)
-                == shortened_extremes(C, workers=1))
+        qt = build_quartet(default_splitting(31, 2), make_field(2))
+        assert (quartet_weights(qt, workers=4, distributions=False)
+                == quartet_weights(qt, workers=1, distributions=False))
 
     def test_parallel_odd_like(self):
         qt = build_quartet(default_splitting(31, 2), make_field(2))
@@ -600,8 +738,8 @@ class TestEdgeCases:
     def test_zero_dim_rejected(self):
         f = make_field(2)
         C = make_cyclic_code(7, f, DefiningSet(7, 2, tuple(range(7))))
-        with pytest.raises(DistanceError):
-            shortened_extremes(C)
+        with pytest.raises(DistanceError, match="zero code"):
+            brouwer_zimmermann(C)
         with pytest.raises(DistanceError, match="no nonzero codeword"):
             support_search_min_weight(C, budget=10**6)
 

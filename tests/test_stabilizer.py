@@ -6,7 +6,7 @@ import pytest
 from oracles import min_weight_diffset, naive_distribution, naive_min_weight
 from qduadic.cyclic import euclidean_dual
 import qduadic.stabilizer
-from qduadic.distance import DistanceError, DistanceResult
+from qduadic.distance import DistanceError, DistanceResult, brouwer_zimmermann
 from qduadic.duadic import (
     build_quartet,
     default_splitting,
@@ -16,6 +16,7 @@ from qduadic.duadic import (
 from qduadic.galois import field_from_order, make_field
 from qduadic.stabilizer import (
     ConstructionError,
+    _checked,
     degeneracy_verdict,
     quartet_weights,
     stabilizer_params,
@@ -275,6 +276,24 @@ class TestEngineAgainstOracles:
         assert p.d.value == w.d0.value and p.purity.value == purity
 
 
+class TestSearchChecks:
+    """The re-check of each searched word, over GF(3) by an integer matrix
+    product and over GF(4) and GF(9) by the field's products: a word with
+    one coordinate scaled is no codeword of C."""
+
+    @pytest.mark.parametrize("n,q", [(11, 3), (7, 4), (5, 9)])
+    def test_scaled_coordinate_is_refused(self, n, q):
+        f = field_from_order(q)
+        qt = build_quartet(default_splitting(n, q), f)
+        for C, odd_like in ((qt.D0, True), (qt.C0, False)):
+            result, word = brouwer_zimmermann(C, odd_like)
+            assert _checked(C, result, word, "C", odd_like) == result
+            i = next(i for i, x in enumerate(word) if x)
+            scaled = word[:i] + (f.mul(word[i], f.generator),) + word[i + 1:]
+            with pytest.raises(DistanceError, match="not a codeword"):
+                _checked(C, result, scaled, "C", odd_like)
+
+
 class TestOneEnumeration:
     """C1 = C0 mu_a, so the engine enumerates C0 alone."""
 
@@ -295,17 +314,25 @@ class TestOneEnumeration:
         quartet_weights(qt)
         assert calls == [qt.C0]
 
-    @pytest.mark.parametrize("n,q", [(17, 2), (23, 2), (11, 3)])
-    def test_work_counts_the_words_enumerated(self, n, q):
-        qt = self._quartet(n, q)
-        p = _params(qt)
-        # the kernel scans the shortened subcode {c in C0 : c_0 = 0}
-        assert p.d.work == q ** (qt.C0.k - 1) - 1 == p.purity.work
+    # the searches of D0 and C0 stop at the first level w whose bound
+    # ceil(n*(w+1)/k), over GF(2) rounded to odd for d and to even for the
+    # purity, reaches the value: 17/2 at level 1 (5 >= 5, 6 >= 6), 23/2 at
+    # level 2 (7 >= 7, 8 >= 8), 11/3 at level 2 (6 >= 5, 7 >= 6)
+    @pytest.mark.parametrize("n,q,work", [(17, 2, (9, 8)),
+                                          (23, 2, (12 + 66, 11 + 55)),
+                                          (11, 3, (6 + 15 * 2, 5 + 10 * 2))],
+                             ids=["17-2", "23-2", "11-3"])
+    def test_work_counts_the_words_enumerated(self, n, q, work):
+        p = _params(self._quartet(n, q))
+        assert p.d.method == p.purity.method == "brouwer_zimmermann"
+        assert (p.d.work, p.purity.work) == work
 
     def test_hermitian_purity_work(self):
         qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
         p = _params(qt, "hermitian")
-        assert p.d.work == p.purity.work == 4**2 - 1
+        # level 1 of D0 (k = 4, ceil(7*2/4) = 4 >= 3) and of C0 (k = 3,
+        # ceil(7*2/3) = 5 >= 4)
+        assert (p.d.work, p.purity.work) == (4, 3)
 
     def test_replaced_c1_is_refused(self):
         qt = self._quartet(17)
