@@ -93,7 +93,8 @@ EXIT_ASSERTION = 4
 # theory intervals; below it (and for the root of q^2) the prime-power test
 # is exact and fast
 Q_CAP = 1 << 64
-# the char-2 kernel scans about 7e8 words/s, so a larger budget is never spent
+# a budget bounds q^k of the codes searched or enumerated and the candidates
+# of a support search; scanning 2^64 words or candidates would take centuries
 BUDGET_CAP = 1 << 64
 
 
@@ -142,6 +143,9 @@ def _validate_nq(n: int, q: int) -> None:
     _validate_q(q)
     if gcd(n, q) != 1:
         raise UsageError(f"n and q must be coprime, got gcd({n}, {q}) > 1")
+    if n > FACTORIZATION_CAP:  # before any work; exists lists every coset
+        raise UsageError(
+            f"n = {n} exceeds the trial-division cap {FACTORIZATION_CAP}")
 
 
 def _emit(payload: str, output: str | None) -> None:
@@ -208,9 +212,6 @@ def _select_splitting(n: int, code_q: int, construction: str,
 def cmd_build(args) -> int:
     n, q = args.n, args.q
     _validate_nq(n, q)
-    if n > FACTORIZATION_CAP:  # the certificate's cap, checked before work
-        raise UsageError(
-            f"n = {n} exceeds the trial-division cap {FACTORIZATION_CAP}")
     construction = args.construction
     code_q = q * q if construction == "hermitian" else q
     t0 = time.monotonic()

@@ -13,15 +13,17 @@ M_s(x) = prod_{j in s}(x - alpha^j) and coefficients in GF(q).  Each
 the splitting field, and checks there that the M_s multiply to x^n - 1.  A
 code with defining set T takes the generator polynomial g = prod_{s in T} M_s
 and the check polynomial h = prod_{s not in T} M_s, so nothing is divided.
-Duals are built from the defining-set formulas and checked directly: the
-dimensions add up to n and the generator matrices are orthogonal.
+A code keeps only g and h: its generator matrix (rows x^i*g(x)) and check
+matrix (rows x^j*h~(x), h~ the reciprocal of h) are never stored.  Duals are
+built from the defining-set formulas and checked directly: the dimensions
+add up to n and the lag products of the generator polynomials vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .galois import (  # ord_mod is re-exported from here
     Field,
@@ -152,7 +154,7 @@ def hermitian_dual_defining_set(T: DefiningSet) -> DefiningSet:
 
 
 def _sqrt_exact(q: int) -> int:
-    r = int(round(q**0.5))
+    r = isqrt(q)
     if r * r != q:
         raise CyclicCodeError(f"field order {q} is not a square")
     return r
@@ -160,7 +162,8 @@ def _sqrt_exact(q: int) -> int:
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A q-ary cyclic code of odd length n given by its defining set."""
+    """A q-ary cyclic code of odd length n given by its defining set, held
+    by its generator and check polynomials alone."""
 
     n: int
     field: Field
@@ -168,8 +171,6 @@ class CyclicCode:
     genpoly: Poly
     checkpoly: Poly
     k: int
-    G: tuple  # k x n generator matrix, rows = cyclic shifts of genpoly
-    H: tuple  # (n-k) x n check matrix, rows = shifts of reversed checkpoly
 
     @property
     def q(self) -> int:
@@ -276,14 +277,6 @@ def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
     return tuple(minpolys)
 
 
-def _shifts(coeffs, count: int, n: int) -> tuple:
-    """The rows x^i*c(x), i < count, of length n."""
-    c = list(coeffs)
-    zeros = [0] * n
-    return tuple(tuple(zeros[:i] + c + zeros[:n - len(c) - i])
-                 for i in range(count))
-
-
 def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
     q = field.order
     if gcd(n, q) != 1:
@@ -301,8 +294,21 @@ def make_cyclic_code(n: int, field: Field, T: DefiningSet) -> CyclicCode:
             checkpoly = checkpoly.mul(M)
     k = n - len(T)
     return CyclicCode(n=n, field=field, T=T, genpoly=genpoly,
-                      checkpoly=checkpoly, k=k, G=_shifts(genpoly.coeffs, k, n),
-                      H=_shifts(reversed(checkpoly.coeffs), n - k, n))
+                      checkpoly=checkpoly, k=k)
+
+
+def check_matrix(C: CyclicCode):
+    """The (n-k) x n check matrix of C, built on each call as a numpy array
+    of the smallest integer type: row j is x^j*h~(x), h~ the reciprocal of
+    C.checkpoly."""
+    # numpy loads here, not with this module: loaded before distance.py is
+    # compiled, it raised the peak RSS of an import without bytecode ~0.6 MB
+    import numpy as np
+    n, h = C.n, C.checkpoly.coeffs[::-1]
+    H = np.zeros((n - C.k, n), np.min_scalar_type(C.q - 1))
+    for j in range(n - C.k):
+        H[j, j:j + len(h)] = h
+    return H
 
 
 def code_under_mu(C: CyclicCode, a: int) -> CyclicCode:
@@ -315,23 +321,25 @@ def code_under_mu(C: CyclicCode, a: int) -> CyclicCode:
 
 
 def _check_dual(C: CyclicCode, D: CyclicCode, power: int, formula: str) -> None:
-    """Raise unless k_C + k_D = n and every row of D.G is orthogonal to every
-    row of C.G with its entries raised to `power`.  Row i of either G is
-    x^i*g(x), with no wrap-around, so both have full rank, and the product
-    of row i of C.G with row j of D.G depends only on the lag i - j: one
-    pair of rows for each of the n - 1 lags in (-k_D, k_C) covers all
-    k_C*k_D pairs.  This proves D = C^perp (power 1) or D = C^perp_h
-    (power q0)."""
+    """Raise unless k_C + k_D = n and every generator row x^j*g_D(x) of D is
+    orthogonal to every generator row x^i*g_C(x) of C with its entries
+    raised to `power`.  The rows have no wrap-around, so each generator
+    matrix has full rank, and the product of rows i and j is the lag product
+    sum_s g_C[s]^power * g_D[s + i - j], which depends only on the lag
+    i - j: the n - 1 lags in (-k_D, k_C) cover all k_C*k_D pairs.  This
+    proves D = C^perp (power 1) or D = C^perp_h (power q0)."""
     f = C.field
     if C.k + D.k != C.n:
         raise CyclicCodeError(
             f"{formula} formula gives dimension {D.k} for the dual of a "
             f"[{C.n}, {C.k}] code (internal bug)")
+    gC = [f.pow(x, power) for x in C.genpoly.coeffs]
+    gD = D.genpoly.coeffs
     for lag in range(1 - D.k, C.k) if C.k and D.k else ():
         acc = 0
-        for x, y in zip(C.G[max(lag, 0)], D.G[max(-lag, 0)]):
+        for x, y in zip(gC[max(-lag, 0):], gD[max(lag, 0):]):
             if x and y:
-                acc = f.add(acc, f.mul(f.pow(x, power), y))
+                acc = f.add(acc, f.mul(x, y))
         if acc:
             raise CyclicCodeError(
                 f"{formula} formula gives a code not orthogonal to C "
@@ -340,7 +348,7 @@ def _check_dual(C: CyclicCode, D: CyclicCode, power: int, formula: str) -> None:
 
 def euclidean_dual(C: CyclicCode) -> CyclicCode:
     """Dual code, built from the defining-set formula and checked against
-    the generator matrix of C."""
+    the generator polynomial of C."""
     D = make_cyclic_code(C.n, C.field, dual_defining_set(C.T))
     _check_dual(C, D, 1, "dual defining-set")
     return D
@@ -348,7 +356,7 @@ def euclidean_dual(C: CyclicCode) -> CyclicCode:
 
 def hermitian_dual(C: CyclicCode) -> CyclicCode:
     """Hermitian dual over GF(q^2), built from the defining-set formula and
-    checked against the conjugated generator matrix of C."""
+    checked against the conjugated generator polynomial of C."""
     q0 = _sqrt_exact(C.q)
     D = make_cyclic_code(C.n, C.field, hermitian_dual_defining_set(C.T))
     _check_dual(C, D, q0, "hermitian dual")

@@ -87,16 +87,15 @@ class DistanceResult:
 
 
 def _expanded_rows(C: CyclicCode):
-    """Prime-field basis expansion of the generator rows: the code equals the
-    GF(p)-span of {x^b * row : row in G, 0 <= b < m}.  Row b = 0 is the row
-    itself, so over a prime field the expansion is G."""
-    f = C.field
+    """Prime-field basis expansion of the generator rows x^i*g(x), i < k:
+    the code equals the GF(p)-span of {x^b * row : 0 <= b < m}, each row
+    followed by its multiples.  Row b = 0 is the row itself, so over a prime
+    field the expansion is the generator matrix."""
+    f, n, g = C.field, C.n, list(C.genpoly.coeffs)
     scalars = [f.coeffs_to_element([0] * b + [1]) for b in range(1, f.m)]
-    rows = []
-    for row in C.G:
-        rows.append(row)
-        rows.extend(tuple(f.mul(a, x) for x in row) for a in scalars)
-    return rows
+    scaled = [g] + [[f.mul(a, x) for x in g] for a in scalars]
+    return [[0] * i + c + [0] * (n - len(c) - i)
+            for i in range(C.k) for c in scaled]
 
 
 def _pack_row(row, e: int) -> int:
@@ -281,14 +280,13 @@ def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,
 
 
 def _shortened_rows(C: CyclicCode):
-    """Prime-field rows spanning {c in C : c_0 = 0}.  Row i of G is
-    x^i*g(x) and g(0) != 0, so only row 0 is nonzero at coordinate 0 and
-    the expansions of rows 1..k-1 span the subcode."""
-    G = C.G
-    if not G[0][0] or any(row[0] for row in G[1:]):
+    """Prime-field rows spanning {c in C : c_0 = 0}.  Row i of the generator
+    matrix is x^i*g(x), so with g(0) != 0 only row 0 is nonzero at
+    coordinate 0 and the expansions of rows 1..k-1 span the subcode."""
+    if not C.genpoly.coeffs[0]:
         raise DistanceError(
-            "the generator matrix is not in x^i*g(x) shape, so its rows "
-            "past the first do not span the shortened subcode (internal bug)")
+            "the generator polynomial has g(0) = 0, so the rows x^i*g(x) past "
+            "the first do not span the shortened subcode (internal bug)")
     return _expanded_rows(C)[C.field.m:]
 
 
@@ -636,8 +634,10 @@ def _candidate_index(f, n: int, support: tuple, scalars: tuple) -> int:
     return int(index)
 
 
-def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:
-    """Search weight-w vectors against the check matrix for w = 1, 2, ...
+def support_search_min_weight(f, H: np.ndarray,
+                              budget: int) -> DistanceResult:
+    """Search weight-w vectors against the check matrix H over the field f
+    (element indices, one column per coordinate) for w = 1, 2, ...
     First hit at level w is exact (all lower levels were exhausted); running
     out of budget certifies a lower bound.
 
@@ -649,9 +649,7 @@ def support_search_min_weight(C: CyclicCode, budget: int) -> DistanceResult:
     the same multiple of leading entry 1; level w >= 3 looks up the negated
     sums of its (w-2)-prefixes in a table of the pair sums h_j + u*h_k
     sorted by their digit bytes, built once level 3 fits."""
-    f = C.field
-    n, q, p = C.n, C.q, f.p
-    H = np.array(C.H, dtype=np.intp).reshape(-1, n)
+    n, q, p = H.shape[1], f.order, f.p
     digits = _digits(np.arange(q), p, f.m)
     base = digits.astype(np.min_scalar_type(2 * (p - 1)))[H.T]
     work = 0

@@ -105,57 +105,48 @@ def _mu_coset_orbits(cs: CosetStructure, a: int):
     return orbits
 
 
-def splitting_by(n: int, q: int, a: int) -> Splitting | None:
-    """The canonical splitting given by mu_a, or None when mu_a gives none.
+def _assignments(cs: CosetStructure, a: int):
+    """The sides (S0, S1) of the splittings given by mu_a, one per-orbit
+    assignment at a time: none when some orbit of mu_a on the nonzero
+    cosets has odd length; else the cosets alternate between the sides
+    along each orbit, the canonical assignment first (each orbit's
+    smallest-representative coset in S0), then its per-orbit flips in
+    binary order."""
+    orbits = _mu_coset_orbits(cs, a)
+    if any(len(o) % 2 for o in orbits):
+        return
+    for flips in range(1 << len(orbits)):
+        sides: tuple[list[int], list[int]] = ([], [])
+        for bit, orbit in enumerate(orbits):
+            flip = flips >> bit & 1
+            for i, coset in enumerate(orbit):
+                sides[(i + flip) % 2].extend(coset)
+        yield sides
 
-    mu_a splits n iff every orbit of mu_a on the nonzero cosets has even
-    length; cosets are then assigned alternately along each orbit with the
-    smallest-representative coset seeding S0.
-    """
-    if n % 2 == 0:
-        raise ValueError("length n must be odd")
+
+def splitting_by(n: int, q: int, a: int) -> Splitting | None:
+    """The canonical splitting given by mu_a, or None when mu_a gives none
+    (see `_assignments`)."""
+    cs = cyclotomic_cosets(n, q)
     a %= n
     if gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1")
-    if gcd(n, q) != 1:
-        raise ValueError(f"gcd({n}, {q}) != 1")
-    cs = cyclotomic_cosets(n, q)
-    orbits = _mu_coset_orbits(cs, a)
-    if any(len(o) % 2 for o in orbits):
-        return None
-    S0: list[int] = []
-    S1: list[int] = []
-    for orbit in orbits:
-        for i, coset in enumerate(orbit):
-            (S0 if i % 2 == 0 else S1).extend(coset)
-    return Splitting(n=n, q=q, S0=tuple(S0), S1=tuple(S1), a=a)
+    for S0, S1 in _assignments(cs, a):
+        return Splitting(n=n, q=q, S0=tuple(S0), S1=tuple(S1), a=a)
+    return None
 
 
 def iter_splittings(n: int, q: int) -> Iterator[Splitting]:
     """All splittings of n, each S0 once, enumerated lazily and
     deterministically: multipliers a in increasing order, and for each valid
-    a every per-orbit assignment (the canonical alternation first, then its
-    per-orbit flips in binary order).  A side that several multipliers swap
-    comes with the first of them."""
-    if n % 2 == 0:
-        raise ValueError("length n must be odd")
-    if gcd(n, q) != 1:
-        raise ValueError(f"gcd({n}, {q}) != 1")
+    a every per-orbit assignment of `_assignments`.  A side that several
+    multipliers swap comes with the first of them."""
     cs = cyclotomic_cosets(n, q)
     seen = set()
     for a in range(2, n):
         if gcd(a, n) != 1:
             continue
-        orbits = _mu_coset_orbits(cs, a)
-        if any(len(o) % 2 for o in orbits):
-            continue
-        for flips in range(1 << len(orbits)):
-            S0: list[int] = []
-            S1: list[int] = []
-            for bit, orbit in enumerate(orbits):
-                flip = flips >> bit & 1
-                for i, coset in enumerate(orbit):
-                    (S0 if i % 2 == flip else S1).extend(coset)
+        for S0, S1 in _assignments(cs, a):
             side = tuple(sorted(S0))
             if side not in seen:
                 seen.add(side)

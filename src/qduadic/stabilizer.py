@@ -29,7 +29,7 @@ from math import isqrt
 
 import numpy as np
 
-from .cyclic import CyclicCode, hermitian_dual, mu_apply
+from .cyclic import CyclicCode, check_matrix, hermitian_dual, mu_apply
 from .distance import (
     DEFAULT_BUDGET,
     DistanceError,
@@ -231,13 +231,13 @@ def _checked(C: CyclicCode, result: DistanceResult, word: tuple, name: str,
             "(internal bug)")
     support = [i for i, x in enumerate(word) if x] if len(word) == n else []
     scalars = [word[i] for i in support]
+    columns = check_matrix(C)[:, support].astype(np.int64)
     if f.m == 1:  # integers mod p
-        columns = np.array([[h[i] for i in support] for h in C.H], np.int64)
         syndrome = (columns @ np.array(scalars, np.int64) % f.p).tolist()
         total = sum(scalars) % f.p
     else:
-        syndrome = [reduce(f.add, map(f.mul, [h[i] for i in support],
-                                      scalars), 0) for h in C.H]
+        syndrome = [reduce(f.add, map(f.mul, h, scalars), 0)
+                    for h in columns.tolist()]
         total = reduce(f.add, scalars, 0)
     if (len(word) != n or not 0 < len(support) == v or any(syndrome)
             or odd_like and not total):
@@ -256,7 +256,7 @@ def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
     must agree; their `work` is summed."""
     if weights.least is not None:
         return weights.least
-    first, *rest = (support_search_min_weight(C, budget)
+    first, *rest = (support_search_min_weight(C.field, check_matrix(C), budget)
                     for C in codes.values())
     for other in rest:
         if (other.kind, other.lo, other.hi) != (first.kind, first.lo,

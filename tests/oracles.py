@@ -13,7 +13,9 @@ cyclotomic cosets read off linear dependencies over GF(p).  Long division
 checks the check polynomials and containments that the library reads off the
 factorization of x^n - 1, and Gauss-Jordan null spaces check the duals that
 the library verifies by orthogonality.  Coordinate sums of the rows check
-the even-like structure that the quartet reads off g(1).  Field
+the even-like structure that the quartet reads off g(1).  The generator and
+check matrices, which no code keeps, are written out here from g and h as
+tuples of rows, with their own shifting.  Field
 products are checked against the convolution of digit vectors.  The other
 linear-algebra and field helpers serve the cyclic-code and field tests only.
 """
@@ -28,6 +30,24 @@ from qduadic.distance import DistanceError, DistanceResult
 from qduadic.galois import Field, FieldError, Poly, primitive_nth_root
 
 
+def _shifted_rows(coeffs, count: int, n: int) -> tuple:
+    """(c_0, ..., c_d) placed at columns i..i+d of a length-n row, for each
+    i < count."""
+    return tuple(tuple(coeffs[j - i] if 0 <= j - i < len(coeffs) else 0
+                       for j in range(n)) for i in range(count))
+
+
+def generator_matrix(C) -> tuple:
+    """The k x n generator matrix of C: row i is x^i*g(x)."""
+    return _shifted_rows(C.genpoly.coeffs, C.k, C.n)
+
+
+def check_matrix(C) -> tuple:
+    """The (n-k) x n check matrix of C: row j is x^j*h~(x), h~(x) =
+    x^k*h(1/x) the reciprocal of the check polynomial."""
+    return _shifted_rows(C.checkpoly.coeffs[::-1], C.n - C.k, C.n)
+
+
 def enumerate_codewords_naive(C) -> np.ndarray:
     """Every codeword of C, one row per message, by direct re-encoding."""
     f = C.field
@@ -39,7 +59,7 @@ def enumerate_codewords_naive(C) -> np.ndarray:
     msgs = np.array(list(itertools.product(range(q), repeat=C.k)),
                     dtype=np.intp).reshape(-1, C.k)
     words = np.zeros((len(msgs), C.n), dtype=np.uint16)
-    for i, row in enumerate(C.G):
+    for i, row in enumerate(generator_matrix(C)):
         multiples = np.array([[f.mul(m, x) for x in row] for m in range(q)],
                              dtype=np.uint16)
         words = add[words.astype(np.intp) * q + multiples[msgs[:, i]]]
@@ -52,7 +72,7 @@ def naive_binary_distribution(C, chunk: int = 1 << 12) -> dict[int, int]:
     long for the tables of `enumerate_codewords_naive`."""
     if C.q != 2:
         raise ValueError("binary codes only")
-    G = np.array(C.G, dtype=np.int64)
+    G = np.array(generator_matrix(C), dtype=np.int64).reshape(C.k, C.n)
     bits = np.arange(C.k)
     hist = np.zeros(C.n + 1, dtype=np.int64)
     for start in range(0, 2**C.k, chunk):
@@ -103,14 +123,15 @@ def min_weight_diffset(D, C) -> int:
     return int(_weights(outer[keep]).min())
 
 
-def support_search_loop(C: CyclicCode, budget: int) -> DistanceResult:
-    """Search weight-w vectors against the check matrix for w = 1, 2, ...
+def support_search_loop(f: Field, H, budget: int) -> DistanceResult:
+    """Search weight-w vectors against the check matrix H, a 2-d array of
+    element indices of f with one column per coordinate, for w = 1, 2, ...
     First hit at level w is exact (all lower levels were exhausted); running
     out of budget certifies a lower bound."""
-    f = C.field
-    n, q = C.n, C.q
-    cols = [tuple(row[j] for row in C.H) for j in range(n)]
-    hlen = len(C.H)
+    n, q = np.shape(H)[1], f.order
+    H = np.asarray(H).tolist()
+    cols = [tuple(row[j] for row in H) for j in range(n)]
+    hlen = len(H)
     units = list(range(1, q))
     work = 0
     from math import comb
@@ -283,10 +304,11 @@ def even_like_subcode_matrix(C: CyclicCode):
     (the alternative to the defining-set route, for cross-checks)."""
     f = C.field
     # one linear constraint: sum of coordinates of m*G equals 0
-    row_sums = tuple(coordinate_sum(C, row) for row in C.G)
+    G = generator_matrix(C)
+    row_sums = tuple(coordinate_sum(C, row) for row in G)
     constraint = (row_sums,)
     msgs = null_space(constraint, f)
-    return mat_mul(msgs, C.G, f) if msgs else ()
+    return mat_mul(msgs, G, f) if msgs else ()
 
 
 # ---------------------------------------------------------------------------

@@ -572,8 +572,8 @@ class TestInvariantFailures:
         real = qduadic.stabilizer.support_search_min_weight
         seen = []
 
-        def doctored(C, budget):
-            r = real(C, budget)
+        def doctored(f, H, budget):
+            r = real(f, H, budget)
             seen.append(r)
             return dataclasses.replace(r, lo=r.lo + 1) if len(seen) == 2 else r
 
@@ -641,7 +641,8 @@ class TestInvariantFailures:
                                        "row_1_at_coordinate_0"])
     def test_shortening_invariants_exit_4(self, capsys, monkeypatch, fault):
         import qduadic.distance
-        import qduadic.duadic
+        import qduadic.verify
+        from qduadic.galois import Poly
         # builds read no histogram, so the doctored histograms go to the
         # C0 of length 11 over GF(3), k = 5, that verify enumerates
         argv = ("verify", "--q", "3", "--max-n", "11")
@@ -653,16 +654,17 @@ class TestInvariantFailures:
             monkeypatch.setattr(qduadic.distance, "_histogram",
                                 lambda C, rows, workers: {0: 1, 10: 23})
             message = "more than q^k"
-        else:
-            message = "not in x^i*g(x) shape"
-            real = qduadic.duadic.make_cyclic_code
+        else:  # g(0) = 0: row 0 is zero at coordinate 0, like row 1
+            message = "g(0) = 0"
+            real = qduadic.verify.materialize_quartet
 
-            def skewed(n, field, T):
-                C = real(n, field, T)
-                row1 = tuple(a ^ b for a, b in zip(C.G[0], C.G[1]))
-                return dataclasses.replace(C, G=(C.G[0], row1) + C.G[2:])
+            def skewed(s):
+                qt = real(s)
+                g = qt.C0.genpoly
+                return dataclasses.replace(qt, C0=dataclasses.replace(
+                    qt.C0, genpoly=Poly.make((0,) + g.coeffs[1:], g.field)))
 
-            monkeypatch.setattr(qduadic.duadic, "make_cyclic_code", skewed)
+            monkeypatch.setattr(qduadic.verify, "materialize_quartet", skewed)
             argv = ("verify", "--q", "2", "--max-n", "7")
         code, out, err = run(capsys, *argv)
         assert code == EXIT_ASSERTION and out == ""
@@ -737,6 +739,16 @@ class TestUsage:
         assert time.monotonic() - t0 < 2
         assert code == EXIT_USAGE and out == ""
         assert err == ("error: n = 9999991 exceeds the trial-division cap "
+                       "1000000\n")
+
+    def test_exists_beyond_the_factorization_cap(self, capsys):
+        # exists lists every coset, so a long n is refused at once, as build
+        # refuses it, instead of printing a million cosets
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "exists", "1000003", "2")
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: n = 1000003 exceeds the trial-division cap "
                        "1000000\n")
 
     def test_budget_at_the_cap(self, capsys):

@@ -5,9 +5,11 @@ from math import gcd, isqrt
 
 import pytest
 from oracles import (
+    check_matrix,
     conjugate_matrix,
     embed_into_extension,
     even_like_subcode_matrix,
+    generator_matrix,
     genpoly_per_root,
     mat_mul,
     null_space,
@@ -42,7 +44,7 @@ from qduadic.duadic import (
     materialize_quartet,
     splitting_by,
 )
-from qduadic.galois import make_field, primitive_nth_root
+from qduadic.galois import Poly, make_field, primitive_nth_root
 
 
 class TestCosets:
@@ -207,14 +209,14 @@ class TestMakeCyclicCode:
         xn1 = Poly.make((f.neg(1),) + (0,) * (n - 1) + (1,), f)
         assert C.genpoly.mul(C.checkpoly) == xn1
         assert poly_divmod(xn1, C.genpoly) == (C.checkpoly, Poly.zero(f))
-        # G H^T = 0 and rank(G) = k
-        prod = mat_mul(C.G, transpose(C.H), f)
+        # G H^T = 0 and rank(G) = k, for the matrices written out from g
+        # and h; the library's check matrix is the same one
+        G, H = generator_matrix(C), check_matrix(C)
+        prod = mat_mul(G, transpose(H), f)
         assert all(all(x == 0 for x in row) for row in prod)
-        assert rank(C.G, f) == C.k
-        # rows of G are cyclic shifts of the genpoly coefficient vector
-        first = C.G[0]
-        for i, row in enumerate(C.G):
-            assert row == tuple(first[(j - i) % n] for j in range(n))
+        assert rank(G, f) == C.k
+        assert cyclic.check_matrix(C).tolist() == [list(row) for row in H]
+        assert cyclic.check_matrix(C).shape == (n - C.k, n)
 
     def test_roots_are_exactly_defining_set(self):
         from qduadic.galois import primitive_nth_root
@@ -392,7 +394,8 @@ class TestDuals:
             D = euclidean_dual(C)
             assert D.T.members == dual_defining_set(C.T).members
             assert euclidean_dual(D).T.as_set() == C.T.as_set()
-            assert row_space_equal(null_space(C.G, C.field), D.G, C.field)
+            assert row_space_equal(null_space(generator_matrix(C), C.field),
+                                   generator_matrix(D), C.field)
 
     def test_hermitian_dual_matrix_crosscheck(self):
         f4 = make_field(2, 2)
@@ -405,8 +408,8 @@ class TestDuals:
         for C in codes:
             f = C.field
             D = hermitian_dual(C)
-            Gc = conjugate_matrix(C.G, f, isqrt(f.order))
-            assert row_space_equal(null_space(Gc, f), D.G, f)
+            Gc = conjugate_matrix(generator_matrix(C), f, isqrt(f.order))
+            assert row_space_equal(null_space(Gc, f), generator_matrix(D), f)
 
     # for the Hamming code, a formula that forgets the negation gives a code
     # of the right dimension that is not orthogonal to it; one that adds the
@@ -451,12 +454,13 @@ class TestDuals:
 
     @staticmethod
     def _failing_row_pairs(C, D, power):
-        """Every pair (i, j) of a row of C.G, its entries raised to `power`,
-        and a row of D.G whose product is nonzero, pair by pair."""
+        """Every pair (i, j) of a generator row x^i*g_C(x) of C, its entries
+        raised to `power`, and a generator row x^j*g_D(x) of D whose product
+        is nonzero, pair by pair."""
         f = C.field
         pairs = []
-        for i, c in enumerate(C.G):
-            for j, d in enumerate(D.G):
+        for i, c in enumerate(generator_matrix(C)):
+            for j, d in enumerate(generator_matrix(D)):
                 acc = 0
                 for x, y in zip(c, d):
                     acc = f.add(acc, f.mul(f.pow(x, power), y))
@@ -474,27 +478,32 @@ class TestDuals:
         C = make_cyclic_code(7, make_field(2, 2), DefiningSet(7, 4, (1, 2, 4)))
         yield C, hermitian_dual(C), 2
 
-    # one entry of D.G changed, so that only the pair of rows at the lag
-    # k_C - 1 (C's last row, D's first) or at -(k_D - 1) (C's first row,
-    # D's last) is not orthogonal
+    # generator polynomials doctored to monomials, so that only the pair of
+    # rows at the lag k_C - 1 (C's last row, D's first) or at -(k_D - 1)
+    # (C's first row, D's last) is not orthogonal: g_C = 1 and
+    # g_D = x^(k_C - 1), or g_C = x^(k_D - 1) and g_D = 1.  A check that
+    # skipped either end lag would pass one of them.  (No doctored g_D alone
+    # fails at one lag only: the lag products are coefficients 1..n-1 of
+    # g_D(x) times the reciprocal of g_C, which divides x^n - 1.)
     @pytest.mark.parametrize("end", ["k_C - 1", "-(k_D - 1)"])
     def test_orthogonality_checked_at_both_end_lags(self, end):
         for C, D, power in self._dual_pairs():
-            n = C.n
+            f = C.field
             assert self._failing_row_pairs(C, D, power) == []
-            G = [list(row) for row in D.G]
             if end == "k_C - 1":
-                G[0][n - 1], pair = 1, (C.k - 1, 0)
+                shift_C, shift_D, pair = 0, C.k - 1, (C.k - 1, 0)
             else:
-                G[D.k - 1][0], pair = 1, (0, D.k - 1)
-            doctored = replace(D, G=tuple(map(tuple, G)))
-            assert self._failing_row_pairs(C, doctored, power) == [pair]
+                shift_C, shift_D, pair = D.k - 1, 0, (0, D.k - 1)
+            C2, D2 = (replace(X, genpoly=Poly.make((0,) * shift + (1,), f))
+                      for X, shift in ((C, shift_C), (D, shift_D)))
+            assert self._failing_row_pairs(C2, D2, power) == [pair]
             with pytest.raises(CyclicCodeError, match="not orthogonal to C"):
-                cyclic._check_dual(C, doctored, power, "doctored")
+                cyclic._check_dual(C2, D2, power, "doctored")
 
     def test_lag_check_agrees_with_every_row_pair(self):
-        # D.G built from random polynomials of the dual's degree: the lag
-        # check raises exactly when some pair of rows is not orthogonal
+        # D's generator polynomial replaced by random polynomials of its
+        # degree: the lag check raises exactly when some pair of rows is
+        # not orthogonal
         rng = random.Random(3)
         for C, D, power in self._dual_pairs():
             f, n = C.field, C.n
@@ -504,7 +513,7 @@ class TestDuals:
                 if t % 4 == 0:  # a multiple of the dual's g, orthogonal
                     u = rng.randrange(1, f.order)
                     g = [f.mul(u, x) for x in D.genpoly.coeffs]
-                doctored = replace(D, G=cyclic._shifts(g, D.k, n))
+                doctored = replace(D, genpoly=Poly.make(g, f))
                 failing = self._failing_row_pairs(C, doctored, power)
                 if failing:
                     with pytest.raises(CyclicCodeError):
@@ -543,7 +552,7 @@ class TestEvenLike:
         C = make_cyclic_code(7, make_field(2), DefiningSet(7, 2, (1, 2, 4)))
         even = even_like_subcode_matrix(C)
         sub = make_cyclic_code(7, make_field(2), DefiningSet(7, 2, (0, 1, 2, 4)))
-        assert row_space_equal(even, sub.G, C.field)
+        assert row_space_equal(even, generator_matrix(sub), C.field)
 
     @pytest.mark.parametrize("n,q", [(7, 2), (15, 2), (7, 4), (11, 3)])
     def test_even_subcode_dimension(self, n, q):

@@ -3,12 +3,12 @@ import random
 import tracemalloc
 from dataclasses import replace
 from math import comb, gcd
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import (
+    check_matrix,
     enumerate_codewords_naive,
     min_weight_diffset,
     naive_binary_distribution,
@@ -18,6 +18,7 @@ from oracles import (
     support_search_loop,
 )
 import qduadic.distance
+from qduadic import cyclic
 from qduadic.cyclic import DefiningSet, cyclotomic_cosets, make_cyclic_code
 from qduadic.distance import (
     DEFAULT_BUDGET,
@@ -43,6 +44,7 @@ from qduadic.duadic import (
 )
 from qduadic.galois import (
     FIELD_SIZE_CAP,
+    Poly,
     field_from_order,
     make_field,
     ord_mod,
@@ -224,14 +226,16 @@ class TestShortening:
 
     @pytest.mark.parametrize("change", ["row0", "row1"])
     def test_generator_not_in_shift_shape_raises(self, change):
+        # g(0) = 0 leaves no row nonzero at coordinate 0, so rows 1..k-1
+        # would span less than the shortened subcode
         C = _code(7, 2, [1])
-        G = [list(row) for row in C.G]
-        if change == "row0":
-            G[0] = G[1]  # G[0][0] = 0
-        else:
-            G[1] = [a ^ b for a, b in zip(G[0], G[1])]  # G[1][0] != 0
-        with pytest.raises(DistanceError, match="x\\^i\\*g\\(x\\) shape"):
-            weight_distribution(replace(C, G=tuple(map(tuple, G))))
+        g = C.genpoly.coeffs
+        if change == "row0":  # x*g(x): row 0 becomes the old row 1
+            g = (0,) + g
+        else:  # row 0 loses its entry at coordinate 0
+            g = (0,) + g[1:]
+        with pytest.raises(DistanceError, match="g\\(0\\) = 0"):
+            weight_distribution(replace(C, genpoly=Poly.make(g, C.field)))
 
 
 class TestKernelSteps:
@@ -356,13 +360,24 @@ def _search_work(C, odd_like):
 def _is_codeword(C, word) -> bool:
     """H*word = 0, with the field's own products."""
     f = C.field
-    for h in C.H:
+    for h in check_matrix(C):
         acc = 0
         for x, y in zip(h, word):
             acc = f.add(acc, f.mul(x, y))
         if acc:
             return False
     return True
+
+
+def _support_search(C, budget):
+    """The library's support search of C, on the library's check matrix."""
+    return support_search_min_weight(C.field, cyclic.check_matrix(C), budget)
+
+
+def _loop_oracle(C, budget):
+    """The loop oracle's search of C, on the oracle's check matrix."""
+    H = np.array(check_matrix(C), np.int64).reshape(-1, C.n)
+    return support_search_loop(C.field, H, budget)
 
 
 def _check_search(C) -> int:
@@ -558,12 +573,12 @@ class TestSupportSearch:
     def test_exact_hit_matches_enumeration(self):
         for n, q, leaders in [(7, 2, [1]), (15, 2, [1, 3]), (7, 4, [1])]:
             C = _code(n, q, leaders)
-            r = support_search_min_weight(C, budget=10**7)
+            r = _support_search(C, budget=10**7)
             assert r.kind == "exact" and r.value == _least_weight(C)
 
     def test_budget_exhaustion_is_lower_bound(self):
         C = _code(23, 2, [1])
-        r = support_search_min_weight(C, budget=2000)
+        r = _support_search(C, budget=2000)
         assert r.kind == "lower_bound" and 1 < r.lo <= 7
 
     def test_selected_when_budget_small(self):
@@ -594,8 +609,8 @@ class TestSupportSearch:
         kinds = set()
         for C in (qt.C0, qt.C1, qt.D0, qt.D1):
             for budget in self._level_budgets(n, q, self.ORACLE_CAP):
-                r = support_search_min_weight(C, budget)
-                assert r.to_dict() == support_search_loop(C, budget).to_dict()
+                r = _support_search(C, budget)
+                assert r.to_dict() == _loop_oracle(C, budget).to_dict()
                 kinds.add(r.kind)
         assert {"interval", "lower_bound"} <= kinds
         if (n, q) not in {(23, 2), (13, 4), (11, 9)}:  # hits beyond the cap
@@ -604,9 +619,9 @@ class TestSupportSearch:
     @pytest.mark.parametrize("n,q", [(7, 2), (5, 4), (7, 3), (7, 5)])
     def test_full_space_hits_at_weight_one(self, n, q):
         C = _code(n, q, [])  # k = n: H has no rows
-        assert len(C.H) == 0
-        r = support_search_min_weight(C, budget=10**6)
-        assert r == support_search_loop(C, 10**6)
+        assert cyclic.check_matrix(C).shape == (0, n)
+        r = _support_search(C, budget=10**6)
+        assert r == _loop_oracle(C, 10**6)
         assert r.to_dict() == {"kind": "exact", "lo": 1, "hi": 1,
                                "method": "support_search", "work": 1}
 
@@ -616,17 +631,16 @@ class TestSupportSearch:
         # [n, n-1]: the first hit is x_0 - x_1, after all n weight-1
         # candidates; its scalar -1 is the element p - 1, the (p-1)-th unit
         C = _code(n, q, [0])
-        r = support_search_min_weight(C, budget=10**6)
-        assert r == support_search_loop(C, 10**6)
+        r = _support_search(C, budget=10**6)
+        assert r == _loop_oracle(C, 10**6)
         assert r.kind == "exact" and r.value == 2 and r.work == work
 
     def test_digit_sums_past_255(self):
         # 130*x0 + 126*x1 + x2 = 0 over GF(131): the first codeword is
         # (1, 26, 0), while 130 + 126 = 256 wraps to 0 in a byte
-        code = SimpleNamespace(field=make_field(131), n=3, q=131,
-                               H=((130, 126, 1),))
-        r = support_search_min_weight(code, budget=1000)
-        assert r == support_search_loop(code, 1000)
+        f, H = make_field(131), np.array([[130, 126, 1]])
+        r = support_search_min_weight(f, H, budget=1000)
+        assert r == support_search_loop(f, H, 1000)
         assert r.kind == "exact" and r.value == 2 and r.work == 3 + 25 + 1
 
 
@@ -648,18 +662,18 @@ class TestSupportSearch:
                 u = rng.randrange(1, q)
                 cols[k] = [f.mul(u, x) for x in cols[j]]
             if all(map(any, cols)) and len({normal(c) for c in cols}) == 6:
-                return SimpleNamespace(field=f, n=9, q=q, H=tuple(zip(*cols)))
+                return f, np.array(cols).T
 
     @pytest.mark.parametrize("q,rows", [(4, 3), (5, 3), (9, 2), (256, 2)])
     def test_level_two_groups_scaled_columns(self, q, rows):
         for seed in range(3):
-            C = self._planted(q, rows, seed)
+            f, H = self._planted(q, rows, seed)
             for budget in self._level_budgets(9, q, self.ORACLE_CAP):
-                r = support_search_min_weight(C, budget)
-                assert r.to_dict() == support_search_loop(C, budget).to_dict()
+                r = support_search_min_weight(f, H, budget)
+                assert r == support_search_loop(f, H, budget)
             # the first hit is on the support (1, 7): all 9 weight-1
             # candidates, then those on (0, 1), ..., (0, 8) and (1, 2), ...
-            r = support_search_min_weight(C, 9 + 36 * (q - 1))
+            r = support_search_min_weight(f, H, 9 + 36 * (q - 1))
             assert r.kind == "exact" and r.value == 2
             assert 9 + 13 * (q - 1) < r.work <= 9 + 14 * (q - 1)
 
@@ -668,16 +682,16 @@ class TestSupportSearch:
         # unit multiples of H's 1024-digit columns would take 66 MB
         qt = build_quartet(default_splitting(255, 256), field_from_order(256))
         C = qt.C0
-        r, peak = self._peak_bytes(C, 2**26)
+        r, peak = self._peak_bytes(C.field, cyclic.check_matrix(C), 2**26)
         assert r.to_dict() == {"kind": "lower_bound", "lo": 3, "hi": None,
                                "method": "support_search", "work": 8_258_430}
-        assert peak < C.n * 255 * len(C.H) * 8 // 8
+        assert peak < C.n * 255 * (C.n - C.k) * 8 // 8
 
     @staticmethod
-    def _peak_bytes(C, budget):
+    def _peak_bytes(f, H, budget):
         tracemalloc.start()
         try:
-            r = support_search_min_weight(C, budget)
+            r = support_search_min_weight(f, H, budget)
             return r, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -686,23 +700,23 @@ class TestSupportSearch:
         # 255/256: 255 units and 1024-digit columns; level 1 needs only H
         qt = build_quartet(default_splitting(255, 256), field_from_order(256))
         C = qt.C0
-        r, peak = self._peak_bytes(C, 2**10)
-        assert r == support_search_loop(C, 2**10)
+        r, peak = self._peak_bytes(C.field, cyclic.check_matrix(C), 2**10)
+        assert r == _loop_oracle(C, 2**10)
         assert r.to_dict() == {"kind": "lower_bound", "lo": 2, "hi": None,
                                "method": "support_search", "work": 255}
         # the digits of H take n * rows * 8 int64s; all 255 unit multiples
         # of its columns would take about 30 times that
-        assert peak < 2 * C.n * len(C.H) * 8 * 8
+        assert peak < 2 * C.n * (C.n - C.k) * 8 * 8
 
     def test_level_two_memory_stays_per_column(self):
         # GF(256), 30 random check rows: each column has L = 240 digits;
         # all comb(60, 2)*255 pair sums at once would take 108 MB
         rng = random.Random(1)
         n, rows = 60, 30
-        code = SimpleNamespace(field=make_field(2, 8), n=n, q=256, H=tuple(
-            tuple(rng.randrange(256) for _ in range(n)) for _ in range(rows)))
+        H = np.array([[rng.randrange(256) for _ in range(n)]
+                      for _ in range(rows)])
         budget = n + comb(n, 2) * 255  # levels 1 and 2, not level 3
-        r, peak = self._peak_bytes(code, budget)
+        r, peak = self._peak_bytes(make_field(2, 8), H, budget)
         assert r.to_dict() == {"kind": "lower_bound", "lo": 3, "hi": None,
                                "method": "support_search", "work": budget}
         assert peak < 2 * n * 255 * rows * 8  # twice the unit multiples,
@@ -741,12 +755,12 @@ class TestEdgeCases:
         with pytest.raises(DistanceError, match="zero code"):
             brouwer_zimmermann(C)
         with pytest.raises(DistanceError, match="no nonzero codeword"):
-            support_search_min_weight(C, budget=10**6)
+            _support_search(C, budget=10**6)
 
     def test_full_space(self):
         C = _code(7, 2, [])
         assert _least_weight(C) == 1
-        assert support_search_min_weight(C, budget=10).value == 1
+        assert _support_search(C, budget=10).value == 1
 
     def test_bad_budget(self):
         with pytest.raises(DistanceError):

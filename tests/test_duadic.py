@@ -1,7 +1,8 @@
+import tracemalloc
 from math import gcd
 
 import pytest
-from oracles import is_even_like, poly_divides
+from oracles import generator_matrix, is_even_like, poly_divides
 
 from qduadic.cyclic import (
     DefiningSet,
@@ -19,6 +20,7 @@ from qduadic.duadic import (
     duadic_exists,
     find_splittings,
     iter_splittings,
+    materialize_quartet,
     p_adic_valuation,
     splitting_by,
 )
@@ -139,6 +141,19 @@ class TestQuartet:
         assert qt.D0.genpoly.coeffs == D0
         assert qt.C0.genpoly.coeffs == C0
 
+    def test_warm_quartet_holds_no_matrices(self):
+        # a code keeps g and h, not its k x n generator and (n-k) x n check
+        # matrices, which took 8.1 MB for the four codes of 511/2
+        s = default_splitting(511, 2)
+        materialize_quartet(s)  # caches the field and the coset polynomials
+        tracemalloc.start()
+        try:
+            qt = materialize_quartet(s)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert qt.C0.k == 255 and held < 10**6
+
     def test_n17_dimensions(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
         assert (qt.D0.k, qt.C0.k) == (9, 8)
@@ -166,8 +181,8 @@ class TestQuartet:
 
     def test_even_odd_like_structure(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        assert all(is_even_like(qt.C0, r) for r in qt.C0.G)
-        assert any(not is_even_like(qt.D0, r) for r in qt.D0.G)
+        assert all(is_even_like(qt.C0, r) for r in generator_matrix(qt.C0))
+        assert any(not is_even_like(qt.D0, r) for r in generator_matrix(qt.D0))
 
     @pytest.mark.parametrize("doctored,message", [
         ("C", "even-like code has odd-like"),
