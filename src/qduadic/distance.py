@@ -567,13 +567,37 @@ def _first_pair(f, H: np.ndarray, base: np.ndarray) -> int | None:
 def _pair_table(syn: np.ndarray, p: int) -> tuple:
     """The pair sums h_j + u*h_k (j < k) as keys of their digit bytes, sorted
     by key and then by descending j, so each key's first pair has its
-    largest j; and j, k, u of every pair in that order."""
+    largest j; and j, k, u of every pair in that order.
+
+    The sums are filled into one array, a chunk of pairs at a time, laid out
+    by descending j (then k, then u), so one stable argsort of the keys
+    gives the order and the keys are then sorted in place: the table is
+    never held twice."""
     n, nu, L = syn.shape
-    J, K = np.triu_indices(n, 1)
-    sums = ((syn[J, :1] + syn[K]) % p).reshape(-1, L)
+    # row r of the lower triangle, column c < r, is the pair
+    # j = n - 1 - r, k = j + 1 + c: descending j, and k ascending within j
+    row, col = np.tril_indices(n, -1)
+    J = n - 1 - row
+    K = J + 1 + col
+    del row, col
+    sums = np.empty((len(J) * nu, L), syn.dtype)
+    step = 1 << 10
+    for lo in range(0, len(J), step):
+        j, k = J[lo:lo + step], K[lo:lo + step]
+        out = sums[lo * nu:(lo + len(j)) * nu].reshape(len(j), nu, L)
+        np.add(syn[j, :1], syn[k], out=out)
+        # a sum of two digits is below 2p, and where it is below p, out - p
+        # wraps above it in the unsigned dtype: the lesser is the sum mod p
+        np.minimum(out, out - p, out=out)
     keys = sums.view(f"S{L * sums.itemsize}").ravel()
-    order = np.lexsort((-np.repeat(J, nu), keys))
-    return keys[order], J[order // nu], K[order // nu], order % nu + 1
+    order = keys.argsort(kind="stable")
+    U = order % nu + 1
+    order //= nu
+    J = J[order]
+    K = K[order]
+    del order
+    keys.sort(kind="stable")
+    return keys, J, K, U
 
 
 def _first_codeword(f, neg: np.ndarray, table: tuple, w: int, prefix: tuple,

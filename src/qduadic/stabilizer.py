@@ -9,16 +9,19 @@ value is strictly below d.
 Hermitian path: over GF(q^2), C_0^{perp_h} = D_0 exactly when mu_{-q} gives
 the splitting; the construction is refused otherwise.
 
-Both paths read the purity off a Brouwer-Zimmermann search of C0 (its least
-nonzero weight) and d off one of D0 over its odd-like words, each stopping
-once the bound ceil(n*(w+1)/k) after level w reaches the least weight found;
-`work` counts the words enumerated, and each least word is re-checked
-against the check matrix.  mu_a maps C0 onto C1 and D0 onto D1, so these
-are C1's and D1's values too.  Both paths go through `stabilizer_params`,
-which searches only when q^k of C0 fits the budget, and otherwise gives the
-square-root interval (with a support search when the quartet exists), and
-checks the square-root bound on d once.  Only parameters and classical-code
-witnesses are materialized, never the quantum state space.
+`stabilizer_params` is the one place that decides how d and the purity are
+measured, for both paths.  When q^k of C0 fits the budget, the purity is
+read off a Brouwer-Zimmermann search of C0 (its least nonzero weight) and d
+off one of D0 over its odd-like words, each stopping once the bound
+ceil(n*(w+1)/k) after level w reaches the least weight found; `work` counts
+the words enumerated, and each least word is re-checked against the check
+matrix.  mu_a maps C0 onto C1 and D0 onto D1, so these are C1's and D1's
+values too.  Beyond the budget d is the square-root interval and a support
+search bounds the purity; without a quartet the purity is [1, n].  The
+square-root bound is checked on d once, and its checks are the report's
+`bound_checks`.  Only parameters and classical-code witnesses are
+materialized, never the quantum state space.  `verify` holds the
+independent route through the weight distributions.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ from .distance import (
     DistanceResult,
     brouwer_zimmermann,
     enumerable,
-    macwilliams,
     support_search_min_weight,
-    weight_distribution,
 )
 from .duadic import (
     DegeneracyCertificate,
@@ -52,45 +53,29 @@ class ConstructionError(ValueError):
     """A stabilizer construction's hypotheses are not met."""
 
 
-@dataclass(frozen=True)
-class SquareRootBoundReport:
-    """Outcome of the square-root bound checks on a quartet's odd-like
-    distance d; with an interval d every check but mu_{-1} is None."""
-
-    bound_sq: bool | None  # d^2 >= n
-    mu_minus1: bool  # the splitting is given by mu_{-1}
-    bound_sq_strong: bool | None  # d^2 - d + 1 >= n (mu_{-1} case only)
-
-    @property
-    def equal_across_pair(self) -> bool | None:
-        """D1 = mu_a(D0) has D0's odd-like distance, which `quartet_weights`
-        checks on the defining sets, so this holds whenever d is exact."""
-        return None if self.bound_sq is None else True
-
-    @property
-    def all_satisfied(self) -> bool | None:
-        """Whether every check that ran passed; None when none ran."""
-        checks = [c for c in (self.bound_sq, self.bound_sq_strong,
-                              self.equal_across_pair) if c is not None]
-        return all(checks) if checks else None
-
-
-def check_square_root_bound(s: Splitting,
-                            d: DistanceResult) -> SquareRootBoundReport:
-    """Check the square-root bound on the odd-like distance d of the quartet
-    of s.  The bound is a theorem, so a violation is an implementation bug
-    and raises: every check in a returned report passed.  An interval d
-    makes the checks vacuous (None)."""
+def check_square_root_bound(s: Splitting, d: DistanceResult) -> dict:
+    """The report's `bound_checks` on the odd-like distance d of the quartet
+    of s: d^2 >= n, whether mu_{-1} gives the splitting, d^2 - d + 1 >= n
+    (mu_{-1} case only), and the equal odd-like distances of D0 and
+    D1 = mu_a(D0), which `quartet_weights` checks on the defining sets.  The
+    bound is a theorem, so a violation is an implementation bug and raises:
+    every check in a returned dict passed.  An interval d makes every check
+    but mu_{-1} vacuous (None)."""
     n = s.n
     mu1 = s.is_given_by(n - 1)
-    if not d.is_exact:
-        return SquareRootBoundReport(None, mu1, None)
-    v = d.value
-    if v * v < n or (mu1 and v * v - v + 1 < n):
-        raise SplittingError(
-            f"square-root bound violated at n={n}, d_o={v}: "
-            "this is a theorem, so the implementation is buggy")
-    return SquareRootBoundReport(True, mu1, True if mu1 else None)
+    exact = d.is_exact
+    if exact:
+        v = d.value
+        if v * v < n or (mu1 and v * v - v + 1 < n):
+            raise SplittingError(
+                f"square-root bound violated at n={n}, d_o={v}: "
+                "this is a theorem, so the implementation is buggy")
+    return {
+        "d_squared_ge_n": exact or None,
+        "mu_minus1_splitting": mu1,
+        "d_sq_minus_d_plus_1_ge_n": exact and mu1 or None,
+        "odd_like_weights_equal": exact or None,
+    }
 
 
 @dataclass(frozen=True)
@@ -105,7 +90,7 @@ class StabilizerParams:
     d: DistanceResult
     purity: DistanceResult
     degenerate: str  # "yes" | "no" | "undecided"
-    bound_report: SquareRootBoundReport
+    bound_checks: dict  # from check_square_root_bound
     certificate: DegeneracyCertificate | None = None
     purity_agreement: str | None = None  # agrees | discrepancy | not_applicable
 
@@ -116,12 +101,7 @@ class StabilizerParams:
             "d": self.d.to_dict(),
             "purity": self.purity.to_dict(),
             "degenerate": self.degenerate,
-            "bound_checks": {
-                "d_squared_ge_n": self.bound_report.bound_sq,
-                "mu_minus1_splitting": self.bound_report.mu_minus1,
-                "d_sq_minus_d_plus_1_ge_n": self.bound_report.bound_sq_strong,
-                "odd_like_weights_equal": self.bound_report.equal_across_pair,
-            },
+            "bound_checks": dict(self.bound_checks),
             "certificate": self.certificate.to_dict() if self.certificate else None,
             "purity_agreement": self.purity_agreement,
         }
@@ -147,66 +127,23 @@ def theory_distance_interval(n: int, mu_minus1: bool) -> DistanceResult:
     return DistanceResult("interval", lo, n, "defining_set_theory", 0)
 
 
-@dataclass(frozen=True)
-class QuartetWeights:
-    """The odd-like distance of a duadic quartet C_i subset D_i and the
-    least nonzero weight of C0, which C1 shares."""
-
-    d0: DistanceResult  # min weight of D0 \ C0, and of D1 \ C1
-    least: DistanceResult | None  # least nonzero weight of C0 and of C1
-    distributions: dict[str, dict[int, int]] | None  # "C0" and "D0"
-
-
-def quartet_weights(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
-                    workers: int = 1,
-                    distributions: bool = True) -> QuartetWeights:
-    """d0 and the least nonzero weight of C0, within the budget (q^k of C0
-    at most `budget`); beyond it d0 is the vacuous interval [1, n] and
-    least is None.  The multiplier mu_a of the splitting swaps S0 and S1,
-    so it permutes the coordinates of C0 onto C1 and of D0 onto D1: C1 has
-    C0's weights, and D0 and D1 share theirs (checked here on the defining
-    sets), so d0 is D1's odd-like distance too.  D0 \\ C0 is the set of
-    odd-like words of D0.
-
-    Without `distributions` (every build and survey row) two
-    Brouwer-Zimmermann searches give the values: C0's for its least nonzero
-    weight, and D0's over its odd-like words for d0.  Each minimum-weight
-    word is re-checked against the check matrix (see `_checked`).
-
-    With `distributions` (the independent route of `verify`) C0 is
-    enumerated once.  C0^perp has the defining set -S1, the mu_{-1} image of
-    D1's, so D0's distribution is the MacWilliams transform of C0's.  (A
-    Hermitian dual is the conjugate of the Euclidean dual and has the same
-    distribution.)  d0 is the least w with A_w(D0) > A_w(C0)."""
-    n, q = quartet.n, quartet.q
-    C0, C1, D0 = quartet.C0, quartet.C1, quartet.D0
-    if not enumerable(C0, budget):  # C1 has the same length, field and k
-        return QuartetWeights(
-            DistanceResult("interval", 1, n, "full_enumeration", 0), None,
-            None)
+def quartet_weights(
+        quartet: DuadicQuartet) -> tuple[DistanceResult, DistanceResult]:
+    """The odd-like distance of D0 and the least nonzero weight of C0, from
+    two checked Brouwer-Zimmermann searches (see `_checked`).  The
+    multiplier mu_a of the splitting swaps S0 and S1, so it permutes the
+    coordinates of C0 onto C1 and of D0 onto D1: C1 has C0's weights, and
+    D0 and D1 share theirs (checked here on the defining sets), so these
+    are C1's and D1's values too.  D0 \\ C0 is the set of odd-like words of
+    D0."""
+    n, C0, C1, D0 = quartet.n, quartet.C0, quartet.C1, quartet.D0
     if (C1.field != C0.field
             or mu_apply(C0.T.members, quartet.splitting.a, n) != C1.T.as_set()):
         raise DistanceError(
             "C1 is not the mu_a image of C0, so it cannot share C0's weight "
             "distribution (internal bug)")
-    if not distributions:
-        return QuartetWeights(
-            _checked(D0, *brouwer_zimmermann(D0, odd_like=True), "D0", True),
-            _checked(C0, *brouwer_zimmermann(C0), "C0", False), None)
-    work = C0.q**(C0.k - 1) - 1  # the nonzero words of {c in C0 : c_0 = 0}
-    C = weight_distribution(C0, budget, workers)
-    D = macwilliams(C, n, q)
-    if (D.get(0) != 1 or sum(D.values()) != q**D0.k
-            or any(D.get(w, 0) < c for w, c in C.items())):
-        raise DistanceError(
-            "transformed distribution of D0 does not contain that of C0 "
-            "(internal bug)")
-    odd = min(w for w, c in D.items() if c > C.get(w, 0))
-    least = min(w for w in C if w)
-    return QuartetWeights(
-        DistanceResult.exact(odd, "full_enumeration", work),
-        DistanceResult.exact(least, "full_enumeration", work),
-        {"C0": C, "D0": D})
+    return (_checked(D0, *brouwer_zimmermann(D0, odd_like=True), "D0", True),
+            _checked(C0, *brouwer_zimmermann(C0), "C0", False))
 
 
 def _checked(C: CyclicCode, result: DistanceResult, word: tuple, name: str,
@@ -248,26 +185,6 @@ def _checked(C: CyclicCode, result: DistanceResult, word: tuple, name: str,
     return result
 
 
-def _purity(weights: QuartetWeights, codes: dict[str, CyclicCode],
-            budget: int) -> DistanceResult:
-    """Smallest nonzero weight over the named even-like codes: C0's least
-    nonzero weight, which C1 shares, or by support search beyond the
-    budget.  C1 = mu_a(C0) has C0's weights, so the searches of the two
-    must agree; their `work` is summed."""
-    if weights.least is not None:
-        return weights.least
-    first, *rest = (support_search_min_weight(C.field, check_matrix(C), budget)
-                    for C in codes.values())
-    for other in rest:
-        if (other.kind, other.lo, other.hi) != (first.kind, first.lo,
-                                                 first.hi):
-            raise DistanceError(
-                f"the support searches of C0 and its mu_a image disagree: "
-                f"{first.to_dict()} and {other.to_dict()} (internal bug)")
-        first = replace(first, work=first.work + other.work)
-    return first
-
-
 def verify_hermitian_condition(s: Splitting) -> bool:
     """Lemma hypothesis for the Hermitian route: -q0*S_i = S_{(i+1) mod 2},
     where q0 = sqrt(field order)."""
@@ -282,12 +199,18 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                       budget: int = DEFAULT_BUDGET) -> StabilizerParams:
     """[[n, 1, d]]_q parameters of the "css" or "hermitian" code of a
     splitting.  The Hermitian route needs mu_{-q} to give the splitting, so
-    that C_0^{perp_h} = D_0 over GF(q^2).  Without a quartet (its splitting
-    field is beyond the cap) d is the square-root interval, the purity is
-    [1, n] and the verdict undecided; with one, d and the purity come from
-    the Brouwer-Zimmermann searches of D0 and C0, or beyond the budget d
-    falls back to the same interval and a support search bounds the
-    purity.  The square-root bound is checked on d in every case."""
+    that C_0^{perp_h} = D_0 over GF(q^2).  This is the one place that
+    decides how d and the purity are measured:
+
+    * when q^k of C0 fits the budget, both are exact, from the checked
+      Brouwer-Zimmermann searches of D0 and C0 (`quartet_weights`);
+    * beyond the budget, d is the square-root interval and a support search
+      of C0 bounds the purity, and for CSS one of C1 = mu_a(C0), whose
+      result must agree (their `work` is summed);
+    * without a quartet (its splitting field is beyond the cap), d is the
+      square-root interval, the purity is [1, n] and the verdict undecided.
+
+    The square-root bound is checked on d in every case."""
     n = s.n
     hermitian = construction == "hermitian"
     if hermitian and not verify_hermitian_condition(s):
@@ -304,18 +227,28 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                 raise ConstructionError(
                     "C_0^{perp_h} != D_0 despite the splitting condition "
                     "(internal bug)")
-        weights = quartet_weights(quartet, budget, distributions=False)
-        if weights.d0.is_exact:
-            d = weights.d0
-        # the Hermitian stabilizer holds C0 alone; CSS holds C0 and C1
-        codes = {"C0": quartet.C0} if hermitian else {"C0": quartet.C0,
-                                                      "C1": quartet.C1}
-        purity = _purity(weights, codes, budget)
+        if enumerable(quartet.C0, budget):  # C1 has C0's length, field, k
+            d, purity = quartet_weights(quartet)
+        else:
+            purity = support_search_min_weight(
+                quartet.C0.field, check_matrix(quartet.C0), budget)
+            # the Hermitian stabilizer holds C0 alone; CSS holds C0 and
+            # C1 = mu_a(C0), which has C0's weights
+            if not hermitian:
+                other = support_search_min_weight(
+                    quartet.C1.field, check_matrix(quartet.C1), budget)
+                if (other.kind, other.lo, other.hi) != (purity.kind,
+                                                         purity.lo, purity.hi):
+                    raise DistanceError(
+                        f"the support searches of C0 and its mu_a image "
+                        f"disagree: {purity.to_dict()} and {other.to_dict()} "
+                        "(internal bug)")
+                purity = replace(purity, work=purity.work + other.work)
     return StabilizerParams(
         n=n, k=1, q=isqrt(s.q) if hermitian else s.q,
         construction="Hermitian" if hermitian else "CSS", d=d, purity=purity,
         degenerate=_degeneracy_tristate(purity, d),
-        bound_report=check_square_root_bound(s, d),
+        bound_checks=check_square_root_bound(s, d),
     )
 
 

@@ -1,6 +1,12 @@
 """Cross-module property suite: re-checks the theorems empirically over all
 feasible lengths up to a cap.  Used by the `verify` CLI command; every
-assertion tallies as passed, failed, or skipped (budget/cap limits)."""
+assertion tallies as passed, failed, or skipped (budget/cap limits).
+
+Builds and survey rows take d and the purity from `stabilizer_params`.  This
+suite checks them by an independent route, the weight distributions
+(`_distributions`): C0 is enumerated, D0's distribution is its MacWilliams
+transform, and d is the least weight where D0 has more words than C0.  That
+route, and `--workers`, serve only this suite's exhaustive scans."""
 
 from __future__ import annotations
 
@@ -18,10 +24,15 @@ from .cyclic import (
 )
 from .distance import (
     DEFAULT_BUDGET,
+    DistanceError,
+    DistanceResult,
     _full_scan_distribution,
+    enumerable,
+    macwilliams,
     weight_distribution,
 )
 from .duadic import (
+    DuadicQuartet,
     SplittingError,
     default_splitting,
     find_splittings,
@@ -56,6 +67,28 @@ class SuiteResult:
         return {**asdict(self), "all_passed": self.all_passed}
 
 
+def _distributions(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
+                   workers: int = 1) -> tuple[dict, dict, DistanceResult]:
+    """C0's weight distribution, D0's, and the odd-like distance d of D0,
+    by enumerating C0 once.  C0^perp has the defining set -S1, the mu_{-1}
+    image of D1's, so D0's distribution is the MacWilliams transform of
+    C0's.  (A Hermitian dual is the conjugate of the Euclidean dual and has
+    the same distribution.)  D0 \\ C0 is the set of odd-like words of D0,
+    so d is the least w with A_w(D0) > A_w(C0)."""
+    C0, D0 = quartet.C0, quartet.D0
+    C = weight_distribution(C0, budget, workers)
+    D = macwilliams(C, quartet.n, quartet.q)
+    if (D.get(0) != 1 or sum(D.values()) != quartet.q**D0.k
+            or any(D.get(w, 0) < c for w, c in C.items())):
+        raise DistanceError(
+            "transformed distribution of D0 does not contain that of C0 "
+            "(internal bug)")
+    odd = min(w for w, c in D.items() if c > C.get(w, 0))
+    # the nonzero words of {c in C0 : c_0 = 0}, which the kernel scans
+    work = C0.q**(C0.k - 1) - 1
+    return C, D, DistanceResult.exact(odd, "full_enumeration", work)
+
+
 def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
               workers: int = 1) -> SuiteResult:
     res = SuiteResult()
@@ -84,44 +117,45 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
         # (b), (c) odd-like weight equality and square-root bounds; the
         # engine takes C1's distribution to be C0's through mu_a, so C1 is
         # enumerated here directly to check that equivalence
-        weights = quartet_weights(quartet, budget, workers)
-        if weights.distributions is not None:
-            d0 = weights.d0
+        if enumerable(quartet.C0, budget):
+            C, D, d = _distributions(quartet, budget, workers)
             res.check("odd_like_weights_equal",
-                      weight_distribution(quartet.C1, budget, workers)
-                      == weights.distributions["C0"], f"n={n}")
+                      weight_distribution(quartet.C1, budget, workers) == C,
+                      f"n={n}")
             # the bound is a theorem, so check_square_root_bound raises on a
             # violation; here that is a failed tally, not an abort
+            detail = f"n={n} d_o={d.value}"
             try:
-                report = check_square_root_bound(s, d0)
+                checks = check_square_root_bound(s, d)
             except SplittingError:  # d^2 < n, or else the mu_{-1} bound
-                detail = f"n={n} d_o={d0.value}"
-                res.check("square_root_bound", d0.value**2 >= n, detail)
-                if d0.value**2 >= n:
+                res.check("square_root_bound", d.value**2 >= n, detail)
+                if d.value**2 >= n:
                     res.record("square_root_bound_mu_minus1", "failed",
                                detail)
             else:
-                res.check("square_root_bound", report.bound_sq,
-                          f"n={n} d_o={d0.value}")
-                if report.mu_minus1:
+                res.check("square_root_bound", checks["d_squared_ge_n"],
+                          detail)
+                if checks["mu_minus1_splitting"]:
                     res.check("square_root_bound_mu_minus1",
-                              report.bound_sq_strong, f"n={n} d_o={d0.value}")
-                res.check("bound_report_consistent", report.all_satisfied,
+                              checks["d_sq_minus_d_plus_1_ge_n"], detail)
+                # an exact d runs the d^2 and pair checks, which passed
+                res.check("bound_report_consistent",
+                          checks["d_squared_ge_n"] is True
+                          and checks["odd_like_weights_equal"] is True,
                           f"n={n}")
             # builds and survey rows read d and the purity off two
             # Brouwer-Zimmermann searches instead of the distributions
             if n <= 45:
-                fast = quartet_weights(quartet, budget, workers,
-                                       distributions=False)
+                searched, purity = quartet_weights(quartet)
                 res.check("extremes_match_distribution",
-                          (fast.d0.value, fast.least.value)
-                          == (d0.value, weights.least.value), f"n={n}")
+                          (searched.value, purity.value)
+                          == (d.value, min(w for w in C if w)), f"n={n}")
             # the engine scans only {c in C0 : c_0 = 0}; a scan of all of
             # C0 by the same kernel checks the rebuilt histogram
             if n <= 21:
                 res.check("shortening_matches_full_scan",
-                          _full_scan_distribution(quartet.C0, workers)
-                          == weights.distributions["C0"], f"n={n}")
+                          _full_scan_distribution(quartet.C0, workers) == C,
+                          f"n={n}")
         else:
             res.record("odd_like_weights_equal", "skipped",
                        f"n={n} exceeds budget")
@@ -138,11 +172,10 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
 
         # (e) mu_a images are equivalent: identical weight distributions;
         # the direct distribution of D0 also checks the MacWilliams route
-        if n <= 21 and q**quartet.D0.k <= budget:
+        # (D0 has one dimension more than C0, so D is C0's transform here)
+        if n <= 21 and enumerable(quartet.D0, budget):
             wd = weight_distribution(quartet.D0, budget, workers)
-            if weights.distributions is not None:
-                res.check("macwilliams_matches_enumeration",
-                          wd == weights.distributions["D0"], f"n={n}")
+            res.check("macwilliams_matches_enumeration", wd == D, f"n={n}")
             for a in sorted({s.a, n - 1}):
                 img = code_under_mu(quartet.D0, a)
                 wd2 = weight_distribution(img, budget, workers)

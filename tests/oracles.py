@@ -4,7 +4,8 @@ The distance oracles re-encode every message with digitwise addition and
 the field's multiplication and compare codewords as sets, sharing no code
 with the span kernel, the shortened-subcode rebuild or the MacWilliams
 transform.  The support-search loop tests every candidate against the check
-matrix one by one, as the library did before its pair-table search.  The
+matrix one by one, as the library did before its pair-table search, and
+the pair table itself is built by one lexsort of all its sums at once.  The
 per-root generator polynomial multiplies one factor (x - alpha^j) per member
 of the defining set, each root a separate power of alpha, and maps its
 coefficients to GF(q) by inverting a subfield lift found by an additivity
@@ -159,6 +160,19 @@ def support_search_loop(f: Field, H, budget: int) -> DistanceResult:
                 if syndrome_zero:
                     return DistanceResult.exact(w, "support_search", work)
     raise DistanceError("no nonzero codeword found (zero code?)")
+
+
+def pair_table_lexsort(syn: np.ndarray, p: int) -> tuple:
+    """The support search's pair table built all at once: every pair sum
+    h_j + u*h_k (j < k) in np.triu_indices order, its digit bytes as keys,
+    and one lexsort by key and then by descending j; (keys, j, k, u) in
+    that order."""
+    n, nu, L = syn.shape
+    J, K = np.triu_indices(n, 1)
+    sums = ((syn[J, :1] + syn[K]) % p).reshape(-1, L)
+    keys = sums.view(f"S{L * sums.itemsize}").ravel()
+    order = np.lexsort((-np.repeat(J, nu), keys))
+    return keys[order], J[order // nu], K[order // nu], order % nu + 1
 
 
 def genpoly_per_root(n: int, field: Field, members) -> Poly:

@@ -405,9 +405,13 @@ class TestVerify:
         import qduadic.verify
         real = qduadic.verify.weight_distribution
 
+        # doctor only C1, which verify enumerates directly: C0's
+        # distribution goes through the same weight_distribution
+        c1 = frozenset(default_splitting(7, 2).S1 + (0,))
+
         def off_by_one(C, *args, **kwargs):
             A = real(C, *args, **kwargs)
-            if 0 in C.T.members:  # an even-like code
+            if frozenset(C.T.members) == c1:
                 A = {**A, C.n: A.get(C.n, 0) + 1}
             return A
 
@@ -447,12 +451,11 @@ class TestVerify:
         import qduadic.verify
         real = qduadic.verify.quartet_weights
 
-        def shifted(quartet, *args, distributions=True, **kwargs):
-            w = real(quartet, *args, distributions=distributions, **kwargs)
-            if distributions or quartet.n != 17:
-                return w
-            return dataclasses.replace(w, d0=dataclasses.replace(
-                w.d0, lo=w.d0.lo + 2, hi=w.d0.hi + 2))
+        def shifted(quartet):
+            d, purity = real(quartet)
+            if quartet.n != 17:
+                return d, purity
+            return dataclasses.replace(d, lo=d.lo + 2, hi=d.hi + 2), purity
 
         monkeypatch.setattr(qduadic.verify, "quartet_weights", shifted)
         for q, passed in ((2, 1), (4, 7)):  # 3, 5, ..., 15 over GF(4)
@@ -470,35 +473,47 @@ class TestVerify:
     ])
     def test_square_root_violation_is_a_failed_tally(self, capsys,
                                                      monkeypatch, q, n, name):
+        # the same d from both routes, so that only the bound fails
         import qduadic.verify
-        real = qduadic.verify.quartet_weights
+        real_distributions = qduadic.verify._distributions
+        real_searches = qduadic.verify.quartet_weights
         d = {7: 2, 23: 5}[n]
 
-        def doctored(quartet, *args, **kwargs):
-            w = real(quartet, *args, **kwargs)
-            if quartet.n != n:
-                return w
-            return dataclasses.replace(w, d0=dataclasses.replace(
-                w.d0, lo=d, hi=d))
+        def doctored(quartet, d0):
+            return (dataclasses.replace(d0, lo=d, hi=d) if quartet.n == n
+                    else d0)
 
-        monkeypatch.setattr(qduadic.verify, "quartet_weights", doctored)
+        def distributions(quartet, *args):
+            C, D, d0 = real_distributions(quartet, *args)
+            return C, D, doctored(quartet, d0)
+
+        def searches(quartet):
+            d0, purity = real_searches(quartet)
+            return doctored(quartet, d0), purity
+
+        monkeypatch.setattr(qduadic.verify, "_distributions", distributions)
+        monkeypatch.setattr(qduadic.verify, "quartet_weights", searches)
         code, out, err = run(capsys, "verify", "--q", str(q), "--max-n", "31")
         assert code == EXIT_ASSERTION and err == ""
         doc = json.loads(out)
-        assert {"assertion": name, "detail": f"n={n} d_o={d}"} in \
-            doc["failures"]
-        assert doc["tallies"][name]["failed"] == 1
-        assert doc["tallies"]["square_root_bound"]["passed"] >= 3
+        assert doc["failures"] == [
+            {"assertion": name, "detail": f"n={n} d_o={d}"}]
+        # (passed, failed) of the square-root, mu_(-1) and consistency
+        # tallies: at 7, mu_(-1) gives the splitting, yet only the d^2 check
+        # fails, and the doctored length runs no consistency check
+        tallies = {7: [(3, 1), (2, 0), (3, 0)], 23: [(4, 0), (2, 1), (3, 0)]}
+        assert [(doc["tallies"][k]["passed"], doc["tallies"][k]["failed"])
+                for k in ("square_root_bound", "square_root_bound_mu_minus1",
+                          "bound_report_consistent")] == tallies[n]
 
     def test_square_root_violation_in_build_exits_4(self, capsys,
                                                      monkeypatch):
         import qduadic.stabilizer
         real = qduadic.stabilizer.quartet_weights
 
-        def doctored(quartet, *args, **kwargs):
-            w = real(quartet, *args, **kwargs)
-            return dataclasses.replace(w, d0=dataclasses.replace(
-                w.d0, lo=2, hi=2))
+        def doctored(quartet):
+            d, purity = real(quartet)
+            return dataclasses.replace(d, lo=2, hi=2), purity
 
         monkeypatch.setattr(qduadic.stabilizer, "quartet_weights", doctored)
         code, out, err = run(capsys, "build", "css", "7", "2")
@@ -523,8 +538,8 @@ class TestVerify:
 
 class TestInvariantFailures:
     def test_bad_transform_exits_4(self, capsys, monkeypatch):
-        import qduadic.stabilizer
-        monkeypatch.setattr(qduadic.stabilizer, "macwilliams",
+        import qduadic.verify
+        monkeypatch.setattr(qduadic.verify, "macwilliams",
                             lambda A, n, q: {0: 1, 1: q**n - 1})
         # builds read no distribution; verify's independent route does
         code, out, err = run(capsys, "verify", "--q", "3", "--max-n", "11")

@@ -15,6 +15,7 @@ from oracles import (
     naive_distribution,
     naive_min_odd_like,
     naive_min_weight,
+    pair_table_lexsort,
     support_search_loop,
 )
 import qduadic.distance
@@ -27,9 +28,12 @@ from qduadic.distance import (
     _full_scan_distribution,
     _extend,
     _histogram,
+    _digits,
     _low_rows,
+    _pair_table,
     _scan_range,
     _shortened_rows,
+    _unit_multiples,
     brouwer_zimmermann,
     enumerable,
     macwilliams,
@@ -49,7 +53,12 @@ from qduadic.galois import (
     make_field,
     ord_mod,
 )
-from qduadic.stabilizer import quartet_weights, stabilizer_params
+from qduadic.stabilizer import (
+    quartet_weights,
+    stabilizer_params,
+    theory_distance_interval,
+)
+from qduadic.verify import _distributions
 
 
 def _code(n, q, leaders):
@@ -64,6 +73,13 @@ def _code(n, q, leaders):
 def _least_weight(C):
     """Least nonzero weight, read off the engine's weight distribution."""
     return min(w for w in weight_distribution(C) if w)
+
+
+def _from_distributions(qt, workers=1):
+    """d and the purity of a quartet by verify's route: C0's weight
+    distribution, and its MacWilliams transform for D0."""
+    C, _, d = _distributions(qt, workers=workers)
+    return d.value, min(w for w in C if w)
 
 
 def _odd_like_from_distributions(D):
@@ -132,11 +148,10 @@ class TestKnownValues:
         # every message of the shortened subcode {c_0 = 0} the kernel scans,
         # and every word of the search's levels up to where it stops
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        r = quartet_weights(qt)
-        assert r.d0.work == r.least.work == 2**(qt.C0.k - 1) - 1
-        r = quartet_weights(qt, distributions=False)
-        assert r.d0.work == _search_work(qt.D0, True) == 9
-        assert r.least.work == _search_work(qt.C0, False) == 8
+        assert _distributions(qt)[2].work == 2**(qt.C0.k - 1) - 1
+        d, least = quartet_weights(qt)
+        assert d.work == _search_work(qt.D0, True) == 9
+        assert least.work == _search_work(qt.C0, False) == 8
 
 
 def _coset_unions(n, q, max_words=2**14, sample=64):
@@ -437,22 +452,17 @@ class TestExtremes:
     @pytest.mark.parametrize("n", [7, 17, 23, 31, 41, 47, 49])
     def test_default_quartets(self, n):
         qt = build_quartet(default_splitting(n, 2), make_field(2))
-        fast = quartet_weights(qt, distributions=False)
-        full = quartet_weights(qt)
-        assert fast.distributions is None
-        assert fast.d0.method == fast.least.method == "brouwer_zimmermann"
-        assert (fast.d0.value, fast.least.value) == (full.d0.value,
-                                                     full.least.value)
+        d, least = quartet_weights(qt)
+        assert d.method == least.method == "brouwer_zimmermann"
+        assert (d.value, least.value) == _from_distributions(qt)
 
     @pytest.mark.parametrize("n", [31, 49])
     def test_every_splitting(self, n):
         ids = set()
         for s in iter_splittings(n, 2):
             qt = build_quartet(s, make_field(2))
-            fast, full = (quartet_weights(qt, distributions=False),
-                          quartet_weights(qt))
-            assert (fast.d0.value, fast.least.value) == (full.d0.value,
-                                                         full.least.value)
+            d, least = quartet_weights(qt)
+            assert (d.value, least.value) == _from_distributions(qt)
             ids.add(s.splitting_id)
         assert len(ids) > 2  # more than the default's orbit
 
@@ -468,16 +478,6 @@ class TestExtremes:
         monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", bits)
         assert [brouwer_zimmermann(C, odd) for odd in (False, True)] == whole
         assert _check_search(C) == 2
-
-    @pytest.mark.parametrize("code", [
-        lambda: build_quartet(default_splitting(41, 2), make_field(2)),
-        lambda: build_quartet(default_splitting(23, 3), make_field(3)),
-    ], ids=["packed", "digits"])
-    def test_workers(self, code):
-        # the search runs in one process, whatever the worker count
-        qt = code()
-        assert (quartet_weights(qt, workers=2, distributions=False)
-                == quartet_weights(qt, distributions=False))
 
 
 class TestLevels:
@@ -537,12 +537,10 @@ class TestSearch:
         s = (splitting_by(n, code_q, (-q) % n) if construction == "hermitian"
              else default_splitting(n, code_q))
         qt = build_quartet(s, field_from_order(code_q))
-        fast = quartet_weights(qt, distributions=False)
-        full = quartet_weights(qt)
-        assert (fast.d0.value, fast.least.value) == (full.d0.value,
-                                                     full.least.value)
-        assert fast.d0.work in _level_sums(qt.D0.k, code_q)
-        assert fast.least.work in _level_sums(qt.C0.k, code_q)
+        d, least = quartet_weights(qt)
+        assert (d.value, least.value) == _from_distributions(qt)
+        assert d.work in _level_sums(qt.D0.k, code_q)
+        assert least.work in _level_sums(qt.C0.k, code_q)
 
     @pytest.mark.parametrize("n,values", [(5, (3, 4)), (23, (7, 8))])
     def test_gf4_cells(self, n, values):
@@ -555,14 +553,10 @@ class TestSearch:
 
 
 class TestParallel:
-    def test_parallel_matches_serial(self):
-        qt = build_quartet(default_splitting(31, 2), make_field(2))
-        assert (quartet_weights(qt, workers=4, distributions=False)
-                == quartet_weights(qt, workers=1, distributions=False))
-
     def test_parallel_odd_like(self):
         qt = build_quartet(default_splitting(31, 2), make_field(2))
-        assert quartet_weights(qt, workers=4) == quartet_weights(qt, workers=1)
+        assert (_distributions(qt, workers=4)
+                == _distributions(qt, workers=1))
 
     def test_parallel_distribution(self):
         C = _code(31, 2, [1, 3, 5])
@@ -722,6 +716,37 @@ class TestSupportSearch:
         assert peak < 2 * n * 255 * rows * 8  # twice the unit multiples,
         # one byte a digit
 
+    @pytest.mark.parametrize("n,q", [(257, 2), (45, 4), (30, 131)])
+    def test_pair_table_matches_lexsort(self, n, q):
+        # the keys are sorted in place after one stable argsort: the same
+        # table as one lexsort of all the sums, without holding it twice
+        # (2.4 times its keys' bytes at 257/2 with the lexsort); GF(131)
+        # digits need uint16, and no small code over it has a quartet, so
+        # its check matrix is random
+        f = field_from_order(q)
+        if q == 131:
+            rng = random.Random(2)
+            H = np.array([[rng.randrange(q) for _ in range(n)]
+                          for _ in range(3)])
+        else:
+            C = build_quartet(default_splitting(n, q), f).C0
+            H = cyclic.check_matrix(C)
+        digits = _digits(np.arange(q), f.p, f.m)
+        base = digits.astype(np.min_scalar_type(2 * (f.p - 1)))[H.T]
+        syn = _unit_multiples(f, base)
+        tracemalloc.start()
+        try:
+            table = _pair_table(syn, f.p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = pair_table_lexsort(syn, f.p)
+        assert [(a.dtype, a.tolist()) for a in table] == \
+            [(a.dtype, a.tolist()) for a in expected]
+        assert len(table[0]) == comb(n, 2) * (q - 1)
+        if n == 257:
+            assert peak <= 1.6 * table[0].nbytes
+
 
 class TestDiffset:
     """The set-difference oracle itself, against known values and the
@@ -730,7 +755,7 @@ class TestDiffset:
     def test_even_like_fast_path(self):
         qt = build_quartet(splitting_by(7, 2, 6), make_field(2))
         assert min_weight_diffset(qt.D0, qt.C0) == 3 == \
-            quartet_weights(qt).d0.value
+            _distributions(qt)[2].value
 
     def test_general_path(self):
         # D = full space, C = Hamming: min weight outside Hamming is 1
@@ -767,10 +792,14 @@ class TestEdgeCases:
             weight_distribution(_code(7, 2, [1]), budget=0)
 
     def test_odd_like_interval_when_infeasible(self):
+        # beyond the budget no search runs: d is the square-root interval
+        # (mu_(-1) gives the splitting of 23) and the purity a support
+        # search's bound
         qt = build_quartet(default_splitting(23, 2), make_field(2))
-        r = quartet_weights(qt, budget=10)
-        assert r.d0.kind == "interval" and (r.d0.lo, r.d0.hi) == (1, 23)
-        assert r.least is None and r.distributions is None
+        p = stabilizer_params(qt.splitting, qt, "css", budget=10)
+        assert p.d == theory_distance_interval(23, True)
+        assert p.d.kind == "interval" and (p.d.lo, p.d.hi) == (6, 23)
+        assert p.purity.method == "support_search"
 
     def test_odd_p_field_extension(self):
         # GF(9) exercises the digit kernel with a nontrivial extension

@@ -219,25 +219,29 @@ class TestQuartet:
 class TestSquareRootBound:
     def test_n7(self):
         qt = build_quartet(splitting_by(7, 2, 6), make_field(2))
-        w = quartet_weights(qt)
-        r = check_square_root_bound(qt.splitting, w.d0)
-        assert r.equal_across_pair and r.bound_sq
-        assert r.mu_minus1 and r.bound_sq_strong  # 3^2 - 3 + 1 = 7 >= 7
-        assert r.all_satisfied
+        d, _ = quartet_weights(qt)
+        r = check_square_root_bound(qt.splitting, d)
+        assert r == {"d_squared_ge_n": True, "mu_minus1_splitting": True,
+                     # 3^2 - 3 + 1 = 7 >= 7
+                     "d_sq_minus_d_plus_1_ge_n": True,
+                     "odd_like_weights_equal": True}
 
     def test_n23_golay(self):
         qt = build_quartet(default_splitting(23, 2), make_field(2))
-        w = quartet_weights(qt)
-        assert w.d0.value == 7
-        r = check_square_root_bound(qt.splitting, w.d0)
-        assert r.bound_sq and r.mu_minus1 and r.bound_sq_strong
+        d, _ = quartet_weights(qt)
+        assert d.value == 7
+        r = check_square_root_bound(qt.splitting, d)
+        assert r["d_squared_ge_n"] and r["mu_minus1_splitting"]
+        assert r["d_sq_minus_d_plus_1_ge_n"]
 
     def test_n17_mu_minus1_not_applicable(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        w = quartet_weights(qt)
-        assert w.d0.value == 5
-        r = check_square_root_bound(qt.splitting, w.d0)
-        assert r.bound_sq and not r.mu_minus1 and r.bound_sq_strong is None
+        d, _ = quartet_weights(qt)
+        assert d.value == 5
+        r = check_square_root_bound(qt.splitting, d)
+        assert r == {"d_squared_ge_n": True, "mu_minus1_splitting": False,
+                     "d_sq_minus_d_plus_1_ge_n": None,
+                     "odd_like_weights_equal": True}
 
     def test_interval_input_vacuous(self):
         from qduadic.distance import DistanceResult
@@ -245,9 +249,9 @@ class TestSquareRootBound:
         r = check_square_root_bound(
             qt.splitting,
             DistanceResult("interval", 1, 7, "full_enumeration", 0))
-        assert r.bound_sq is None and r.equal_across_pair is None
-        assert r.mu_minus1 and r.bound_sq_strong is None
-        assert r.all_satisfied is None
+        assert r == {"d_squared_ge_n": None, "mu_minus1_splitting": True,
+                     "d_sq_minus_d_plus_1_ge_n": None,
+                     "odd_like_weights_equal": None}
 
     # d^2 < n; under mu_{-1} only d^2 - d + 1 < n (25 >= 23 > 21); and
     # d^2 < n where mu_{-1} gives no splitting of 17

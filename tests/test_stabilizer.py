@@ -14,6 +14,7 @@ from qduadic.duadic import (
     splitting_by,
 )
 from qduadic.galois import field_from_order, make_field
+import qduadic.verify
 from qduadic.stabilizer import (
     ConstructionError,
     _checked,
@@ -23,6 +24,7 @@ from qduadic.stabilizer import (
     theory_distance_interval,
     verify_hermitian_condition,
 )
+from qduadic.verify import _distributions
 
 
 def _params(qt, construction="css", **kw):
@@ -46,13 +48,14 @@ class TestCSS:
         p = _css(31)
         assert p.d.value == 7 and p.purity.value == 8
         assert p.degenerate == "no"
-        assert p.bound_report.mu_minus1 and p.bound_report.bound_sq_strong
+        assert p.bound_checks["mu_minus1_splitting"]
+        assert p.bound_checks["d_sq_minus_d_plus_1_ge_n"]
 
     def test_n17_bound_report(self):
         p = _css(17)
-        assert p.bound_report.bound_sq  # 25 >= 17
-        assert not p.bound_report.mu_minus1
-        assert p.bound_report.equal_across_pair
+        assert p.bound_checks["d_squared_ge_n"]  # 25 >= 17
+        assert not p.bound_checks["mu_minus1_splitting"]
+        assert p.bound_checks["odd_like_weights_equal"]
 
     def test_cross_check_runs_clean(self):
         # the MacWilliams odd-like route and the set-difference oracle agree
@@ -97,7 +100,8 @@ class TestOneBoundReport:
         qt = None if n == 71 else build_quartet(s, make_field(2))
         p = stabilizer_params(s, qt, "css", budget)
         assert calls == [p.d] and p.d.is_exact == exact
-        assert p.bound_report.equal_across_pair is (True if exact else None)
+        assert p.bound_checks["odd_like_weights_equal"] is \
+            (True if exact else None)
 
 
 class TestDegenerateExample:
@@ -105,7 +109,8 @@ class TestDegenerateExample:
         p = _css(49)
         assert p.d.value == 9 and p.purity.value == 4
         assert p.degenerate == "yes"
-        assert p.bound_report.bound_sq_strong  # 81 - 9 + 1 = 73 >= 49
+        # 81 - 9 + 1 = 73 >= 49
+        assert p.bound_checks["d_sq_minus_d_plus_1_ge_n"]
 
     def test_n49_certificate_agrees(self):
         p = degeneracy_verdict(_css(49), degeneracy_certificate(49, 2, "CSS"))
@@ -252,28 +257,26 @@ def _oracle_quartets():
 
 
 class TestEngineAgainstOracles:
-    """d0 and the purity from one enumeration of C0 plus MacWilliams equal
-    the set differences D0 minus C0 and D1 minus C1 and the minimum weights
-    found by re-encoding every message; C0's and D0's distributions are
-    those of C1 and D1 too."""
+    """d0 from one enumeration of C0 plus MacWilliams (verify's route)
+    equals the set differences D0 minus C0 and D1 minus C1, and the purity
+    the minimum weights found by re-encoding every message; C0's and D0's
+    distributions are those of C1 and D1 too."""
 
     @pytest.mark.parametrize("construction,s", _oracle_quartets())
     def test_quartet(self, construction, s):
         qt = build_quartet(s, field_from_order(s.q))
-        w = quartet_weights(qt)
-        assert set(w.distributions) == {"C0", "D0"}
-        for name, images in (("C0", ("C0", "C1")), ("D0", ("D0", "D1"))):
+        C, D, d = _distributions(qt)
+        for dist, images in ((C, ("C0", "C1")), (D, ("D0", "D1"))):
             for image in images:
-                assert w.distributions[name] == \
-                    naive_distribution(getattr(qt, image)), image
-        assert w.d0.value == min_weight_diffset(qt.D0, qt.C0) == \
+                assert dist == naive_distribution(getattr(qt, image)), image
+        assert d.value == min_weight_diffset(qt.D0, qt.C0) == \
             min_weight_diffset(qt.D1, qt.C1)
         p = _params(qt, construction)
         if construction == "css":
             purity = min(naive_min_weight(qt.C0), naive_min_weight(qt.C1))
         else:
             purity = naive_min_weight(qt.C0)
-        assert p.d.value == w.d0.value and p.purity.value == purity
+        assert p.d.value == d.value and p.purity.value == purity
 
 
 class TestSearchChecks:
@@ -295,7 +298,8 @@ class TestSearchChecks:
 
 
 class TestOneEnumeration:
-    """C1 = C0 mu_a, so the engine enumerates C0 alone."""
+    """C1 = C0 mu_a, so verify's distribution route enumerates C0 alone
+    and the searches run on D0 and C0."""
 
     def _quartet(self, n, q=2):
         return build_quartet(default_splitting(n, q), field_from_order(q))
@@ -303,15 +307,15 @@ class TestOneEnumeration:
     @pytest.mark.parametrize("n,q", [(17, 2), (23, 2), (11, 3), (7, 4)])
     def test_one_weight_distribution_call(self, monkeypatch, n, q):
         calls = []
-        real = qduadic.stabilizer.weight_distribution
+        real = qduadic.verify.weight_distribution
 
         def counted(C, *args, **kwargs):
             calls.append(C)
             return real(C, *args, **kwargs)
 
-        monkeypatch.setattr(qduadic.stabilizer, "weight_distribution", counted)
+        monkeypatch.setattr(qduadic.verify, "weight_distribution", counted)
         qt = self._quartet(n, q)
-        quartet_weights(qt)
+        _distributions(qt)
         assert calls == [qt.C0]
 
     # the searches of D0 and C0 stop at the first level w whose bound
