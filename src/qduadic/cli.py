@@ -26,7 +26,10 @@ options, each given in full as --name value or --name=value:
   --budget B         a positive integer or a power such as 2^30, at most
                      2^64 (default 2^26): d and the purity are exact when
                      q^k of the code C0 fits; build and survey then run a
-                     Brouwer-Zimmermann search, and verify enumerates
+                     Brouwer-Zimmermann search, and verify enumerates.
+                     Beyond it, a support search of C0 tries the words of
+                     weight w = 1, 2, ... while all candidates up to weight
+                     w fit, and bounds the purity
   --workers W        worker processes for verify's exhaustive scans, a
                      positive integer; the pool is imported only above 1
                      (default 1); build and survey accept it, and their

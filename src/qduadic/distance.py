@@ -16,13 +16,14 @@ p-ary counter over the rest; the weights of two steps are counted by one
 bincount of joint keys.  It scans only the shortened subcode {c_0 = 0},
 q^(k-1) words, and the cyclic symmetry rebuilds the full histogram from it
 exactly.  Beyond the budget, a low-weight support search bounds the minimum
-weight, by grouping the scaled columns of H and by binary search for prefix
-sums in a sorted table of pair sums.
+weight, one whole level of weights at a time, by looking for proportional
+columns of H and by binary search for prefix sums in a sorted table of pair
+sums.
 
 Codewords are packed into uint64 words (one m-bit cell per coordinate,
 addition = XOR) in characteristic 2 when they fit 64 bits, and are arrays
-of GF(p) digits otherwise.  Work counters are closed forms of q and k (and
-of the level where the search stops), so they are reproducible and
+of GF(p) digits otherwise.  Work counters are closed forms of n, q and k
+(and of the level where the search stops), so they are reproducible and
 independent of the worker count.
 """
 
@@ -441,7 +442,7 @@ def brouwer_zimmermann(C: CyclicCode,
             return d.reshape(len(d), -1).astype(dtype)
 
         def add(x, y):
-            return (x + y) % p
+            return _add_digits(x, y, p)
 
         def weights(words):
             nonzero = words.reshape(len(words), n + 1, m).any(axis=2)
@@ -529,6 +530,15 @@ def _digits(x, p: int, m: int) -> np.ndarray:
     return np.asarray(x)[..., None] // p ** np.arange(m) % p
 
 
+def _add_digits(x: np.ndarray, y: np.ndarray, p: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """x + y mod p for GF(p) digits in an unsigned dtype that holds 2p - 2:
+    where the sum s is below p, s - p wraps above it, so the lesser of the
+    two is the sum mod p, without the integer division of `% p`."""
+    s = np.add(x, y, out=out)
+    return np.minimum(s, s - p, out=s)
+
+
 def _times(f, u: int, digits: np.ndarray) -> np.ndarray:
     """Digits of u*x for the elements x with digits on the last axis: the
     map is GF(p)-linear, with row i of its matrix the digits of u*x^i."""
@@ -545,29 +555,22 @@ def _unit_multiples(f, base: np.ndarray) -> np.ndarray:
     return syn
 
 
-def _first_pair(f, H: np.ndarray, base: np.ndarray) -> int | None:
-    """Level-2 index of the first zero pair sum h_j + u*h_k of nonzero
-    columns, or None.  The sum is zero exactly when h_j and h_k scale to one
-    column with leading entry 1, and u = -lead_j/lead_k, so (j, k) is the
-    least pair of columns in one such group."""
+def _proportional_columns(f, H: np.ndarray, base: np.ndarray) -> bool:
+    """Whether two of the nonzero columns of H are multiples of each other,
+    so that some pair sum h_j + u*h_k is zero: scaled to leading entry 1,
+    they become one column."""
     n = H.shape[1]
     lead = H[(H != 0).argmax(axis=0), np.arange(n)]
     norm = base.copy()
     for v in set(lead.tolist()) - {1}:  # no products over GF(2)
         norm[lead == v] = _times(f, f.inv(v), base[lead == v])
-    first: dict[bytes, int] = {}  # each group's least column
-    pairs = [(first.setdefault(norm[k].tobytes(), k), k) for k in range(n)]
-    j, k = min(((j, k) for j, k in pairs if j < k), default=(None, None))
-    if j is None:
-        return None
-    u = f.neg(f.mul(int(lead[j]), f.inv(int(lead[k]))))
-    return _candidate_index(f, n, (j, k), (1, u))
+    return len({column.tobytes() for column in norm}) < n
 
 
 def _pair_table(syn: np.ndarray, p: int) -> tuple:
     """The pair sums h_j + u*h_k (j < k) as keys of their digit bytes, sorted
     by key and then by descending j, so each key's first pair has its
-    largest j; and j, k, u of every pair in that order.
+    largest j; and the j of every pair in that order.
 
     The sums are filled into one array, a chunk of pairs at a time, laid out
     by descending j (then k, then u), so one stable argsort of the keys
@@ -585,94 +588,60 @@ def _pair_table(syn: np.ndarray, p: int) -> tuple:
     for lo in range(0, len(J), step):
         j, k = J[lo:lo + step], K[lo:lo + step]
         out = sums[lo * nu:(lo + len(j)) * nu].reshape(len(j), nu, L)
-        np.add(syn[j, :1], syn[k], out=out)
-        # a sum of two digits is below 2p, and where it is below p, out - p
-        # wraps above it in the unsigned dtype: the lesser is the sum mod p
-        np.minimum(out, out - p, out=out)
+        _add_digits(syn[j, :1], syn[k], p, out=out)
+    del K
     keys = sums.view(f"S{L * sums.itemsize}").ravel()
     order = keys.argsort(kind="stable")
-    U = order % nu + 1
     order //= nu
     J = J[order]
-    K = K[order]
     del order
     keys.sort(kind="stable")
-    return keys, J, K, U
+    return keys, J
 
 
-def _first_codeword(f, neg: np.ndarray, table: tuple, w: int, prefix: tuple,
-                    acc: np.ndarray) -> int | None:
-    """Level-w index of the first weight-w codeword on the first (w-2)-column
-    prefix from `prefix` on that extends to one, through a pair sum
-    h_j + u*h_k of the table under the negated prefix sum, j beyond the
-    prefix; or None.  `neg` holds the digits of -u*h_j, and `acc` those of
-    -(sum over `prefix`), one row per scalar vector in product order.  The
-    last two prefix positions (one at w = 3) are looked up as one block."""
-    (n, nu, L), p = neg.shape, f.p
-    lo = prefix[-1] + 1 if prefix else 0
-    if len(prefix) < w - 4:  # one more fixed position, tried in order
-        found = (_first_codeword(f, neg, table, w, prefix + (i,),
-                                 ((acc[:, None] + neg[i]) % p).reshape(-1, L))
-                 for i in range(lo, n - w + len(prefix) + 1))
-        return next((hit for hit in found if hit is not None), None)
+def _has_codeword(neg: np.ndarray, table: tuple, w: int, lo: int,
+                  acc: np.ndarray, p: int) -> bool:
+    """Whether a codeword of weight w has its first w - 2 columns at lo or
+    beyond, on top of the fixed columns whose negated scaled sums are the
+    rows of `acc`, one per choice of their scalars: a pair sum
+    h_j + u*h_k of the table, j beyond those columns, equals the negated
+    sum.  `neg` holds the digits of -u*h_j.  The last two of the w - 2
+    columns (one at w = 3) are looked up as one block."""
+    n, nu, L = neg.shape
+    if w > 4:  # one more fixed column, tried in order
+        return any(_has_codeword(neg, table, w - 1, i + 1,
+                                 _add_digits(acc[:, None], neg[i],
+                                             p).reshape(-1, L), p)
+                   for i in range(lo, n - w + 1))
     pos = (np.arange(lo, n - 2)[:, None] if w == 3
            else np.transpose(np.triu_indices(n - 2 - lo, 1)) + lo)
     block = acc[None]
     for c in range(pos.shape[1]):
-        block = ((block[:, :, None] + neg[pos[:, c], None]) % p).reshape(
-            len(pos), -1, L)
-    keys, J, K, U = table
-    x, per = block.reshape(-1, L).view(keys.dtype).ravel(), block.shape[1]
+        block = _add_digits(block[:, :, None], neg[pos[:, c], None],
+                            p).reshape(len(pos), -1, L)
+    keys, J = table
+    x = block.reshape(-1, L).view(keys.dtype).ravel()
     at = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
-    last = np.repeat(pos[:, -1], per)
-    hits = np.flatnonzero((keys[at] == x) & (J[at] > last))
-    if not len(hits):
-        return None
-    first = hits[0] // per  # the least prefix positions with a hit
-    support = prefix + tuple(int(i) for i in pos[first])
-    index = []
-    for h in hits[hits < (first + 1) * per]:
-        scalars = tuple(int(c) + 1 for c in np.unravel_index(
-            h % per, (nu,) * (w - 2)))
-        s = at[h]
-        while s < len(keys) and keys[s] == x[h] and J[s] > last[h]:
-            index.append(_candidate_index(f, n, support + (J[s], K[s]),
-                                          scalars + (1, U[s])))
-            s += 1
-    return min(index)
-
-
-def _candidate_index(f, n: int, support: tuple, scalars: tuple) -> int:
-    """Position, within its level, of the candidate on `support` whose
-    scalars are `scalars` scaled to begin with 1: the rank of the support
-    in itertools.combinations(range(n), w), then of the scalars in
-    itertools.product(units, repeat=w-1)."""
-    w = len(support)
-    index, lo = 0, 0
-    for i, s in enumerate(support):
-        index += sum(comb(n - 1 - v, w - 1 - i) for v in range(lo, s))
-        lo = s + 1
-    inv = f.inv(scalars[0])
-    for u in scalars[1:]:
-        index = index * (f.order - 1) + f.mul(inv, u) - 1
-    return int(index)
+    last = np.repeat(pos[:, -1], block.shape[1])
+    return bool(((keys[at] == x) & (J[at] > last)).any())
 
 
 def support_search_min_weight(f, H: np.ndarray,
                               budget: int) -> DistanceResult:
     """Search weight-w vectors against the check matrix H over the field f
     (element indices, one column per coordinate) for w = 1, 2, ...
-    First hit at level w is exact (all lower levels were exhausted); running
+    A hit at level w is exact (all lower levels were exhausted); running
     out of budget certifies a lower bound.
 
-    Level w holds comb(n, w)*(q-1)^(w-1) candidates: the supports in
-    combinations order, each with its scalars in product order, the first
-    scalar fixed to 1.  `work` counts the candidates up to the first hit, as
-    a loop over them would.  Syndromes are the GF(p) digits of the columns
-    h_j of H.  Level 1 looks for a zero column, level 2 for two columns with
-    the same multiple of leading entry 1; level w >= 3 looks up the negated
-    sums of its (w-2)-prefixes in a table of the pair sums h_j + u*h_k
-    sorted by their digit bytes, built once level 3 fits."""
+    Level w holds comb(n, w)*(q-1)^(w-1) candidates: the supports, each
+    with its scalars, the first scalar fixed to 1.  A level is searched
+    only if its candidates fit the budget with those of the levels below,
+    and `work` counts the candidates of the levels searched.  Syndromes
+    are the GF(p) digits of the columns h_j of H.  Level 1 looks for a zero
+    column, level 2 for two columns that are multiples of each other;
+    level w >= 3 looks up the negated sums of its first w - 2 columns in a
+    table of the pair sums h_j + u*h_k sorted by their digit bytes, built
+    once level 3 fits."""
     n, q, p = H.shape[1], f.order, f.p
     digits = _digits(np.arange(q), p, f.m)
     base = digits.astype(np.min_scalar_type(2 * (p - 1)))[H.T]
@@ -683,18 +652,17 @@ def support_search_min_weight(f, H: np.ndarray,
             if w == 1:
                 return DistanceResult("interval", 1, n, "support_search", work)
             return DistanceResult("lower_bound", w, None, "support_search", work)
+        work += level
         if w == 1:
-            zero = np.flatnonzero(~base.any(axis=(1, 2)))
-            hit = int(zero[0]) if len(zero) else None
+            hit = not base.any(axis=(1, 2)).all()  # a zero column
         elif w == 2:
-            hit = _first_pair(f, H, base)
+            hit = _proportional_columns(f, H, base)
         else:
             if w == 3:
                 syn = _unit_multiples(f, base)
                 table, neg = _pair_table(syn, p), (p - syn) % p
-            hit = _first_codeword(f, neg, table, w, (),
-                                  np.zeros((1, neg.shape[2]), neg.dtype))
-        if hit is not None:
-            return DistanceResult.exact(w, "support_search", work + hit + 1)
-        work += level
+            hit = _has_codeword(neg, table, w, 0,
+                                np.zeros((1, neg.shape[2]), neg.dtype), p)
+        if hit:
+            return DistanceResult.exact(w, "support_search", work)
     raise DistanceError("no nonzero codeword found (zero code?)")

@@ -10,14 +10,15 @@ Hermitian path: over GF(q^2), C_0^{perp_h} = D_0 exactly when mu_{-q} gives
 the splitting; the construction is refused otherwise.
 
 `stabilizer_params` is the one place that decides how d and the purity are
-measured, for both paths.  When q^k of C0 fits the budget, the purity is
-read off a Brouwer-Zimmermann search of C0 (its least nonzero weight) and d
-off one of D0 over its odd-like words, each stopping once the bound
-ceil(n*(w+1)/k) after level w reaches the least weight found; `work` counts
-the words enumerated, and each least word is re-checked against the check
-matrix.  mu_a maps C0 onto C1 and D0 onto D1, so these are C1's and D1's
-values too.  Beyond the budget d is the square-root interval and a support
-search bounds the purity; without a quartet the purity is [1, n].  The
+measured, for both paths.  It checks once that mu_a maps C0 onto C1 (and so
+D0 onto D1), so C0 and D0 alone are searched, and their values are C1's and
+D1's too.  When q^k of C0 fits the budget, the purity is read off a
+Brouwer-Zimmermann search of C0 (its least nonzero weight) and d off one of
+D0 over its odd-like words, each stopping once the bound ceil(n*(w+1)/k)
+after level w reaches the least weight found; `work` counts the words
+enumerated, and each least word is re-checked against the check matrix.
+Beyond the budget d is the square-root interval and a support search of C0
+bounds the purity; without a quartet the purity is [1, n].  The
 square-root bound is checked on d once, and its checks are the report's
 `bound_checks`.  Only parameters and classical-code witnesses are
 materialized, never the quantum state space.  `verify` holds the
@@ -32,7 +33,7 @@ from math import isqrt
 
 import numpy as np
 
-from .cyclic import CyclicCode, check_matrix, hermitian_dual, mu_apply
+from .cyclic import CyclicCode, _check_dual, check_matrix, mu_apply
 from .distance import (
     DEFAULT_BUDGET,
     DistanceError,
@@ -57,7 +58,7 @@ def check_square_root_bound(s: Splitting, d: DistanceResult) -> dict:
     """The report's `bound_checks` on the odd-like distance d of the quartet
     of s: d^2 >= n, whether mu_{-1} gives the splitting, d^2 - d + 1 >= n
     (mu_{-1} case only), and the equal odd-like distances of D0 and
-    D1 = mu_a(D0), which `quartet_weights` checks on the defining sets.  The
+    D1 = mu_a(D0), which `stabilizer_params` checks on the defining sets.  The
     bound is a theorem, so a violation is an implementation bug and raises:
     every check in a returned dict passed.  An interval d makes every check
     but mu_{-1} vacuous (None)."""
@@ -130,18 +131,9 @@ def theory_distance_interval(n: int, mu_minus1: bool) -> DistanceResult:
 def quartet_weights(
         quartet: DuadicQuartet) -> tuple[DistanceResult, DistanceResult]:
     """The odd-like distance of D0 and the least nonzero weight of C0, from
-    two checked Brouwer-Zimmermann searches (see `_checked`).  The
-    multiplier mu_a of the splitting swaps S0 and S1, so it permutes the
-    coordinates of C0 onto C1 and of D0 onto D1: C1 has C0's weights, and
-    D0 and D1 share theirs (checked here on the defining sets), so these
-    are C1's and D1's values too.  D0 \\ C0 is the set of odd-like words of
-    D0."""
-    n, C0, C1, D0 = quartet.n, quartet.C0, quartet.C1, quartet.D0
-    if (C1.field != C0.field
-            or mu_apply(C0.T.members, quartet.splitting.a, n) != C1.T.as_set()):
-        raise DistanceError(
-            "C1 is not the mu_a image of C0, so it cannot share C0's weight "
-            "distribution (internal bug)")
+    two checked Brouwer-Zimmermann searches (see `_checked`).  D0 \\ C0 is
+    the set of odd-like words of D0."""
+    C0, D0 = quartet.C0, quartet.D0
     return (_checked(D0, *brouwer_zimmermann(D0, odd_like=True), "D0", True),
             _checked(C0, *brouwer_zimmermann(C0), "C0", False))
 
@@ -205,12 +197,14 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
     * when q^k of C0 fits the budget, both are exact, from the checked
       Brouwer-Zimmermann searches of D0 and C0 (`quartet_weights`);
     * beyond the budget, d is the square-root interval and a support search
-      of C0 bounds the purity, and for CSS one of C1 = mu_a(C0), whose
-      result must agree (their `work` is summed);
+      of C0 bounds the purity;
     * without a quartet (its splitting field is beyond the cap), d is the
       square-root interval, the purity is [1, n] and the verdict undecided.
 
-    The square-root bound is checked on d in every case."""
+    With a quartet, mu_a must map C0 onto C1: the multiplier of the
+    splitting swaps S0 and S1, so it permutes the coordinates of C0 onto C1
+    and of D0 onto D1, and C1 and D1 have C0's and D0's weights.  The
+    square-root bound is checked on d in every case."""
     n = s.n
     hermitian = construction == "hermitian"
     if hermitian and not verify_hermitian_condition(s):
@@ -220,30 +214,21 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
     d = theory_distance_interval(n, s.is_given_by(n - 1))
     purity = DistanceResult("interval", 1, n, "defining_set_theory", 0)
     if quartet is not None:
+        C0, C1, D0 = quartet.C0, quartet.C1, quartet.D0
         # build_quartet has checked the CSS containment C_i subset D_i
-        if hermitian:  # check C_0^{perp_h} = D_0 on matrices
-            hd = hermitian_dual(quartet.C0)
-            if hd.T.as_set() != quartet.D0.T.as_set():
-                raise ConstructionError(
-                    "C_0^{perp_h} != D_0 despite the splitting condition "
-                    "(internal bug)")
-        if enumerable(quartet.C0, budget):  # C1 has C0's length, field, k
+        if (C1.field != C0.field
+                or mu_apply(C0.T.members, quartet.splitting.a, n)
+                != C1.T.as_set()):
+            raise DistanceError(
+                "C1 is not the mu_a image of C0, so it cannot share C0's "
+                "weight distribution (internal bug)")
+        if hermitian:  # D0 has the dimension of C_0^{perp_h} and is in it
+            _check_dual(C0, D0, isqrt(C0.q), "hermitian dual")
+        if enumerable(C0, budget):
             d, purity = quartet_weights(quartet)
         else:
-            purity = support_search_min_weight(
-                quartet.C0.field, check_matrix(quartet.C0), budget)
-            # the Hermitian stabilizer holds C0 alone; CSS holds C0 and
-            # C1 = mu_a(C0), which has C0's weights
-            if not hermitian:
-                other = support_search_min_weight(
-                    quartet.C1.field, check_matrix(quartet.C1), budget)
-                if (other.kind, other.lo, other.hi) != (purity.kind,
-                                                         purity.lo, purity.hi):
-                    raise DistanceError(
-                        f"the support searches of C0 and its mu_a image "
-                        f"disagree: {purity.to_dict()} and {other.to_dict()} "
-                        "(internal bug)")
-                purity = replace(purity, work=purity.work + other.work)
+            purity = support_search_min_weight(C0.field, check_matrix(C0),
+                                               budget)
     return StabilizerParams(
         n=n, k=1, q=isqrt(s.q) if hermitian else s.q,
         construction="Hermitian" if hermitian else "CSS", d=d, purity=purity,

@@ -128,7 +128,8 @@ def support_search_loop(f: Field, H, budget: int) -> DistanceResult:
     """Search weight-w vectors against the check matrix H, a 2-d array of
     element indices of f with one column per coordinate, for w = 1, 2, ...
     First hit at level w is exact (all lower levels were exhausted); running
-    out of budget certifies a lower bound."""
+    out of budget certifies a lower bound.  `work` counts every candidate of
+    the levels searched, the level of the hit included."""
     n, q = np.shape(H)[1], f.order
     H = np.asarray(H).tolist()
     cols = [tuple(row[j] for row in H) for j in range(n)]
@@ -144,10 +145,10 @@ def support_search_loop(f: Field, H, budget: int) -> DistanceResult:
             if lo == 1:
                 return DistanceResult("interval", 1, n, "support_search", work)
             return DistanceResult("lower_bound", lo, None, "support_search", work)
+        work += level
         for support in itertools.combinations(range(n), w):
             # first nonzero scalar fixed to 1 (codes are scale-invariant)
             for scalars in itertools.product(units, repeat=w - 1):
-                work += 1
                 syndrome_zero = True
                 for r in range(hlen):
                     acc = cols[support[0]][r]
@@ -165,14 +166,14 @@ def support_search_loop(f: Field, H, budget: int) -> DistanceResult:
 def pair_table_lexsort(syn: np.ndarray, p: int) -> tuple:
     """The support search's pair table built all at once: every pair sum
     h_j + u*h_k (j < k) in np.triu_indices order, its digit bytes as keys,
-    and one lexsort by key and then by descending j; (keys, j, k, u) in
-    that order."""
+    and one lexsort by key and then by descending j; (keys, j) in that
+    order."""
     n, nu, L = syn.shape
     J, K = np.triu_indices(n, 1)
     sums = ((syn[J, :1] + syn[K]) % p).reshape(-1, L)
     keys = sums.view(f"S{L * sums.itemsize}").ravel()
     order = np.lexsort((-np.repeat(J, nu), keys))
-    return keys[order], J[order // nu], K[order // nu], order % nu + 1
+    return keys[order], J[order // nu]
 
 
 def genpoly_per_root(n: int, field: Field, members) -> Poly:

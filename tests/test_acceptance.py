@@ -104,9 +104,9 @@ def test_criterion_06_hermitian_7_2(capsys):
     assert (st["n"], st["k"], st["q"]) == (7, 1, 2)
     assert st["d"]["kind"] == "exact" and st["d"]["lo"] == 3
     assert doc["splitting"]["q"] == 4
-    # the dual identity holds both by defining sets and by matrices: the
-    # matrix route checks C0^{perp_h} against the conjugated generator
-    # matrix and raises if it disagrees with D0's defining set
+    # the dual identity holds both by defining sets and by polynomials: D0
+    # has the dimension of C0^{perp_h}, and its generator rows are checked
+    # orthogonal to the conjugated rows of C0
     qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
     p = stabilizer_params(qt.splitting, qt, "hermitian")
     assert p.d.value == 3
@@ -134,10 +134,11 @@ def test_criterion_07_verify_q2_to_61(capsys):
         assert t["failed"] == 0, name
     for name in expected_checks:
         assert tallies[name]["passed"] > 0, name
-    # the duals of every materialized quartet are checked, n = 41, 47 and
-    # 49 among them
+    # the duals of every materialized quartet are checked, and its searched
+    # d and purity compared with the distributions, n = 41, 47 and 49 among
+    # them
     assert (tallies["dual_defining_set_matches_matrix"]["passed"]
-            == tallies["duadic_dimensions"]["passed"] == 7)
+            == tallies["extremes_match_distribution"]["passed"] == 7)
     total = sum(t["passed"] for t in tallies.values())
     _report(7, f"verify q=2 n<=61: {total} checks, zero violations, "
                f"{elapsed:.2f}s")

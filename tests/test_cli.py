@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -154,8 +154,8 @@ class TestBuild:
                    "--splitting-id", "ffffffffffff")[0] == EXIT_USAGE
 
     def test_beyond_budget_golden(self, capsys):
-        # values recorded before the support search was rewritten: the
-        # purity bound comes from 2,306,654 candidates of C0 and C1
+        # the purity bound comes from levels 1 to 4 of C0, 1,153,327
+        # candidates; C1 = mu_a(C0) is not searched
         code, doc = run_json(capsys, "build", "css", "73", "2",
                              "--budget", "2^22")
         assert code == EXIT_PARTIAL
@@ -164,8 +164,22 @@ class TestBuild:
         assert st["d"] == {"kind": "interval", "lo": 9, "hi": 73,
                            "method": "defining_set_theory", "work": 0}
         assert st["purity"] == {"kind": "lower_bound", "lo": 5, "hi": None,
-                                "method": "support_search", "work": 2306654}
+                                "method": "support_search", "work": 1153327}
         assert st["degenerate"] == "undecided"
+
+    def test_beyond_budget_exact_purity(self, capsys):
+        # 49/2 at 2^20 (C0 has k = 24): the support search of C0 meets a
+        # codeword at level 4, and its work is the whole of levels 1 to 4;
+        # purity 4 lies below the square-root bound 8 on d
+        code, doc = run_json(capsys, "build", "css", "49", "2",
+                             "--budget", "2^20")
+        assert code == EXIT_PARTIAL
+        st = doc["stabilizer"]
+        assert st["purity"] == {"kind": "exact", "lo": 4, "hi": 4,
+                                "method": "support_search", "work": 231525}
+        assert 231525 == sum(comb(49, i) for i in range(1, 5))
+        assert (st["d"]["kind"], st["d"]["lo"]) == ("interval", 8)
+        assert st["degenerate"] == "yes"
 
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -377,8 +391,6 @@ class TestVerify:
             s = default_splitting(n, 2)
             assert (n, frozenset(s.S1 + (0,))) in seen
         assert doc["tallies"] == {
-            "bound_report_consistent": {"failed": 0, "passed": 4, "skipped": 0},
-            "duadic_dimensions": {"failed": 0, "passed": 4, "skipped": 0},
             "extremes_match_distribution":
                 {"failed": 0, "passed": 4, "skipped": 0},
             "dual_defining_set_matches_matrix":
@@ -386,7 +398,6 @@ class TestVerify:
             "hermitian_dual_is_D0": {"failed": 0, "passed": 3, "skipped": 0},
             "macwilliams_matches_enumeration":
                 {"failed": 0, "passed": 2, "skipped": 0},
-            "mu_a_squared_fixes_sides": {"failed": 0, "passed": 4, "skipped": 0},
             "mu_image_weight_distribution":
                 {"failed": 0, "passed": 3, "skipped": 0},
             "mu_minus1_equals_mu_minus_q":
@@ -436,10 +447,11 @@ class TestVerify:
             {"passed": 0, "failed": 1, "skipped": 0}
 
     def test_extremes_tally_bound(self, capsys):
-        # binary lengths up to 45 with a splitting: 7, 17, 23, 31 and 41
+        # every binary length with a splitting: 7, 17, 23, 31, 41, 47 and
+        # the degenerate [[49,1,9]]_2
         _, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "49")
         assert doc["tallies"]["extremes_match_distribution"] == \
-            {"passed": 5, "failed": 0, "skipped": 0}
+            {"passed": 7, "failed": 0, "skipped": 0}
         # every q: 11 and 13 over GF(3)
         _, doc = run_json(capsys, "verify", "--q", "3", "--max-n", "13")
         assert doc["tallies"]["extremes_match_distribution"] == \
@@ -498,13 +510,12 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["failures"] == [
             {"assertion": name, "detail": f"n={n} d_o={d}"}]
-        # (passed, failed) of the square-root, mu_(-1) and consistency
-        # tallies: at 7, mu_(-1) gives the splitting, yet only the d^2 check
-        # fails, and the doctored length runs no consistency check
-        tallies = {7: [(3, 1), (2, 0), (3, 0)], 23: [(4, 0), (2, 1), (3, 0)]}
+        # (passed, failed) of the square-root and mu_(-1) tallies: at 7,
+        # mu_(-1) gives the splitting, yet only the d^2 check fails
+        tallies = {7: [(3, 1), (2, 0)], 23: [(4, 0), (2, 1)]}
         assert [(doc["tallies"][k]["passed"], doc["tallies"][k]["failed"])
-                for k in ("square_root_bound", "square_root_bound_mu_minus1",
-                          "bound_report_consistent")] == tallies[n]
+                for k in ("square_root_bound",
+                          "square_root_bound_mu_minus1")] == tallies[n]
 
     def test_square_root_violation_in_build_exits_4(self, capsys,
                                                      monkeypatch):
@@ -580,26 +591,30 @@ class TestInvariantFailures:
         assert err.startswith("internal error") and message in err
         assert "Traceback" not in err and err.count("\n") == 1
 
-    def test_disagreeing_support_searches_exit_4(self, capsys, monkeypatch):
-        # beyond the budget C0 and C1 = mu_a(C0) are searched separately;
-        # their bounds must agree (the purity of 23/2 at 2^10 is >= 3)
+    @pytest.mark.parametrize("budget", ["2^10", "2^26"],
+                             ids=["support_search", "brouwer_zimmermann"])
+    def test_c1_not_mu_a_image_exits_4(self, capsys, monkeypatch, budget):
+        # C0 and D0 alone are searched, for C1 and D1 too, on both routes:
+        # a C1 that is not mu_a(C0) is refused before any search
+        import qduadic.cli
         import qduadic.stabilizer
-        real = qduadic.stabilizer.support_search_min_weight
-        seen = []
+        real = qduadic.cli.materialize_quartet
+        searched = []
 
-        def doctored(f, H, budget):
-            r = real(f, H, budget)
-            seen.append(r)
-            return dataclasses.replace(r, lo=r.lo + 1) if len(seen) == 2 else r
+        def swapped(*args):
+            quartet = real(*args)
+            return dataclasses.replace(quartet, C1=quartet.C0)
 
-        monkeypatch.setattr(qduadic.stabilizer, "support_search_min_weight",
-                            doctored)
+        monkeypatch.setattr(qduadic.cli, "materialize_quartet", swapped)
+        for name in ("support_search_min_weight", "quartet_weights"):
+            monkeypatch.setattr(qduadic.stabilizer, name,
+                                lambda *args: searched.append(args))
         code, out, err = run(capsys, "build", "css", "23", "2", "--budget",
-                             "2^10")
-        assert [(r.kind, r.lo) for r in seen] == [("lower_bound", 3)] * 2
-        assert code == EXIT_ASSERTION and out == ""
-        assert err.startswith("internal error") and "disagree" in err
-        assert "Traceback" not in err and err.count("\n") == 1
+                             budget)
+        assert code == EXIT_ASSERTION and out == "" and searched == []
+        assert err == ("internal error: C1 is not the mu_a image of C0, so "
+                       "it cannot share C0's weight distribution (internal "
+                       "bug)\n")
 
     @pytest.mark.parametrize("exc", ["SplittingError", "ConstructionError",
                                      "DistanceError", "CyclicCodeError",

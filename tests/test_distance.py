@@ -617,33 +617,32 @@ class TestSupportSearch:
         r = _support_search(C, budget=10**6)
         assert r == _loop_oracle(C, 10**6)
         assert r.to_dict() == {"kind": "exact", "lo": 1, "hi": 1,
-                               "method": "support_search", "work": 1}
+                               "method": "support_search", "work": n}
 
-    @pytest.mark.parametrize("n,q,work", [(7, 2, 8), (5, 4, 6), (7, 3, 9),
-                                          (7, 5, 11), (5, 9, 7)])
-    def test_even_weight_code_scalar_rank(self, n, q, work):
-        # [n, n-1]: the first hit is x_0 - x_1, after all n weight-1
-        # candidates; its scalar -1 is the element p - 1, the (p-1)-th unit
+    @pytest.mark.parametrize("n,q", [(7, 2), (5, 4), (7, 3), (7, 5), (5, 9)])
+    def test_even_weight_code_hits_at_level_two(self, n, q):
+        # [n, n-1]: x_0 - x_1 is a codeword, its scalar -1 the element
+        # p - 1; work counts the whole of levels 1 and 2
         C = _code(n, q, [0])
         r = _support_search(C, budget=10**6)
         assert r == _loop_oracle(C, 10**6)
-        assert r.kind == "exact" and r.value == 2 and r.work == work
+        assert r.kind == "exact" and r.value == 2
+        assert r.work == n + comb(n, 2) * (q - 1)
 
     def test_digit_sums_past_255(self):
-        # 130*x0 + 126*x1 + x2 = 0 over GF(131): the first codeword is
-        # (1, 26, 0), while 130 + 126 = 256 wraps to 0 in a byte
+        # 130*x0 + 126*x1 + x2 = 0 over GF(131): (1, 26, 0) is a codeword,
+        # while 130 + 126 = 256 wraps to 0 in a byte
         f, H = make_field(131), np.array([[130, 126, 1]])
         r = support_search_min_weight(f, H, budget=1000)
         assert r == support_search_loop(f, H, 1000)
-        assert r.kind == "exact" and r.value == 2 and r.work == 3 + 25 + 1
+        assert r.kind == "exact" and r.value == 2 and r.work == 3 + 3 * 130
 
 
     @staticmethod
     def _planted(q, rows, seed):
         """A random rows x 9 check matrix over GF(q) whose only columns that
         are multiples of each other are the pair {1, 7} and the group of
-        three {2, 4, 5}: its first pair (1, 7) comes first by j, but (2, 4)
-        comes first by k."""
+        three {2, 4, 5}."""
         f = field_from_order(q)
         rng = random.Random(seed)
 
@@ -665,11 +664,10 @@ class TestSupportSearch:
             for budget in self._level_budgets(9, q, self.ORACLE_CAP):
                 r = support_search_min_weight(f, H, budget)
                 assert r == support_search_loop(f, H, budget)
-            # the first hit is on the support (1, 7): all 9 weight-1
-            # candidates, then those on (0, 1), ..., (0, 8) and (1, 2), ...
+            # levels 1 and 2 fit: the whole of both is counted
             r = support_search_min_weight(f, H, 9 + 36 * (q - 1))
             assert r.kind == "exact" and r.value == 2
-            assert 9 + 13 * (q - 1) < r.work <= 9 + 14 * (q - 1)
+            assert r.work == 9 + 36 * (q - 1)
 
     def test_level_two_of_255_256_needs_no_unit_multiples(self):
         # levels 1 and 2 of 255/256 fit 2^26, level 3 does not; all 255

@@ -4,9 +4,14 @@ from math import gcd
 import pytest
 
 from oracles import min_weight_diffset, naive_distribution, naive_min_weight
-from qduadic.cyclic import euclidean_dual
+from qduadic.cyclic import CyclicCodeError, euclidean_dual
 import qduadic.stabilizer
-from qduadic.distance import DistanceError, DistanceResult, brouwer_zimmermann
+from qduadic.distance import (
+    DEFAULT_BUDGET,
+    DistanceError,
+    DistanceResult,
+    brouwer_zimmermann,
+)
 from qduadic.duadic import (
     build_quartet,
     default_splitting,
@@ -19,7 +24,6 @@ from qduadic.stabilizer import (
     ConstructionError,
     _checked,
     degeneracy_verdict,
-    quartet_weights,
     stabilizer_params,
     theory_distance_interval,
     verify_hermitian_condition,
@@ -148,33 +152,34 @@ class TestHermitian:
 
     @staticmethod
     def _matrix_checks(monkeypatch, n):
-        """The params of the Hermitian code of n over GF(4), and the codes
-        whose Hermitian dual was recomputed by matrices on the way."""
-        real, calls = qduadic.stabilizer.hermitian_dual, []
-        monkeypatch.setattr(qduadic.stabilizer, "hermitian_dual",
-                            lambda C: calls.append(C) or real(C))
+        """The params of the Hermitian code of n over GF(4), and the pairs
+        of codes checked on the way to be Hermitian duals, by dimensions and
+        lag products of their generator polynomials."""
+        real, calls = qduadic.stabilizer._check_dual, []
+        monkeypatch.setattr(qduadic.stabilizer, "_check_dual",
+                            lambda C, D, *args: calls.append((C, D))
+                            or real(C, D, *args))
         qt = build_quartet(splitting_by(n, 4, (-2) % n), field_from_order(4))
         return _params(qt, "hermitian"), calls, qt
 
     def test_matrix_check_agrees(self, monkeypatch):
-        # C_0^{perp_h} is recomputed by matrices on every build
+        # C_0^{perp_h} = D_0 is checked on every build
         p, calls, qt = self._matrix_checks(monkeypatch, 7)
         assert p.d.is_exact
-        assert calls == [qt.C0]
+        assert calls == [(qt.C0, qt.D0)]
 
     # past n = 31 too, where d lies beyond the budget
     @pytest.mark.parametrize("n", [35, 41])
     def test_matrix_check_at_every_length(self, monkeypatch, n):
         p, calls, qt = self._matrix_checks(monkeypatch, n)
         assert not p.d.is_exact
-        assert calls == [qt.C0]
+        assert calls == [(qt.C0, qt.D0)]
 
-    def test_matrix_check_refuses_a_wrong_dual(self, monkeypatch):
+    def test_matrix_check_refuses_a_wrong_dual(self):
+        # D1 has the dimension of C_0^{perp_h}, but is not orthogonal to C0
         qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
-        monkeypatch.setattr(qduadic.stabilizer, "hermitian_dual",
-                            lambda C: qt.D1)
-        with pytest.raises(ConstructionError, match="internal bug"):
-            _params(qt, "hermitian")
+        with pytest.raises(CyclicCodeError, match="not orthogonal"):
+            _params(replace(qt, D0=qt.D1), "hermitian")
 
 
 class TestTheoryOnly:
@@ -338,13 +343,18 @@ class TestOneEnumeration:
         # ceil(7*2/3) = 5 >= 4)
         assert (p.d.work, p.purity.work) == (4, 3)
 
+    # within the budget and beyond it, where a support search runs
+    BUDGETS = (DEFAULT_BUDGET, 10)
+
     def test_replaced_c1_is_refused(self):
         qt = self._quartet(17)
-        with pytest.raises(DistanceError, match="mu_a image"):
-            quartet_weights(replace(qt, C1=qt.C0))
+        for budget in self.BUDGETS:
+            with pytest.raises(DistanceError, match="mu_a image"):
+                _params(replace(qt, C1=qt.C0), budget=budget)
 
     def test_c1_from_another_field_is_refused(self):
         qt = self._quartet(7)
         other = build_quartet(default_splitting(7, 4), field_from_order(4))
-        with pytest.raises(DistanceError, match="mu_a image"):
-            quartet_weights(replace(qt, C1=other.C1))
+        for budget in self.BUDGETS:
+            with pytest.raises(DistanceError, match="mu_a image"):
+                _params(replace(qt, C1=other.C1), budget=budget)
