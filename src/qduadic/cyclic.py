@@ -324,26 +324,23 @@ def _check_dual(C: CyclicCode, D: CyclicCode, power: int, formula: str) -> None:
     """Raise unless k_C + k_D = n and every generator row x^j*g_D(x) of D is
     orthogonal to every generator row x^i*g_C(x) of C with its entries
     raised to `power`.  The rows have no wrap-around, so each generator
-    matrix has full rank, and the product of rows i and j is the lag product
-    sum_s g_C[s]^power * g_D[s + i - j], which depends only on the lag
-    i - j: the n - 1 lags in (-k_D, k_C) cover all k_C*k_D pairs.  This
-    proves D = C^perp (power 1) or D = C^perp_h (power q0)."""
+    matrix has full rank.  The product of rows i and j is coefficient
+    top - (i - j) of g_C (entries raised to `power`) times g_D reversed,
+    top = deg g_D, so one product covers all k_C*k_D pairs.  This proves
+    D = C^perp (power 1) or D = C^perp_h (power q0)."""
     f = C.field
     if C.k + D.k != C.n:
         raise CyclicCodeError(
             f"{formula} formula gives dimension {D.k} for the dual of a "
             f"[{C.n}, {C.k}] code (internal bug)")
-    gC = [f.pow(x, power) for x in C.genpoly.coeffs]
+    gC = Poly.make([f.pow(x, power) for x in C.genpoly.coeffs], f)
     gD = D.genpoly.coeffs
-    for lag in range(1 - D.k, C.k) if C.k and D.k else ():
-        acc = 0
-        for x, y in zip(gC[max(-lag, 0):], gD[max(lag, 0):]):
-            if x and y:
-                acc = f.add(acc, f.mul(x, y))
-        if acc:
-            raise CyclicCodeError(
-                f"{formula} formula gives a code not orthogonal to C "
-                "(internal bug)")
+    top = len(gD) - 1
+    lags = gC.mul(Poly.make(gD[::-1], f)).coeffs
+    if any(lags[max(top - C.k + 1, 0):top + D.k]):
+        raise CyclicCodeError(
+            f"{formula} formula gives a code not orthogonal to C "
+            "(internal bug)")
 
 
 def euclidean_dual(C: CyclicCode) -> CyclicCode:

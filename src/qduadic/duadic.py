@@ -8,7 +8,6 @@ and their even-like subcodes C_i (defining set S_i union {0}).
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -25,6 +24,16 @@ from .cyclic import (
     ord_mod,
 )
 from .galois import Field, FieldCapError, Poly, factorize, field_from_order
+
+# CPython's built-in SHA-256 maps no OpenSSL; hashlib would load libcrypto
+# into every process that prints a splitting id
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the built-in SHA-2
+        from hashlib import sha256
 
 
 class SplittingError(ValueError):
@@ -62,9 +71,11 @@ class Splitting:
 
     @property
     def splitting_id(self) -> str:
-        """Stable identifier: hash of (n, q, sorted S0)."""
+        """Stable identifier: the first 12 hex digits of the SHA-256 of
+        "n:q:S0" (S0 sorted, comma-separated), from CPython's built-in
+        module."""
         payload = f"{self.n}:{self.q}:" + ",".join(map(str, self.S0))
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return sha256(payload.encode()).hexdigest()[:12]
 
     def is_given_by(self, a: int) -> bool:
         """Whether mu_a also swaps the two sides of this splitting."""

@@ -861,14 +861,17 @@ class TestLargeQ:
 
 
 def test_import_leaves_the_process_pool_out():
-    # the pool is imported only when --workers > 1 asks for it, and argv is
+    # the pool is imported only when --workers > 1 asks for it; argv is
     # parsed from a table, without argparse and the gettext and locale it
-    # loads
+    # loads; and splitting ids are hashed by CPython's built-in SHA-256, so
+    # neither hashlib nor OpenSSL's libcrypto is loaded
     src = os.path.dirname(os.path.dirname(qduadic.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, qduadic.cli; print(sorted("
+        [sys.executable, "-c", "import os, sys, qduadic.cli; print(sorted("
          "m for m in ('concurrent.futures', 'multiprocessing', 'argparse', "
-         "'gettext', 'locale') if m in sys.modules))"],
+         "'gettext', 'locale', 'hashlib', '_hashlib', '_blake2') "
+         "if m in sys.modules), os.path.exists('/proc/self/maps') and "
+         "'libcrypto' in open('/proc/self/maps').read())"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] False"

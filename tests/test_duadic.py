@@ -1,9 +1,16 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import gcd
 
 import pytest
 from oracles import generator_matrix, is_even_like, poly_divides
 
+import qduadic
+from qduadic.cli import _select_splitting
 from qduadic.cyclic import (
     DefiningSet,
     cyclotomic_cosets,
@@ -108,6 +115,60 @@ class TestFindSplittings:
         a = splitting_by(7, 2, 6).splitting_id
         b = splitting_by(7, 2, 6).splitting_id
         assert a == b and len(a) == 12
+
+
+def _small_splittings():
+    """Every splitting of n <= 31 over GF(2), GF(3), GF(4), GF(5) and GF(9)."""
+    for q in (2, 3, 4, 5, 9):
+        for n in range(3, 32, 2):
+            if gcd(n, q) == 1:
+                yield from iter_splittings(n, q)
+
+
+# ids that other tests pin: the default splittings of css 73/2, of the
+# Hermitian 7/9 (its codes lie over GF(81)), of css 23/4 and of css 13/9
+GOLDEN_IDS = {(73, 2): "db957ff01314", (7, 81): "97e5bb9c23cc",
+              (23, 4): "1a94b0eef396", (13, 9): "5dc236b7a62c"}
+
+# rebuilds each splitting sent on stdin, with CPython's built-in SHA-2
+# hidden, and looks up splitting #6272 of 85/4 by its pinned id
+FALLBACK_SCRIPT = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from qduadic.cli import _select_splitting
+from qduadic.duadic import Splitting
+ids = [Splitting(*args).splitting_id for args in json.load(sys.stdin)]
+lookup = _select_splitting(85, 4, "css", "88200776026d")
+print(json.dumps([ids, lookup.a, "hashlib" in sys.modules]))
+"""
+
+
+class TestSplittingId:
+    def test_sha256_of_n_q_s0(self):
+        splittings = list(_small_splittings())
+        assert len(splittings) == 166
+        for s in splittings:
+            payload = f"{s.n}:{s.q}:{','.join(map(str, s.S0))}"
+            digest = hashlib.sha256(payload.encode()).hexdigest()
+            assert s.splitting_id == digest[:12]
+
+    def test_golden_ids(self):
+        assert {nq: default_splitting(*nq).splitting_id
+                for nq in GOLDEN_IDS} == GOLDEN_IDS
+        assert _select_splitting(85, 4, "css", "88200776026d").a == 42
+
+    def test_hashlib_fallback_gives_the_same_ids(self):
+        splittings = [*_small_splittings(),
+                      *(default_splitting(*nq) for nq in GOLDEN_IDS)]
+        src = os.path.dirname(os.path.dirname(qduadic.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", FALLBACK_SCRIPT],
+            input=json.dumps([[s.n, s.q, s.S0, s.S1, s.a] for s in splittings]),
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True).stdout
+        ids = [s.splitting_id for s in splittings]
+        assert ids[-4:] == list(GOLDEN_IDS.values())
+        assert json.loads(out) == [ids, 42, True]
 
 
 class TestQuartet:
