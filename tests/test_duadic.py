@@ -10,7 +10,6 @@ import pytest
 from oracles import generator_matrix, is_even_like, poly_divides
 
 import qduadic
-from qduadic.cli import _select_splitting
 from qduadic.cyclic import (
     DefiningSet,
     cyclotomic_cosets,
@@ -130,16 +129,13 @@ def _small_splittings():
 GOLDEN_IDS = {(73, 2): "db957ff01314", (7, 81): "97e5bb9c23cc",
               (23, 4): "1a94b0eef396", (13, 9): "5dc236b7a62c"}
 
-# rebuilds each splitting sent on stdin, with CPython's built-in SHA-2
-# hidden, and looks up splitting #6272 of 85/4 by its pinned id
+# rebuilds each splitting sent on stdin with CPython's built-in SHA-2 hidden
 FALLBACK_SCRIPT = """
 import json, sys
 sys.modules["_sha2"] = sys.modules["_sha256"] = None
-from qduadic.cli import _select_splitting
 from qduadic.duadic import Splitting
 ids = [Splitting(*args).splitting_id for args in json.load(sys.stdin)]
-lookup = _select_splitting(85, 4, "css", "88200776026d")
-print(json.dumps([ids, lookup.a, "hashlib" in sys.modules]))
+print(json.dumps([ids, "hashlib" in sys.modules]))
 """
 
 
@@ -152,11 +148,6 @@ class TestSplittingId:
             digest = hashlib.sha256(payload.encode()).hexdigest()
             assert s.splitting_id == digest[:12]
 
-    def test_golden_ids(self):
-        assert {nq: default_splitting(*nq).splitting_id
-                for nq in GOLDEN_IDS} == GOLDEN_IDS
-        assert _select_splitting(85, 4, "css", "88200776026d").a == 42
-
     def test_hashlib_fallback_gives_the_same_ids(self):
         splittings = [*_small_splittings(),
                       *(default_splitting(*nq) for nq in GOLDEN_IDS)]
@@ -168,7 +159,7 @@ class TestSplittingId:
             capture_output=True, text=True, check=True).stdout
         ids = [s.splitting_id for s in splittings]
         assert ids[-4:] == list(GOLDEN_IDS.values())
-        assert json.loads(out) == [ids, 42, True]
+        assert json.loads(out) == [ids, True]
 
 
 class TestQuartet:
