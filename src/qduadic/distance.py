@@ -20,11 +20,11 @@ weight, one whole level of weights at a time, by looking for proportional
 columns of H and by binary search for prefix sums in a sorted table of pair
 sums.
 
-Codewords are packed into uint64 words (one m-bit cell per coordinate,
-addition = XOR) in characteristic 2 when they fit 64 bits, and are arrays
-of GF(p) digits otherwise.  Work counters are closed forms of n, q and k
-(and of the level where the search stops), so they are reproducible and
-independent of the worker count.
+Both kernels hold codewords in one layout (`_Words`): in characteristic 2
+as uint64 lanes of floor(64/m) m-bit cells, one cell per coordinate, added
+by XOR, at every length; as arrays of GF(p) digits otherwise.  Work
+counters are closed forms of n, q and k (and of the level where the search
+stops), so they are reproducible and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -99,11 +99,74 @@ def _expanded_rows(C: CyclicCode):
             for i in range(C.k) for c in scaled]
 
 
-def _pack_row(row, e: int) -> int:
-    word = 0
-    for i, x in enumerate(row):
-        word |= x << (i * e)
-    return word
+class _Words:
+    """The rows of both enumeration kernels: words of `cells` cells of
+    GF(p^m), packed from the GF(p) digits of the cells.
+
+    In characteristic 2 a row is ceil(cells/c) uint64 lanes of c = 64 // m
+    cells, m bits a cell: cell i sits in lane i // c at bit (i % c)*m, the
+    bits past the last cell stay 0, and rows add by XOR.  For odd p a row
+    is cells*m GF(p) digits, m a cell, added by `_add_digits`."""
+
+    def __init__(self, f, cells: int):
+        p, m = f.p, f.m
+        self.p, self.m, self.cells = p, m, cells
+        if p == 2:
+            self.per = 64 // m
+            self.width = -(-cells // self.per)
+            # the lowest bit of every cell of a lane
+            self.low = np.uint64(((1 << self.per * m) - 1) // ((1 << m) - 1))
+        else:
+            self.width = cells * m
+
+    def pack(self, digits: np.ndarray) -> np.ndarray:
+        """Rows from the digits of their cells, shape (..., cells, m)."""
+        lead = digits.shape[:-2]
+        if self.p != 2:  # in a dtype that holds the sum of two digits
+            return digits.reshape(lead + (self.width,)).astype(
+                np.min_scalar_type(2 * (self.p - 1)))
+        size = self.cells * self.m
+        bits = np.zeros(lead + (self.width * self.per * self.m,), np.uint64)
+        bits[..., :size] = digits.reshape(lead + (size,))
+        bits = bits.reshape(lead + (self.width, self.per * self.m))
+        return np.bitwise_or.reduce(
+            bits << np.arange(bits.shape[-1], dtype=np.uint64), axis=-1)
+
+    def add(self, x, y, out=None) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(x, y, out=out)
+        return _add_digits(x, y, self.p, out)
+
+    def weights(self, rows: np.ndarray, scratch=()) -> np.ndarray:
+        """The number of nonzero cells of each row.  In characteristic 2
+        the bits of every cell are folded into its lowest bit and counted;
+        `scratch`, three arrays of the shape of `rows` (uint64, uint64 and
+        uint8), holds that work in place where given."""
+        if self.p != 2:
+            nonzero = rows.reshape(len(rows), self.cells, self.m) != 0
+            return nonzero.any(axis=2).sum(axis=1)
+        y, t, c = scratch or (None,) * 3
+        if self.m > 1:
+            for b in range(1, self.m):
+                t = np.right_shift(rows, np.uint64(b), out=t)
+                y = np.bitwise_or(t, rows if b == 1 else y, out=y)
+            rows = np.bitwise_and(y, self.low, out=y)
+        counts = np.bitwise_count(rows, out=c)
+        if self.width == 1:
+            return counts[:, 0]
+        return np.add.reduce(counts, axis=1,
+                             dtype=np.min_scalar_type(self.cells))
+
+    def cell(self, rows: np.ndarray, i) -> np.ndarray:
+        """The element index of cell i of each row, i an int or an array of
+        them."""
+        if self.p != 2:
+            cells = rows.reshape(rows.shape[:-1] + (self.cells, self.m))
+            return cells[..., i, :] @ self.p ** np.arange(self.m)
+        lane, at = divmod(i, self.per)
+        x = rows[..., lane] >> np.asarray(at * self.m, np.uint64)
+        x &= np.uint64((1 << self.m) - 1)
+        return x
 
 
 def _low_rows(p: int, K: int) -> int:
@@ -114,7 +177,7 @@ def _low_rows(p: int, K: int) -> int:
     return h
 
 
-def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
+def _scan_range(words: _Words, rows: np.ndarray, start: int,
                 end: int) -> np.ndarray:
     """Weight histogram of the GF(p)-span words at high indices [start, end).
 
@@ -130,34 +193,28 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
     table, whose two marginals are the two steps' histograms.  An odd last
     step is counted alone.
 
-    Packed rows are uint64 words of m bits per coordinate, added by XOR;
-    otherwise rows are arrays of n*m GF(p) digits, m per coordinate."""
+    The rows are laid out by `words`, whose cells are the n coordinates."""
+    p, n = words.p, words.cells
     h = _low_rows(p, len(rows))
-    if packed:
-        def add(x, y):
-            return x ^ y
-    else:
-        def add(x, y):
-            return (x + y) % p
     block = np.zeros((p**h,) + rows.shape[1:], rows.dtype)
     for b, r in enumerate(rows[:h]):
         size = p**b  # block[:size] spans rows[:b]; copy c adds c*r to it
         for c in range(1, p):
-            block[c * size:(c + 1) * size] = add(
-                block[(c - 1) * size:c * size], r)
+            words.add(block[(c - 1) * size:c * size], r,
+                      out=block[c * size:(c + 1) * size])
     word = np.zeros_like(block[0])
     high = rows[h:]
     x = start
     for r in high:  # the high word of index `start`
         for _ in range(x % p):
-            word = add(word, r)
+            word = words.add(word, r)
         x //= p
-    prefix = list(accumulate(high, add))
+    prefix = list(accumulate(high, words.add))
     key_type = np.min_scalar_type((n + 1) ** 2 - 1)
-    if packed:
-        weights = _cell_weights(block, n, m)
+    if p == 2:
+        weights = _xor_weights(words, block)
     else:
-        weights = _element_weights(block, p, n, m, key_type)
+        weights = _element_weights(block, p, n, words.m, key_type)
     key = np.empty(len(block), key_type)
     joint = np.zeros((n + 1) ** 2, dtype=np.int64)
     for i in range(start, end):
@@ -165,7 +222,7 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
             j, x = 0, i
             while x % p == 0:
                 j, x = j + 1, x // p
-            word = add(word, prefix[j])
+            word = words.add(word, prefix[j])
         w = weights(word)
         if (i - start) % 2 == 0:
             np.multiply(w, key_type.type(n + 1), out=key)
@@ -179,29 +236,19 @@ def _scan_range(rows, p: int, n: int, m: int, packed: bool, start: int,
     return hist
 
 
-def _cell_weights(block: np.ndarray, n: int, e: int):
-    """word -> the number of nonzero e-bit cells of each packed word of
-    block ^ word.  The block is XORed in place with the change of word, so
-    it holds block ^ word after each call, and the result array is reused
-    by the next call."""
-    w = np.empty(len(block), np.uint8)
+def _xor_weights(words: _Words, block: np.ndarray):
+    """word -> the number of nonzero cells of each row of block ^ word, in
+    characteristic 2.  The block is XORed in place with the change of word,
+    so it holds block ^ word after each call."""
     last = np.zeros_like(block[0])  # the word the block holds now
-    if e > 1:
-        y, t = np.empty_like(block), np.empty_like(block)
-        shifts = [np.uint64(b) for b in range(1, e)]
-        cellmask = np.uint64(sum(1 << (i * e) for i in range(n)))
+    scratch = (np.empty_like(block), np.empty_like(block),
+               np.empty(block.shape, np.uint8))
 
     def weights(word):
         nonlocal last
         np.bitwise_xor(block, word ^ last, out=block)
         last = word
-        if e == 1:
-            return np.bitwise_count(block, out=w)
-        np.copyto(y, block)
-        for b in shifts:  # fold every bit of a cell into its lowest bit
-            np.bitwise_or(y, np.right_shift(block, b, out=t), out=y)
-        np.bitwise_and(y, cellmask, out=y)
-        return np.bitwise_count(y, out=w)
+        return words.weights(block, scratch)
     return weights
 
 
@@ -233,12 +280,6 @@ def _element_indices(digits: np.ndarray, p: int, dtype) -> np.ndarray:
         out *= p
         out += digits[..., i]
     return out
-
-
-def _packs(C: CyclicCode, cells: int) -> bool:
-    """Whether words of `cells` cells of C's field pack into uint64 words:
-    characteristic 2 and cells*m <= 64 bits."""
-    return C.field.p == 2 and cells * C.field.m <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +345,13 @@ def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
 
 def _scan(C: CyclicCode, rows, workers: int) -> np.ndarray:
     """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C,
-    from one span kernel over packed words where they fit, else over
-    digits.  `workers` processes split the high indices, and their
-    histograms add."""
+    from one span kernel over the rows in C's word layout.  `workers`
+    processes split the high indices, and their histograms add."""
     f = C.field
-    p, m, n = f.p, f.m, C.n
-    packed = _packs(C, n)
-    if packed:
-        rows = np.array([_pack_row(r, m) for r in rows], dtype=np.uint64)
-    else:
-        dtype = np.min_scalar_type(2 * (p - 1))  # holds two digits' sum
-        rows = _digits(np.array(rows), p, m).reshape(-1, n * m).astype(dtype)
-    nblocks = p ** (len(rows) - _low_rows(p, len(rows)))
+    words = _Words(f, C.n)
+    rows = words.pack(_digits(np.array(rows, np.int64).reshape(-1, C.n),
+                              f.p, f.m))
+    nblocks = f.p ** (len(rows) - _low_rows(f.p, len(rows)))
     if workers > 1 and nblocks >= 2 * workers:
         # imported here, so a single-process run never loads the pool
         from concurrent.futures import ProcessPoolExecutor
@@ -323,8 +359,8 @@ def _scan(C: CyclicCode, rows, workers: int) -> np.ndarray:
         ranges = [(s, min(s + chunk, nblocks)) for s in range(0, nblocks, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(_scan_range, *zip(*[
-                (rows, p, n, m, packed, s, t) for s, t in ranges])))
-    return _scan_range(rows, p, n, m, packed, 0, nblocks)
+                (words, rows, s, t) for s, t in ranges])))
+    return _scan_range(words, rows, 0, nblocks)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +421,7 @@ def _extend(blocks, table, units: int, limit: int, add):
             index = np.arange(ends[-1]) + np.repeat(first - ends + count,
                                                     count)
             yield (add(np.repeat(words[lo:lo + step], count, axis=0),
-                       table[index]), index // units)
+                       table.take(index, axis=0)), index // units)
 
 
 def brouwer_zimmermann(C: CyclicCode,
@@ -408,47 +444,18 @@ def brouwer_zimmermann(C: CyclicCode,
     code (0 in T).  The search stops at the first level whose bound reaches
     the least weight found; `work` counts the words of levels 1 to w.
 
-    Words are uint64 of m bits a coordinate in characteristic 2 when
-    (n+1)*m <= 64 bits fit, else arrays of (n+1)*m GF(p) digits; the extra
-    cell carries the coordinate sum.  Blocks hold at most
+    Words are in the `_Words` layout: n cells, and with `odd_like` one more
+    that carries the coordinate sum; ceil(cells/floor(64/m)) uint64 lanes in
+    characteristic 2, where the sum cell is read from the lane that holds
+    it, and cells*m GF(p) digits otherwise.  Blocks hold at most
     2^_LOW_BLOCK_BITS words, or k*(q-1) if more, and a level is kept for
     the next one only if it fits one block."""
-    f, n, k = C.field, C.n, C.k
-    p, m, q = f.p, f.m, f.order
+    f, n, k, q = C.field, C.n, C.k, C.q
     if k == 0:
         raise DistanceError("zero code has no nonzero word")
-    digits = _systematic_rows(C)  # (k, n + 1, m), the sum cell last
-    packed = _packs(C, n + 1)
-    if packed:
-        def pack(d):
-            bits = d.reshape(len(d), -1).astype(np.uint64)
-            return np.bitwise_or.reduce(
-                bits << np.arange(bits.shape[1], dtype=np.uint64), axis=1)
-
-        add = np.bitwise_xor
-        fold = [np.uint64(b) for b in range(1, m)]
-        cells = np.uint64(((1 << n * m) - 1) // ((1 << m) - 1))  # lowest bits
-        top = np.uint64(n * m)
-
-        def weights(words):
-            y = words
-            for b in fold:  # every bit of a cell into its lowest bit
-                y = y | words >> b
-            return np.bitwise_count(y & cells), words >> top != 0
-    else:
-        dtype = np.min_scalar_type(2 * (p - 1))  # holds two digits' sum
-
-        def pack(d):
-            return d.reshape(len(d), -1).astype(dtype)
-
-        def add(x, y):
-            return _add_digits(x, y, p)
-
-        def weights(words):
-            nonzero = words.reshape(len(words), n + 1, m).any(axis=2)
-            return nonzero[:, :n].sum(axis=1), nonzero[:, n]
-
-    rows = pack(digits)
+    words = _Words(f, n + odd_like)  # the sum cell only where it is asked
+    digits = _systematic_rows(C)[:, :words.cells]  # (k, cells, m)
+    rows = words.pack(digits)
     # u*row_j for every unit u, ordered by j and then u; over GF(q), q > 2,
     # built only once level 2 needs it
     table = rows
@@ -464,23 +471,24 @@ def brouwer_zimmermann(C: CyclicCode,
         held = levels[w] if w < len(levels) else None
         if held is not None:
             return iter(held)
-        return _extend(level(w - 1), table, q - 1, limit, add)
+        return _extend(level(w - 1), table, q - 1, limit, words.add)
 
     best, witness, work = n + 1, None, 0
     for w in range(1, k + 1):
         size = comb(k, w) * (q - 1) ** (w - 1)
-        if w == 2 and q > 2:
-            table = pack(np.stack([_times(f, u, digits) for u in
-                                   range(1, q)], axis=1).reshape(-1, n + 1, m))
+        if w == 2 and q > 2:  # each unit's rows packed as they are made
+            table = np.stack([words.pack(_times(f, u, digits))
+                              for u in range(1, q)], axis=1)
+            table = table.reshape(-1, words.width)
         if w > 1:
             levels.append(list(level(w)) if size <= limit else None)
-        for words, _ in level(w):
-            weight, odd = weights(words)
-            if odd_like:
-                weight = np.where(odd, weight, n + 1)
+        for block, _ in level(w):
+            weight = words.weights(block)
+            if odd_like:  # a nonzero sum cell adds 1 to the weight
+                weight = np.where(words.cell(block, n), weight - 1, n + 1)
             i = int(np.argmin(weight))
             if weight[i] < best:
-                best, witness = int(weight[i]), words[i]
+                best, witness = int(weight[i]), block[i]
         work += size
         bound = -(-n * (w + 1) // k)
         if parity is not None and bound % 2 != parity:
@@ -489,12 +497,7 @@ def brouwer_zimmermann(C: CyclicCode,
             break
     if witness is None:
         raise DistanceError("the code has no odd-like word")
-    if packed:
-        cell = (1 << m) - 1
-        word = tuple(int(witness) >> (i * m) & cell for i in range(n))
-    else:
-        word = tuple(int(x) for x in
-                     witness.reshape(n + 1, m)[:n] @ p ** np.arange(m))
+    word = tuple(words.cell(witness, np.arange(n)).tolist())
     return DistanceResult.exact(best, "brouwer_zimmermann", work), word
 
 

@@ -34,6 +34,7 @@ from qduadic.distance import (
     _scan_range,
     _shortened_rows,
     _unit_multiples,
+    _Words,
     brouwer_zimmermann,
     enumerable,
     macwilliams,
@@ -293,9 +294,9 @@ class TestKernelSteps:
         monkeypatch.setattr(qduadic.distance, "_scan_range", record)
         C = _code(n, q, leaders)
         whole = _full_scan_distribution(C)
-        rows, p, n, m, packed, _, end = calls[0]
-        assert packed == (q == 2) and end > 8
-        parts = sum(_scan_range(rows, p, n, m, packed, s, t)
+        words, rows, _, end = calls[0]
+        assert rows.dtype == (np.uint64 if q == 2 else np.uint8) and end > 8
+        parts = sum(_scan_range(words, rows, s, t)
                     for s, t in [(0, 1), (1, 4), (4, 7), (7, end)])
         assert {w: c for w, c in enumerate(parts.tolist()) if c} == whole
         assert whole == naive_distribution(C)
@@ -323,6 +324,47 @@ class TestKernelSteps:
         # first of a pair of steps, the one a 16-bit key would wrap
         rows = [(1,) * 257] + _shortened_rows(C)
         assert _histogram(C, rows, 1) == expected
+
+    def test_two_lanes_of_2_bit_cells(self, monkeypatch):
+        # n = 33 over GF(4): 33 cells of 2 bits hold two uint64 lanes, and
+        # a low block of 4 bits leaves several high steps
+        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", 4)
+        C = _code(33, 4, [2, 3, 5, 6, 7, 22])
+        assert qduadic.distance._Words(C.field, C.n).width == 2
+        assert 4 ** C.k <= 2**14 and self._blocks(C, C.k * 2) > 2
+        expected = naive_distribution(C)
+        assert _full_scan_distribution(C) == expected
+        assert weight_distribution(C) == expected
+
+
+class TestWords:
+    """The word layout of both kernels against the field's own arithmetic,
+    at the lane boundaries: c = 64 // m cells fill a lane of a GF(2^m)
+    word."""
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 256, 3, 9],
+                             ids=lambda q: f"gf{q}")
+    @pytest.mark.parametrize("lanes,extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["c-1", "c", "c+1", "2c+1"])
+    def test_pack_add_weigh_read(self, q, lanes, extra):
+        f = field_from_order(q)
+        c = 64 // f.m
+        cells = lanes * c + extra
+        words = _Words(f, cells)
+        rng = random.Random(q * 1000 + cells)
+        x, y = ([[rng.choice([0, 0, rng.randrange(q)]) for _ in range(cells)]
+                 for _ in range(40)] for _ in range(2))
+        X, Y = (words.pack(_digits(np.array(a), f.p, f.m)) for a in (x, y))
+        assert X.shape == (40, words.width)
+        if f.p == 2:
+            assert words.width == -(-cells // c)
+        everywhere = np.arange(cells)
+        assert words.cell(X, everywhere).tolist() == x
+        assert [int(words.cell(X, i)[7]) for i in range(cells)] == x[7]
+        assert words.cell(words.add(X, Y), everywhere).tolist() == \
+            [[f.add(a, b) for a, b in zip(r, s)] for r, s in zip(x, y)]
+        assert words.weights(X).tolist() == \
+            [sum(map(bool, r)) for r in x]
 
 
 def _least_from_distributions(C, odd_like):
@@ -438,16 +480,46 @@ class TestExtremes:
                     make_cyclic_code(n, f, DefiningSet(n, 2, T)))
         assert checked >= 60
 
-    @pytest.mark.parametrize("n", [65, 73, 127])
-    def test_digit_rows(self, n):
-        # binary words with their sum cell past 64 bits are held as digits
-        f = make_field(2)
+    @pytest.mark.parametrize("q,n,lanes", [
+        (2, 63, 1), (2, 65, 2), (2, 73, 2), (2, 127, 2),  # 64 cells a lane
+        (4, 31, 1), (4, 33, 2),  # 32 cells a lane
+        (8, 21, 2),  # 21 cells a lane: the sum cell opens the second
+    ], ids=lambda x: str(x))
+    def test_lane_boundaries(self, q, n, lanes):
+        # the n + 1 cells of a word, its sum cell last, fill one lane or
+        # open the next one
+        f = field_from_order(q)
+        assert qduadic.distance._Words(f, n + 1).width == lanes
         checked = 0
-        for T in _coset_unions(n, 2, max_words=2**12, sample=4):
-            C = make_cyclic_code(n, f, DefiningSet(n, 2, T))
-            assert not qduadic.distance._packs(C, n + 1)
-            checked += _check_search(C)
+        for T in _coset_unions(n, q, max_words=2**12, sample=4):
+            checked += _check_search(make_cyclic_code(n, f,
+                                                      DefiningSet(n, q, T)))
         assert checked
+
+    def test_unit_table_is_held_packed(self, monkeypatch):
+        # 255/256's C0 (k = 128): the level-2 table of u*row_j for the 255
+        # units takes 8.4 MB in 32 lanes a word; as int64 digits, shape
+        # (k, q-1, n+1, m), it would take 535 MB
+        C = build_quartet(default_splitting(255, 256),
+                          field_from_order(256)).C0
+        table = C.k * 255 * 32 * 8
+
+        class Built(Exception):
+            pass
+
+        def stop(blocks, table, *args):
+            raise Built(table.nbytes)
+
+        monkeypatch.setattr(qduadic.distance, "_extend", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Built) as built:
+                brouwer_zimmermann(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.value.args == (table,)
+        assert peak < 3 * table
 
     @pytest.mark.parametrize("n", [7, 17, 23, 31, 41, 47, 49])
     def test_default_quartets(self, n):
