@@ -486,8 +486,8 @@ class TestExtremes:
         (8, 21, 2),  # 21 cells a lane: the sum cell opens the second
     ], ids=lambda x: str(x))
     def test_lane_boundaries(self, q, n, lanes):
-        # the n + 1 cells of a word, its sum cell last, fill one lane or
-        # open the next one
+        # the n + 1 cells of an odd-like search's word, its sum cell last,
+        # fill one lane or open the next one
         f = field_from_order(q)
         assert qduadic.distance._Words(f, n + 1).width == lanes
         checked = 0
