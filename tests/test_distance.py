@@ -330,7 +330,7 @@ class TestKernelSteps:
         # a low block of 4 bits leaves several high steps
         monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", 4)
         C = _code(33, 4, [2, 3, 5, 6, 7, 22])
-        assert qduadic.distance._Words(C.field, C.n).width == 2
+        assert _Words(C.field, C.n).width == 2
         assert 4 ** C.k <= 2**14 and self._blocks(C, C.k * 2) > 2
         expected = naive_distribution(C)
         assert _full_scan_distribution(C) == expected
@@ -489,7 +489,7 @@ class TestExtremes:
         # the n + 1 cells of an odd-like search's word, its sum cell last,
         # fill one lane or open the next one
         f = field_from_order(q)
-        assert qduadic.distance._Words(f, n + 1).width == lanes
+        assert _Words(f, n + 1).width == lanes
         checked = 0
         for T in _coset_unions(n, q, max_words=2**12, sample=4):
             checked += _check_search(make_cyclic_code(n, f,
@@ -499,7 +499,7 @@ class TestExtremes:
     def test_unit_table_is_held_packed(self, monkeypatch):
         # 255/256's C0 (k = 128): the level-2 table of u*row_j for the 255
         # units takes 8.4 MB in 32 lanes a word; as int64 digits, shape
-        # (k, q-1, n+1, m), it would take 535 MB
+        # (k, q-1, n, m), it would take 533 MB
         C = build_quartet(default_splitting(255, 256),
                           field_from_order(256)).C0
         table = C.k * 255 * 32 * 8
