@@ -45,7 +45,7 @@ from .stabilizer import (
     StabilizerParams,
     check_square_root_bound,
     degeneracy_verdict,
-    quartet_weights,
+    select_splitting,
     stabilizer_params,
 )
 

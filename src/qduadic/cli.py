@@ -53,7 +53,7 @@ import io
 import json
 import sys
 import time
-from math import gcd, isqrt
+from math import gcd
 from types import SimpleNamespace
 
 from .cyclic import (
@@ -68,10 +68,8 @@ from .duadic import (
     DuadicQuartet,
     Splitting,
     SplittingError,
-    default_splitting,
     degeneracy_certificate,
     duadic_exists,
-    iter_splittings,
     materialize_quartet,
     splitting_by,
 )
@@ -79,8 +77,8 @@ from .galois import FieldError, prime_power
 from .stabilizer import (
     ConstructionError,
     degeneracy_verdict,
+    select_splitting,
     stabilizer_params,
-    verify_hermitian_condition,
 )
 from .verify import run_suite
 
@@ -113,6 +111,13 @@ def _positive(value: int) -> int:
 
 def positive_int(text: str) -> int:
     return _positive(int(text))
+
+
+def parse_splitting_id(text: str) -> str:
+    """Accepts the 12 lowercase hex digits of a splitting id."""
+    if len(text) != 12 or text.strip("0123456789abcdef"):
+        raise ValueError(f"must be 12 lowercase hex digits, got {text!r}")
+    return text
 
 
 def parse_budget(text: str) -> int:
@@ -200,44 +205,12 @@ def _splitting_doc(s: Splitting) -> dict:
             "id": s.splitting_id}
 
 
-def _select_splitting(n: int, code_q: int, construction: str,
-                      splitting_id: str | None) -> Splitting | None:
-    if splitting_id:
-        for s in iter_splittings(n, code_q):
-            if s.splitting_id == splitting_id:
-                return s
-        raise UsageError(f"no splitting with id {splitting_id} found")
-    if construction == "hermitian":
-        return splitting_by(n, code_q, (-isqrt(code_q)) % n)
-    return default_splitting(n, code_q)
-
-
 def cmd_build(args) -> int:
     n, q = args.n, args.q
     _validate_nq(n, q)
     construction = args.construction
-    code_q = q * q if construction == "hermitian" else q
     t0 = time.monotonic()
-
-    if construction == "css" and not duadic_exists(n, q):
-        sys.stderr.write(f"no duadic codes of length {n} over GF({q})\n")
-        return EXIT_NONEXISTENT
-
-    splitting = _select_splitting(n, code_q, construction, args.splitting_id)
-    if splitting is None:
-        if construction == "hermitian":
-            sys.stderr.write(
-                f"mu_(-q) gives no splitting of {n} over GF({code_q}); "
-                "Hermitian construction refused\n")
-        else:
-            sys.stderr.write(f"no splitting of {n} over GF({code_q})\n")
-        return EXIT_NONEXISTENT
-    if construction == "hermitian" and not verify_hermitian_condition(splitting):
-        sys.stderr.write(
-            f"splitting {splitting.splitting_id} is not given by mu_(-q); "
-            "Hermitian construction refused\n")
-        return EXIT_NONEXISTENT
-
+    splitting = select_splitting(n, q, construction, args.splitting_id)
     quartet = materialize_quartet(splitting, lambda exc: sys.stderr.write(
         f"quartet not materialized: {exc}\n"))
     params = stabilizer_params(splitting, quartet, construction, args.budget)
@@ -276,10 +249,9 @@ def _survey_row(n: int, q: int, construction: str, budget: int) -> dict:
         "mu_minus1_splits": splitting_by(n, code_q, n - 1) is not None,
         "mu_minus_q_splits": splitting_by(n, q * q, (-q) % n) is not None,
     })
-    if not row["exists"]:
-        return row
-    splitting = _select_splitting(n, code_q, construction, None)
-    if splitting is None:
+    try:
+        splitting = select_splitting(n, q, construction)
+    except ConstructionError:  # nothing to build: the code columns stay blank
         return row
     params = stabilizer_params(splitting, materialize_quartet(splitting),
                                construction, budget)
@@ -346,7 +318,7 @@ _RUN = {"--budget": (parse_budget, DEFAULT_BUDGET),
 COMMANDS = {
     "exists": (cmd_exists, {**_N_Q, "--output": (str, None)}),
     "build": (cmd_build, {"construction": (_CONSTRUCTION, _REQUIRED), **_N_Q,
-                          "--splitting-id": (str, None), **_RUN}),
+                          "--splitting-id": (parse_splitting_id, None), **_RUN}),
     "survey": (cmd_survey, {**_RANGE,
                             "--construction": (_CONSTRUCTION, "css"),
                             "--format": (("json", "csv"), "json"), **_RUN}),
@@ -408,7 +380,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (SplittingError, ConstructionError, DistanceError,
+    except ConstructionError as exc:  # a refusal: nothing to build
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_NONEXISTENT
+    except (SplittingError, DistanceError,
             CyclicCodeError, FieldError, AssertionError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_ASSERTION

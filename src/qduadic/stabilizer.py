@@ -9,6 +9,8 @@ value is strictly below d.
 Hermitian path: over GF(q^2), C_0^{perp_h} = D_0 exactly when mu_{-q} gives
 the splitting; the construction is refused otherwise.
 
+`select_splitting` is the one place that picks the splitting of a request,
+and refuses (ConstructionError) when there is nothing to build.
 `stabilizer_params` is the one place that decides how d and the purity are
 measured, for both paths.  It checks once that mu_a maps C0 onto C1 (and so
 D0 onto D1), so C0 and D0 alone are searched, and their values are C1's and
@@ -19,10 +21,11 @@ after level w reaches the least weight found; `work` counts the words
 enumerated, and each least word is re-checked against the check matrix.
 Beyond the budget d is the square-root interval and a support search of C0
 bounds the purity; without a quartet the purity is [1, n].  The
-square-root bound is checked on d once, and its checks are the report's
-`bound_checks`.  Only parameters and classical-code witnesses are
-materialized, never the quantum state space.  `verify` holds the
-independent route through the weight distributions.
+square-root bound is judged on d once; its checks are the report's
+`bound_checks`, and a violated one raises.  Only parameters and
+classical-code witnesses are materialized, never the quantum state space.
+`verify` holds the independent route through the weight distributions and
+compares it with these parameters.
 """
 
 from __future__ import annotations
@@ -47,34 +50,58 @@ from .duadic import (
     DuadicQuartet,
     Splitting,
     SplittingError,
+    default_splitting,
+    duadic_exists,
+    iter_splittings,
+    splitting_by,
 )
 
 
 class ConstructionError(ValueError):
-    """A stabilizer construction's hypotheses are not met."""
+    """A stabilizer construction is refused: there is nothing to build."""
+
+
+def select_splitting(n: int, q: int, construction: str,
+                     splitting_id: str | None = None) -> Splitting:
+    """The splitting of the "css" or "hermitian" code of length n over
+    GF(q): the one with `splitting_id` (over GF(q^2) for Hermitian), else
+    mu_(-q)'s over GF(q^2) for Hermitian, else `default_splitting`'s.
+    Raises ConstructionError when there is nothing to build: no duadic codes
+    over GF(q) (CSS), or no splitting given by mu_(-q) (Hermitian); and
+    ValueError for an id that no splitting has."""
+    hermitian = construction == "hermitian"
+    code_q = q * q if hermitian else q
+    if not hermitian and not duadic_exists(n, q):
+        raise ConstructionError(f"no duadic codes of length {n} over GF({q})")
+    if splitting_id is None:  # duadic codes exist, so a CSS default does
+        s = (splitting_by(n, code_q, (-q) % n) if hermitian
+             else default_splitting(n, q))
+        refusal = f"mu_(-q) gives no splitting of {n} over GF({code_q})"
+    else:
+        s = next((s for s in iter_splittings(n, code_q)
+                  if s.splitting_id == splitting_id), None)
+        if s is None:
+            raise ValueError(f"no splitting with id {splitting_id} found")
+        refusal = f"splitting {splitting_id} is not given by mu_(-q)"
+    if hermitian and not (s is not None and s.is_given_by((-q) % n)):
+        raise ConstructionError(f"{refusal}; Hermitian construction refused")
+    return s
 
 
 def check_square_root_bound(s: Splitting, d: DistanceResult) -> dict:
     """The report's `bound_checks` on the odd-like distance d of the quartet
     of s: d^2 >= n, whether mu_{-1} gives the splitting, d^2 - d + 1 >= n
     (mu_{-1} case only), and the equal odd-like distances of D0 and
-    D1 = mu_a(D0), which `stabilizer_params` checks on the defining sets.  The
-    bound is a theorem, so a violation is an implementation bug and raises:
-    every check in a returned dict passed.  An interval d makes every check
-    but mu_{-1} vacuous (None)."""
-    n = s.n
-    mu1 = s.is_given_by(n - 1)
-    exact = d.is_exact
-    if exact:
-        v = d.value
-        if v * v < n or (mu1 and v * v - v + 1 < n):
-            raise SplittingError(
-                f"square-root bound violated at n={n}, d_o={v}: "
-                "this is a theorem, so the implementation is buggy")
+    D1 = mu_a(D0), which `stabilizer_params` checks on the defining sets.  A
+    violated bound is False; an interval d makes every check but mu_{-1}
+    vacuous (None)."""
+    n, mu1, exact = s.n, s.is_given_by(s.n - 1), d.is_exact
+    v = d.value if exact else 0
     return {
-        "d_squared_ge_n": exact or None,
+        "d_squared_ge_n": v * v >= n if exact else None,
         "mu_minus1_splitting": mu1,
-        "d_sq_minus_d_plus_1_ge_n": exact and mu1 or None,
+        "d_sq_minus_d_plus_1_ge_n": v * v - v + 1 >= n if exact and mu1
+        else None,
         "odd_like_weights_equal": exact or None,
     }
 
@@ -128,16 +155,6 @@ def theory_distance_interval(n: int, mu_minus1: bool) -> DistanceResult:
     return DistanceResult("interval", lo, n, "defining_set_theory", 0)
 
 
-def quartet_weights(
-        quartet: DuadicQuartet) -> tuple[DistanceResult, DistanceResult]:
-    """The odd-like distance of D0 and the least nonzero weight of C0, from
-    two checked Brouwer-Zimmermann searches (see `_checked`).  D0 \\ C0 is
-    the set of odd-like words of D0."""
-    C0, D0 = quartet.C0, quartet.D0
-    return (_checked(D0, *brouwer_zimmermann(D0, odd_like=True), "D0", True),
-            _checked(C0, *brouwer_zimmermann(C0), "C0", False))
-
-
 def _checked(C: CyclicCode, result: DistanceResult, word: tuple, name: str,
              odd_like: bool) -> DistanceResult:
     """`result` of a search of C, once its value and its word pass checks
@@ -177,15 +194,6 @@ def _checked(C: CyclicCode, result: DistanceResult, word: tuple, name: str,
     return result
 
 
-def verify_hermitian_condition(s: Splitting) -> bool:
-    """Lemma hypothesis for the Hermitian route: -q0*S_i = S_{(i+1) mod 2},
-    where q0 = sqrt(field order)."""
-    q0 = isqrt(s.q)
-    if q0 * q0 != s.q:
-        raise ConstructionError(f"field order {s.q} is not a square")
-    return s.is_given_by((-q0) % s.n)
-
-
 def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                       construction: str,
                       budget: int = DEFAULT_BUDGET) -> StabilizerParams:
@@ -194,8 +202,9 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
     that C_0^{perp_h} = D_0 over GF(q^2).  This is the one place that
     decides how d and the purity are measured:
 
-    * when q^k of C0 fits the budget, both are exact, from the checked
-      Brouwer-Zimmermann searches of D0 and C0 (`quartet_weights`);
+    * when q^k of C0 fits the budget, both are exact, from two
+      Brouwer-Zimmermann searches, each checked by `_checked`: of D0 over
+      its odd-like words (D0 \\ C0) for d, and of C0 for the purity;
     * beyond the budget, d is the square-root interval and a support search
       of C0 bounds the purity;
     * without a quartet (its splitting field is beyond the cap), d is the
@@ -204,10 +213,11 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
     With a quartet, mu_a must map C0 onto C1: the multiplier of the
     splitting swaps S0 and S1, so it permutes the coordinates of C0 onto C1
     and of D0 onto D1, and C1 and D1 have C0's and D0's weights.  The
-    square-root bound is checked on d in every case."""
-    n = s.n
+    square-root bound is checked on d in every case, and a violation, which
+    only a bug can produce, raises."""
+    n, q0 = s.n, isqrt(s.q)
     hermitian = construction == "hermitian"
-    if hermitian and not verify_hermitian_condition(s):
+    if hermitian and not (q0 * q0 == s.q and s.is_given_by((-q0) % n)):
         raise ConstructionError(
             f"mu_(-q) does not give this splitting of n={n}; the Hermitian "
             "construction does not apply")
@@ -223,18 +233,23 @@ def stabilizer_params(s: Splitting, quartet: DuadicQuartet | None,
                 "C1 is not the mu_a image of C0, so it cannot share C0's "
                 "weight distribution (internal bug)")
         if hermitian:  # D0 has the dimension of C_0^{perp_h} and is in it
-            _check_dual(C0, D0, isqrt(C0.q), "hermitian dual")
+            _check_dual(C0, D0, q0, "hermitian dual")
         if enumerable(C0, budget):
-            d, purity = quartet_weights(quartet)
+            d = _checked(D0, *brouwer_zimmermann(D0, odd_like=True), "D0",
+                         True)
+            purity = _checked(C0, *brouwer_zimmermann(C0), "C0", False)
         else:
             purity = support_search_min_weight(C0.field, check_matrix(C0),
                                                budget)
+    checks = check_square_root_bound(s, d)
+    if False in (checks["d_squared_ge_n"], checks["d_sq_minus_d_plus_1_ge_n"]):
+        raise SplittingError(
+            f"square-root bound violated at n={n}, d_o={d.value}: "
+            "this is a theorem, so the implementation is buggy")
     return StabilizerParams(
-        n=n, k=1, q=isqrt(s.q) if hermitian else s.q,
+        n=n, k=1, q=q0 if hermitian else s.q,
         construction="Hermitian" if hermitian else "CSS", d=d, purity=purity,
-        degenerate=_degeneracy_tristate(purity, d),
-        bound_checks=check_square_root_bound(s, d),
-    )
+        degenerate=_degeneracy_tristate(purity, d), bound_checks=checks)
 
 
 def degeneracy_verdict(params: StabilizerParams,

@@ -2,11 +2,12 @@
 feasible lengths up to a cap.  Used by the `verify` CLI command; every
 assertion tallies as passed, failed, or skipped (budget/cap limits).
 
-Builds and survey rows take d and the purity from `stabilizer_params`.  This
-suite checks them by an independent route, the weight distributions
-(`_distributions`): C0 is enumerated, D0's distribution is its MacWilliams
-transform, and d is the least weight where D0 has more words than C0.  That
-route, and `--workers`, serve only this suite's exhaustive scans."""
+Builds and survey rows print d, the purity and the degeneracy verdict of
+`stabilizer_params`.  This suite checks them by an independent route, the
+weight distributions (`_distributions`): C0 is enumerated, D0's
+distribution is its MacWilliams transform, and d is the least weight where
+D0 has more words than C0.  That route, and `--workers`, serve only this
+suite's exhaustive scans."""
 
 from __future__ import annotations
 
@@ -32,13 +33,17 @@ from .distance import (
 )
 from .duadic import (
     DuadicQuartet,
-    SplittingError,
     default_splitting,
     find_splittings,
     materialize_quartet,
     splitting_by,
 )
-from .stabilizer import check_square_root_bound, quartet_weights
+from .stabilizer import (
+    ConstructionError,
+    check_square_root_bound,
+    select_splitting,
+    stabilizer_params,
+)
 
 
 @dataclass
@@ -115,28 +120,20 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
             res.check("odd_like_weights_equal",
                       weight_distribution(quartet.C1, budget, workers) == C,
                       f"n={n}")
-            # the bound is a theorem, so check_square_root_bound raises on a
-            # violation; here that is a failed tally, not an abort
             detail = f"n={n} d_o={d.value}"
-            try:
-                checks = check_square_root_bound(s, d)
-            except SplittingError:  # d^2 < n, or else the mu_{-1} bound
-                res.check("square_root_bound", d.value**2 >= n, detail)
-                if d.value**2 >= n:
-                    res.record("square_root_bound_mu_minus1", "failed",
-                               detail)
-            else:
-                res.check("square_root_bound", checks["d_squared_ge_n"],
-                          detail)
-                if checks["mu_minus1_splitting"]:
-                    res.check("square_root_bound_mu_minus1",
-                              checks["d_sq_minus_d_plus_1_ge_n"], detail)
-            # builds and survey rows read d and the purity off two
-            # Brouwer-Zimmermann searches instead of the distributions
-            searched, purity = quartet_weights(quartet)
+            checks = check_square_root_bound(s, d)
+            res.check("square_root_bound", checks["d_squared_ge_n"], detail)
+            if checks["mu_minus1_splitting"]:
+                res.check("square_root_bound_mu_minus1",
+                          checks["d_sq_minus_d_plus_1_ge_n"], detail)
+            # builds and survey rows print the d, purity and verdict of
+            # stabilizer_params, read off two Brouwer-Zimmermann searches
+            params = stabilizer_params(s, quartet, "css", budget)
+            least = min(w for w in C if w)
             res.check("extremes_match_distribution",
-                      (searched.value, purity.value)
-                      == (d.value, min(w for w in C if w)), f"n={n}")
+                      (params.d.value, params.purity.value, params.degenerate)
+                      == (d.value, least, "yes" if least < d.value else "no"),
+                      f"n={n}")
             # the engine scans only {c in C0 : c_0 = 0}; a scan of all of
             # C0 by the same kernel checks the rebuilt histogram
             if n <= 21:
@@ -183,8 +180,9 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
     for n in lengths:
         if n > 15:
             break
-        s = splitting_by(n, q * q, (-q) % n)
-        if s is None:
+        try:
+            s = select_splitting(n, q, "hermitian")
+        except ConstructionError:
             continue
         quartet = materialize_quartet(s)
         if quartet is None:

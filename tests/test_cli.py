@@ -15,7 +15,6 @@ from qduadic.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_USAGE,
-    _select_splitting,
     _survey_row,
     main,
     parse_budget,
@@ -26,6 +25,7 @@ from qduadic.duadic import (
     iter_splittings,
     materialize_quartet,
 )
+from qduadic.stabilizer import select_splitting
 
 
 def run(capsys, *argv):
@@ -147,11 +147,40 @@ class TestBuild:
             for cand in (s, dataclasses.replace(s, S0=s.S1, S1=s.S0)):
                 first.setdefault(cand.splitting_id, cand)
         for sid, cand in first.items():
-            assert _select_splitting(n, q, "css", sid) == cand
+            assert select_splitting(n, q, "css", sid) == cand
 
     def test_unknown_splitting_id(self, capsys):
         assert run(capsys, "build", "css", "7", "2",
                    "--splitting-id", "ffffffffffff")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,text", [
+        (("7", "2", "--splitting-id="), ""),  # not the default splitting
+        (("85", "4", "--splitting-id", "not-an-id"), "not-an-id"),
+        (("7", "2", "--splitting-id", "DB957FF01314"), "DB957FF01314"),
+        (("7", "2", "--splitting-id=db957ff0131"), "db957ff0131"),
+    ], ids=["empty", "not_hex", "upper_case", "eleven_digits"])
+    def test_malformed_splitting_id(self, capsys, monkeypatch, argv, text):
+        # refused as a usage error before any splitting is enumerated
+        import qduadic.stabilizer
+
+        def enumerated(*args):
+            raise AssertionError("splittings enumerated")
+
+        monkeypatch.setattr(qduadic.stabilizer, "iter_splittings", enumerated)
+        code, out, err = run(capsys, "build", "css", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines()[1] == (
+            "qduadic: error: argument --splitting-id: must be 12 lowercase "
+            f"hex digits, got {text!r}")
+
+    def test_hermitian_splitting_id_refusal(self, capsys):
+        # splitting d1c340225ba6 of 7 over GF(9) is given by mu_3, not by
+        # mu_(-3)
+        code, out, err = run(capsys, "build", "hermitian", "7", "3",
+                             "--splitting-id", "d1c340225ba6")
+        assert code == EXIT_NONEXISTENT and out == ""
+        assert err == ("splitting d1c340225ba6 is not given by mu_(-q); "
+                       "Hermitian construction refused\n")
 
     def test_beyond_budget_golden(self, capsys):
         # the purity bound comes from levels 1 to 4 of C0, 1,153,327
@@ -457,19 +486,24 @@ class TestVerify:
         assert doc["tallies"]["extremes_match_distribution"] == \
             {"passed": 2, "failed": 0, "skipped": 0}
 
+    @staticmethod
+    def _doctor_params(monkeypatch, n, change):
+        """Make verify's stabilizer_params return change(params) at length
+        n, as if build printed those parameters."""
+        import qduadic.verify
+        real = qduadic.verify.stabilizer_params
+
+        def doctored(s, *args):
+            params = real(s, *args)
+            return change(params) if s.n == n else params
+
+        monkeypatch.setattr(qduadic.verify, "stabilizer_params", doctored)
+
     def test_extremes_check_is_not_vacuous(self, capsys, monkeypatch):
         # a d two above the searched one at n = 17, as if the search had
         # stopped too early: the tally, not an abort, reports it
-        import qduadic.verify
-        real = qduadic.verify.quartet_weights
-
-        def shifted(quartet):
-            d, purity = real(quartet)
-            if quartet.n != 17:
-                return d, purity
-            return dataclasses.replace(d, lo=d.lo + 2, hi=d.hi + 2), purity
-
-        monkeypatch.setattr(qduadic.verify, "quartet_weights", shifted)
+        self._doctor_params(monkeypatch, 17, lambda p: dataclasses.replace(
+            p, d=dataclasses.replace(p.d, lo=p.d.lo + 2, hi=p.d.hi + 2)))
         for q, passed in ((2, 1), (4, 7)):  # 3, 5, ..., 15 over GF(4)
             code, doc = run_json(capsys, "verify", "--q", str(q), "--max-n",
                                  "17")
@@ -485,48 +519,56 @@ class TestVerify:
     ])
     def test_square_root_violation_is_a_failed_tally(self, capsys,
                                                      monkeypatch, q, n, name):
-        # the same d from both routes, so that only the bound fails
+        # a d below the bound from the histogram route alone: the bound
+        # tallies and the comparison with the searched d fail, not an abort
         import qduadic.verify
-        real_distributions = qduadic.verify._distributions
-        real_searches = qduadic.verify.quartet_weights
+        real = qduadic.verify._distributions
         d = {7: 2, 23: 5}[n]
 
-        def doctored(quartet, d0):
-            return (dataclasses.replace(d0, lo=d, hi=d) if quartet.n == n
-                    else d0)
-
         def distributions(quartet, *args):
-            C, D, d0 = real_distributions(quartet, *args)
-            return C, D, doctored(quartet, d0)
-
-        def searches(quartet):
-            d0, purity = real_searches(quartet)
-            return doctored(quartet, d0), purity
+            C, D, d0 = real(quartet, *args)
+            return C, D, (dataclasses.replace(d0, lo=d, hi=d)
+                          if quartet.n == n else d0)
 
         monkeypatch.setattr(qduadic.verify, "_distributions", distributions)
-        monkeypatch.setattr(qduadic.verify, "quartet_weights", searches)
         code, out, err = run(capsys, "verify", "--q", str(q), "--max-n", "31")
         assert code == EXIT_ASSERTION and err == ""
         doc = json.loads(out)
+        # at 7, mu_(-1) gives the splitting, and d = 2 breaks both bounds
+        bounds = {7: [name, "square_root_bound_mu_minus1"], 23: [name]}[n]
         assert doc["failures"] == [
-            {"assertion": name, "detail": f"n={n} d_o={d}"}]
-        # (passed, failed) of the square-root and mu_(-1) tallies: at 7,
-        # mu_(-1) gives the splitting, yet only the d^2 check fails
-        tallies = {7: [(3, 1), (2, 0)], 23: [(4, 0), (2, 1)]}
+            *({"assertion": b, "detail": f"n={n} d_o={d}"} for b in bounds),
+            {"assertion": "extremes_match_distribution", "detail": f"n={n}"}]
+        # (passed, failed) of the square-root and mu_(-1) tallies
+        tallies = {7: [(3, 1), (2, 1)], 23: [(4, 0), (2, 1)]}
         assert [(doc["tallies"][k]["passed"], doc["tallies"][k]["failed"])
                 for k in ("square_root_bound",
                           "square_root_bound_mu_minus1")] == tallies[n]
 
+    def test_verdict_check_is_not_vacuous(self, capsys, monkeypatch):
+        # build prints the verdict of stabilizer_params, and verify compares
+        # it with the one the distributions give: [[17,1,5]]_2 of purity 6
+        # is not degenerate
+        self._doctor_params(monkeypatch, 17,
+                            lambda p: dataclasses.replace(p, degenerate="yes"))
+        code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "31")
+        assert code == EXIT_ASSERTION
+        assert doc["failures"] == [
+            {"assertion": "extremes_match_distribution", "detail": "n=17"}]
+        assert doc["tallies"]["extremes_match_distribution"] == \
+            {"passed": 3, "failed": 1, "skipped": 0}
+
     def test_square_root_violation_in_build_exits_4(self, capsys,
                                                      monkeypatch):
         import qduadic.stabilizer
-        real = qduadic.stabilizer.quartet_weights
+        real = qduadic.stabilizer._checked
 
-        def doctored(quartet):
-            d, purity = real(quartet)
-            return dataclasses.replace(d, lo=2, hi=2), purity
+        def doctored(C, result, word, name, odd_like):
+            result = real(C, result, word, name, odd_like)
+            return (dataclasses.replace(result, lo=2, hi=2) if odd_like
+                    else result)
 
-        monkeypatch.setattr(qduadic.stabilizer, "quartet_weights", doctored)
+        monkeypatch.setattr(qduadic.stabilizer, "_checked", doctored)
         code, out, err = run(capsys, "build", "css", "7", "2")
         assert code == EXIT_ASSERTION and out == ""
         assert err == ("internal error: square-root bound violated at n=7, "
@@ -606,7 +648,7 @@ class TestInvariantFailures:
             return dataclasses.replace(quartet, C1=quartet.C0)
 
         monkeypatch.setattr(qduadic.cli, "materialize_quartet", swapped)
-        for name in ("support_search_min_weight", "quartet_weights"):
+        for name in ("support_search_min_weight", "brouwer_zimmermann"):
             monkeypatch.setattr(qduadic.stabilizer, name,
                                 lambda *args: searched.append(args))
         code, out, err = run(capsys, "build", "css", "23", "2", "--budget",
@@ -616,17 +658,14 @@ class TestInvariantFailures:
                        "it cannot share C0's weight distribution (internal "
                        "bug)\n")
 
-    @pytest.mark.parametrize("exc", ["SplittingError", "ConstructionError",
-                                     "DistanceError", "CyclicCodeError",
-                                     "AssertionError"])
+    @pytest.mark.parametrize("exc", ["SplittingError", "DistanceError",
+                                     "CyclicCodeError", "AssertionError"])
     def test_each_invariant_error_exits_4(self, capsys, monkeypatch, exc):
         import qduadic.cli
         import qduadic.cyclic
         import qduadic.distance
         import qduadic.duadic
-        import qduadic.stabilizer
         error = {"SplittingError": qduadic.duadic.SplittingError,
-                 "ConstructionError": qduadic.stabilizer.ConstructionError,
                  "DistanceError": qduadic.distance.DistanceError,
                  "CyclicCodeError": qduadic.cyclic.CyclicCodeError,
                  "AssertionError": AssertionError}[exc]
@@ -642,6 +681,23 @@ class TestInvariantFailures:
         assert code == EXIT_ASSERTION and out == ""
         assert err.splitlines()[-1] == "internal error: broken invariant"
         assert "Traceback" not in err
+
+    def test_construction_error_exits_2(self, capsys, monkeypatch):
+        # ConstructionError means "construction refused": build and survey
+        # exit 2 with its message as the one stderr line, wherever it rises
+        import qduadic.cli
+        import qduadic.stabilizer
+
+        def refused(*args, **kwargs):
+            raise qduadic.stabilizer.ConstructionError("refused here")
+
+        monkeypatch.setattr(qduadic.cli, "stabilizer_params", refused)
+        for argv in (("build", "css", "7", "2"),
+                     ("survey", "--q", "2", "--max-n", "7")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_NONEXISTENT and out == ""
+            assert err.splitlines()[-1] == "refused here"
+            assert "Traceback" not in err
 
     def test_internal_field_error_exits_4(self, capsys, monkeypatch):
         # only a field beyond the cap leaves the quartet out: exit 3 with

@@ -54,11 +54,7 @@ from qduadic.galois import (
     make_field,
     ord_mod,
 )
-from qduadic.stabilizer import (
-    quartet_weights,
-    stabilizer_params,
-    theory_distance_interval,
-)
+from qduadic.stabilizer import stabilizer_params, theory_distance_interval
 from qduadic.verify import _distributions
 
 
@@ -74,6 +70,13 @@ def _code(n, q, leaders):
 def _least_weight(C):
     """Least nonzero weight, read off the engine's weight distribution."""
     return min(w for w in weight_distribution(C) if w)
+
+
+def _searched(qt, construction="css"):
+    """d and the purity that stabilizer_params reads off its two checked
+    searches, of D0's odd-like words and of C0."""
+    p = stabilizer_params(qt.splitting, qt, construction)
+    return p.d, p.purity
 
 
 def _from_distributions(qt, workers=1):
@@ -150,7 +153,7 @@ class TestKnownValues:
         # and every word of the search's levels up to where it stops
         qt = build_quartet(default_splitting(17, 2), make_field(2))
         assert _distributions(qt)[2].work == 2**(qt.C0.k - 1) - 1
-        d, least = quartet_weights(qt)
+        d, least = _searched(qt)
         assert d.work == _search_work(qt.D0, True) == 9
         assert least.work == _search_work(qt.C0, False) == 8
 
@@ -524,7 +527,7 @@ class TestExtremes:
     @pytest.mark.parametrize("n", [7, 17, 23, 31, 41, 47, 49])
     def test_default_quartets(self, n):
         qt = build_quartet(default_splitting(n, 2), make_field(2))
-        d, least = quartet_weights(qt)
+        d, least = _searched(qt)
         assert d.method == least.method == "brouwer_zimmermann"
         assert (d.value, least.value) == _from_distributions(qt)
 
@@ -533,7 +536,7 @@ class TestExtremes:
         ids = set()
         for s in iter_splittings(n, 2):
             qt = build_quartet(s, make_field(2))
-            d, least = quartet_weights(qt)
+            d, least = _searched(qt)
             assert (d.value, least.value) == _from_distributions(qt)
             ids.add(s.splitting_id)
         assert len(ids) > 2  # more than the default's orbit
@@ -609,7 +612,7 @@ class TestSearch:
         s = (splitting_by(n, code_q, (-q) % n) if construction == "hermitian"
              else default_splitting(n, code_q))
         qt = build_quartet(s, field_from_order(code_q))
-        d, least = quartet_weights(qt)
+        d, least = _searched(qt, construction)
         assert (d.value, least.value) == _from_distributions(qt)
         assert d.work in _level_sums(qt.D0.k, code_q)
         assert least.work in _level_sums(qt.C0.k, code_q)

@@ -31,7 +31,8 @@ from qduadic.duadic import (
     splitting_by,
 )
 from qduadic.galois import make_field
-from qduadic.stabilizer import check_square_root_bound, quartet_weights
+import qduadic.stabilizer
+from qduadic.stabilizer import check_square_root_bound, stabilizer_params
 
 
 class TestDuadicExists:
@@ -271,7 +272,7 @@ class TestQuartet:
 class TestSquareRootBound:
     def test_n7(self):
         qt = build_quartet(splitting_by(7, 2, 6), make_field(2))
-        d, _ = quartet_weights(qt)
+        d = stabilizer_params(qt.splitting, qt, "css").d
         r = check_square_root_bound(qt.splitting, d)
         assert r == {"d_squared_ge_n": True, "mu_minus1_splitting": True,
                      # 3^2 - 3 + 1 = 7 >= 7
@@ -280,7 +281,7 @@ class TestSquareRootBound:
 
     def test_n23_golay(self):
         qt = build_quartet(default_splitting(23, 2), make_field(2))
-        d, _ = quartet_weights(qt)
+        d = stabilizer_params(qt.splitting, qt, "css").d
         assert d.value == 7
         r = check_square_root_bound(qt.splitting, d)
         assert r["d_squared_ge_n"] and r["mu_minus1_splitting"]
@@ -288,7 +289,7 @@ class TestSquareRootBound:
 
     def test_n17_mu_minus1_not_applicable(self):
         qt = build_quartet(default_splitting(17, 2), make_field(2))
-        d, _ = quartet_weights(qt)
+        d = stabilizer_params(qt.splitting, qt, "css").d
         assert d.value == 5
         r = check_square_root_bound(qt.splitting, d)
         assert r == {"d_squared_ge_n": True, "mu_minus1_splitting": False,
@@ -305,16 +306,30 @@ class TestSquareRootBound:
                      "d_sq_minus_d_plus_1_ge_n": None,
                      "odd_like_weights_equal": None}
 
-    # d^2 < n; under mu_{-1} only d^2 - d + 1 < n (25 >= 23 > 21); and
-    # d^2 < n where mu_{-1} gives no splitting of 17
-    @pytest.mark.parametrize("n,d", [(7, 2), (23, 5), (17, 4)])
-    def test_violation_raises(self, n, d):
-        # the bound is a theorem, so only a bug can produce such a d
+    # d^2 < n (and so d^2 - d + 1 < n); under mu_{-1} only d^2 - d + 1 < n
+    # (25 >= 23 > 21); and d^2 < n where mu_{-1} gives no splitting of 17
+    @pytest.mark.parametrize("n,d,checks", [
+        (7, 2, (False, True, False)),
+        (23, 5, (True, True, False)),
+        (17, 4, (False, False, None)),
+    ], ids=["7-2", "23-5", "17-4"])
+    def test_violation_raises(self, monkeypatch, n, d, checks):
+        # the bound is a theorem, so only a bug can produce such a d: the
+        # checks report it False, and stabilizer_params raises on it
         from qduadic.distance import DistanceResult
         s = default_splitting(n, 2)
+        bad = DistanceResult.exact(d, "full_enumeration", 0)
+        r = check_square_root_bound(s, bad)
+        assert (r["d_squared_ge_n"], r["mu_minus1_splitting"],
+                r["d_sq_minus_d_plus_1_ge_n"]) == checks
+        real = qduadic.stabilizer._checked
+
+        def searched(C, result, word, name, odd_like):
+            return bad if odd_like else real(C, result, word, name, odd_like)
+
+        monkeypatch.setattr(qduadic.stabilizer, "_checked", searched)
         with pytest.raises(SplittingError, match="square-root bound"):
-            check_square_root_bound(
-                s, DistanceResult.exact(d, "full_enumeration", 0))
+            stabilizer_params(s, build_quartet(s, make_field(2)), "css")
 
 
 class TestLemma6:

@@ -16,6 +16,7 @@ from qduadic.duadic import (
     build_quartet,
     default_splitting,
     degeneracy_certificate,
+    iter_splittings,
     splitting_by,
 )
 from qduadic.galois import field_from_order, make_field
@@ -24,11 +25,20 @@ from qduadic.stabilizer import (
     ConstructionError,
     _checked,
     degeneracy_verdict,
+    select_splitting,
     stabilizer_params,
     theory_distance_interval,
-    verify_hermitian_condition,
 )
 from qduadic.verify import _distributions
+
+
+def _not_mu_minus_q():
+    """Splitting d1c340225ba6 of 7 over GF(9): mu_3 gives it and mu_(-3)
+    does not, so it has no Hermitian code."""
+    s = next(s for s in iter_splittings(7, 9)
+             if s.splitting_id == "d1c340225ba6")
+    assert s.a == 3 and not s.is_given_by(7 - 3)
+    return s
 
 
 def _params(qt, construction="css", **kw):
@@ -137,18 +147,19 @@ class TestHermitian:
         assert p.degenerate == "no"
 
     def test_condition_check(self):
-        assert verify_hermitian_condition(splitting_by(7, 4, 5))
+        # the Hermitian code of 7 over GF(2) uses mu_(-2)'s splitting
+        assert select_splitting(7, 2, "hermitian") == splitting_by(7, 4, 5)
 
     def test_rejects_wrong_splitting(self):
-        s = splitting_by(7, 4, 6)  # mu_{-1}, which differs from mu_{-2} here?
-        if s is not None and not verify_hermitian_condition(s):
-            with pytest.raises(ConstructionError):
-                qt = build_quartet(s, field_from_order(4))
-                _params(qt, "hermitian")
+        qt = build_quartet(_not_mu_minus_q(), field_from_order(9))
+        with pytest.raises(ConstructionError, match="does not apply"):
+            _params(qt, "hermitian")
 
     def test_rejects_non_square_field(self):
+        # mu_(-1) = mu_(-isqrt(2)) gives this splitting, but GF(2) is no
+        # GF(q^2)
         with pytest.raises(ConstructionError):
-            verify_hermitian_condition(splitting_by(7, 2, 6))
+            stabilizer_params(splitting_by(7, 2, 6), None, "hermitian")
 
     @staticmethod
     def _matrix_checks(monkeypatch, n):
@@ -203,10 +214,8 @@ class TestTheoryOnly:
         assert p.degenerate == "undecided"
 
     def test_hermitian_fallback_rejects_bad_splitting(self):
-        s = splitting_by(7, 4, 6)
-        if s is not None and not s.is_given_by(5):
-            with pytest.raises(ConstructionError):
-                stabilizer_params(s, None, "hermitian")
+        with pytest.raises(ConstructionError, match="does not apply"):
+            stabilizer_params(_not_mu_minus_q(), None, "hermitian")
 
 
 class TestVerdictReconciliation:
@@ -244,7 +253,7 @@ def _oracle_quartets():
                          splitting_by(n, code_q, n - 1)]
                 if construction == "hermitian":
                     found = [s for s in found + [splitting_by(n, code_q, (-q) % n)]
-                             if s is not None and verify_hermitian_condition(s)]
+                             if s is not None and s.is_given_by((-q) % n)]
                 seen = set()
                 for s in found:
                     if s is not None and s.splitting_id not in seen:
