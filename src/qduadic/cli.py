@@ -20,9 +20,10 @@ options, each given in full as --name value or --name=value:
   --q Q              survey, verify: a prime power below 2^64 (required)
   --max-n N          survey, verify: the largest length, at most 10^4
                      (required)
-  --splitting-id ID  build: the splitting with this id, as printed in every
-                     report (default: mu_(-1) if it splits, else the
-                     smallest splitting multiplier; for hermitian, mu_(-q))
+  --splitting-id ID  build: the splitting with this id as printed in every
+                     report, 12 lowercase hex digits (default: mu_(-1) if
+                     it splits, else the smallest splitting multiplier;
+                     for hermitian, mu_(-q))
   --budget B         a positive integer or a power such as 2^30, at most
                      2^64 (default 2^26): d and the purity are exact when
                      q^k of the code C0 fits; build and survey then run a

@@ -33,6 +33,12 @@ from .galois import (  # ord_mod is re-exported from here
 )
 
 
+# The per-length caches keep this many entries: a request reuses a length's
+# cosets, factors and splittings only while it works on that length, so a
+# survey of thousands of lengths need not hold them all
+LENGTH_CACHE_SIZE = 16
+
+
 class CyclicCodeError(ValueError):
     """Invalid defining set, code construction, or dual computation."""
 
@@ -88,7 +94,7 @@ class CosetStructure:
         return tuple(c for c in self.cosets if c != (0,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LENGTH_CACHE_SIZE)
 def cyclotomic_cosets(n: int, q: int) -> CosetStructure:
     if n % 2 == 0:
         raise ValueError("length n must be odd")
@@ -235,7 +241,7 @@ def _subfield_basis(ext: Field, field: Field) -> tuple[tuple[int, int], ...]:
     raise CyclicCodeError(f"no subfield of {ext} is {field} (internal bug)")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LENGTH_CACHE_SIZE)
 def _coset_minpolys(n: int, field: Field) -> tuple[tuple[int, Poly], ...]:
     """(s, M_s) for each cyclotomic coset, s its smallest member and M_s the
     minimal polynomial over `field` of beta = alpha^s.  The powers alpha^j

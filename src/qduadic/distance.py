@@ -8,17 +8,17 @@ message coordinates, and stops once ceil(n*(w+1)/k) after level w reaches
 the least weight found.  The weight histogram is the independent route
 that `verify` compares with, and the MacWilliams transform turns it into
 the histogram of the dual code.  Every GF(p^m) code is reduced to a
-prime-field message space: the generator rows are expanded by the
-polynomial basis of the field, so a k-dimensional code over GF(p^m) becomes
-a (k*m)-row code over GF(p).  One span kernel enumerates it: a numpy block
-of every combination of the first rows, plus one high word per step of a
-p-ary counter over the rest; the weights of two steps are counted by one
-bincount of joint keys.  It scans only the shortened subcode {c_0 = 0},
-q^(k-1) words, and the cyclic symmetry rebuilds the full histogram from it
-exactly.  Beyond the budget, a low-weight support search bounds the minimum
-weight, one whole level of weights at a time, by looking for proportional
-columns of H and by binary search for prefix sums in a sorted table of pair
-sums.
+prime-field message space: the rows of the same systematic generator
+matrix are expanded by the polynomial basis of the field, so a
+k-dimensional code over GF(p^m) becomes a (k*m)-row code over GF(p).  One
+span kernel enumerates it: a numpy block of every combination of the first
+rows, plus one high word per step of a p-ary counter over the rest; the
+weights of two steps are counted by one bincount of joint keys.  It scans
+only the shortened subcode {c_(n-1) = 0}, q^(k-1) words, and the cyclic
+symmetry rebuilds the full histogram from it exactly.  Beyond the budget,
+a low-weight support search bounds the minimum weight, one whole level of
+weights at a time, by looking for proportional columns of H and by binary
+search for prefix sums in a sorted table of pair sums.
 
 Both kernels hold codewords in one layout (`_Words`): in characteristic 2
 as uint64 lanes of floor(64/m) m-bit cells, one cell per coordinate, added
@@ -84,19 +84,41 @@ class DistanceResult:
 
 
 # ---------------------------------------------------------------------------
-# Row expansion to the prime field
+# Generator rows and their word layout
 
 
-def _expanded_rows(C: CyclicCode):
-    """Prime-field basis expansion of the generator rows x^i*g(x), i < k:
-    the code equals the GF(p)-span of {x^b * row : 0 <= b < m}, each row
-    followed by its multiples.  Row b = 0 is the row itself, so over a prime
-    field the expansion is the generator matrix."""
-    f, n, g = C.field, C.n, list(C.genpoly.coeffs)
-    scalars = [f.coeffs_to_element([0] * b + [1]) for b in range(1, f.m)]
-    scaled = [g] + [[f.mul(a, x) for x in g] for a in scalars]
-    return [[0] * i + c + [0] * (n - len(c) - i)
-            for i in range(C.k) for c in scaled]
+def _systematic_rows(C: CyclicCode) -> np.ndarray:
+    """GF(p) digits, shape (k, n + 1, m), of the rows x^(n-k+i) -
+    (x^(n-k+i) mod g(x)), i < k, each with its coordinate sum in an extra
+    cell: C's generator matrix in systematic form on the last k
+    coordinates, row i being 1 at coordinate n-k+i and 0 at the others of
+    them.  g is monic, so x^(n-k) mod g = x^(n-k) - g, and each later
+    remainder is x times the one before, less its overflow times g."""
+    f, n, k = C.field, C.n, C.k
+    p, m, r = f.p, f.m, n - k
+    if p == 2:
+        sub = operator.xor  # on element indices, in every GF(2^m)
+    elif m == 1:
+        def sub(a, b):
+            return (a - b) % p
+    else:
+        def sub(a, b):
+            return f.add(a, f.neg(b))
+    g = C.genpoly.coeffs
+    multiples = {1: g}  # top -> top*g
+    rem, rems = [sub(0, c) for c in g[:r]], []
+    for _ in range(k):
+        rems.append(rem)
+        top, rem = (rem[-1], [0] + rem[:-1]) if r else (0, rem)
+        if top:
+            if top not in multiples:
+                multiples[top] = [f.mul(top, x) for x in g]
+            rem = list(map(sub, rem, multiples[top]))
+    digits = np.zeros((k, n + 1, m), np.int64)
+    digits[:, :r] = -_digits(np.array(rems, np.int64).reshape(k, r), p, m) % p
+    digits[np.arange(k), r + np.arange(k), 0] = 1
+    digits[:, n] = digits[:, :n].sum(axis=1) % p
+    return digits
 
 
 class _Words:
@@ -294,10 +316,12 @@ def enumerable(C: CyclicCode, budget: int) -> bool:
 def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,
                         workers: int = 1) -> dict[int, int]:
     """Full weight histogram {weight: count}, rebuilt from a scan of the
-    shortened subcode {c : c_0 = 0}, q^(k-1) words.  The cyclic shift is
-    transitive on the coordinates, so a weight-w word has c_i = 0 at n - w
-    of its n coordinates, equally often at each: n*A'_w = (n - w)*A_w for
-    the subcode's A'_w, and A_n is what remains of q^k."""
+    shortened subcode {c : c_(n-1) = 0}, q^(k-1) words: the span of the
+    first k - 1 systematic rows, which are 0 at message coordinate n - 1.
+    The cyclic shift is transitive on the coordinates, so a weight-w word
+    has c_i = 0 at n - w of its n coordinates, equally often at each:
+    n*A'_w = (n - w)*A_w for the subcode's A'_w, and A_n is what remains
+    of q^k."""
     total = C.q**C.k
     if total > budget:
         raise DistanceError(f"q^k = {total} exceeds the budget {budget}")
@@ -305,7 +329,8 @@ def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,
         return {0: 1}
     n = C.n
     A = {}
-    for w, count in _histogram(C, _shortened_rows(C), workers).items():
+    rows = _systematic_rows(C)[:-1, :n]
+    for w, count in _histogram(C, rows, workers).items():
         if w == n or n * count % (n - w):
             raise DistanceError(
                 f"the shortened subcode has {count} words of weight {w}, "
@@ -321,36 +346,27 @@ def weight_distribution(C: CyclicCode, budget: int = DEFAULT_BUDGET,
     return A
 
 
-def _shortened_rows(C: CyclicCode):
-    """Prime-field rows spanning {c in C : c_0 = 0}.  Row i of the generator
-    matrix is x^i*g(x), so with g(0) != 0 only row 0 is nonzero at
-    coordinate 0 and the expansions of rows 1..k-1 span the subcode."""
-    if not C.genpoly.coeffs[0]:
-        raise DistanceError(
-            "the generator polynomial has g(0) = 0, so the rows x^i*g(x) past "
-            "the first do not span the shortened subcode (internal bug)")
-    return _expanded_rows(C)[C.field.m:]
-
-
 def _full_scan_distribution(C: CyclicCode, workers: int = 1) -> dict[int, int]:
     """Weight histogram of C from a scan of all q^k words, without the
     shortening; an independent route to check `weight_distribution`."""
-    return _histogram(C, _expanded_rows(C), workers)
+    return _histogram(C, _systematic_rows(C)[:, :C.n], workers)
 
 
 def _histogram(C: CyclicCode, rows, workers: int) -> dict[int, int]:
-    """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C."""
+    """Weight histogram of the GF(q)-span of `rows`, the GF(p) digits of
+    words of C, shape (rows, n, m)."""
     return {int(w): int(c) for w, c in enumerate(_scan(C, rows, workers)) if c}
 
 
 def _scan(C: CyclicCode, rows, workers: int) -> np.ndarray:
-    """Weight histogram of the GF(p)-span of `rows`, prime-field rows of C,
-    from one span kernel over the rows in C's word layout.  `workers`
-    processes split the high indices, and their histograms add."""
+    """Weight histogram of the GF(q)-span of `rows`, GF(p) digits of words
+    of C, from one span kernel over the GF(p)-span of their expansion: each
+    row followed by its multiples by x^b, 0 < b < m, in C's word layout.
+    `workers` processes split the high indices, and their histograms add."""
     f = C.field
     words = _Words(f, C.n)
-    rows = words.pack(_digits(np.array(rows, np.int64).reshape(-1, C.n),
-                              f.p, f.m))
+    rows = words.pack(np.stack([_times(f, f.p**b, rows) for b in range(f.m)],
+                               axis=1).reshape(-1, C.n, f.m))
     nblocks = f.p ** (len(rows) - _low_rows(f.p, len(rows)))
     if workers > 1 and nblocks >= 2 * workers:
         # imported here, so a single-process run never loads the pool
@@ -365,40 +381,6 @@ def _scan(C: CyclicCode, rows, workers: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Brouwer-Zimmermann search over cyclic information sets
-
-
-def _systematic_rows(C: CyclicCode) -> np.ndarray:
-    """GF(p) digits, shape (k, n + 1, m), of the rows x^(n-k+i) -
-    (x^(n-k+i) mod g(x)), i < k, each with its coordinate sum in an extra
-    cell: C's generator matrix in systematic form on the last k
-    coordinates, row i being 1 at coordinate n-k+i and 0 at the others of
-    them.  g is monic, so x^(n-k) mod g = x^(n-k) - g, and each later
-    remainder is x times the one before, less its overflow times g."""
-    f, n, k = C.field, C.n, C.k
-    p, m, r = f.p, f.m, n - k
-    if p == 2:
-        sub = operator.xor  # on element indices, in every GF(2^m)
-    elif m == 1:
-        def sub(a, b):
-            return (a - b) % p
-    else:
-        def sub(a, b):
-            return f.add(a, f.neg(b))
-    g = C.genpoly.coeffs
-    multiples = {1: g}  # top -> top*g
-    rem, rems = [sub(0, c) for c in g[:r]], []
-    for _ in range(k):
-        rems.append(rem)
-        top, rem = (rem[-1], [0] + rem[:-1]) if r else (0, rem)
-        if top:
-            if top not in multiples:
-                multiples[top] = [f.mul(top, x) for x in g]
-            rem = list(map(sub, rem, multiples[top]))
-    digits = np.zeros((k, n + 1, m), np.int64)
-    digits[:, :r] = -_digits(np.array(rems, np.int64).reshape(k, r), p, m) % p
-    digits[np.arange(k), r + np.arange(k), 0] = 1
-    digits[:, n] = digits[:, :n].sum(axis=1) % p
-    return digits
 
 
 def _extend(blocks, table, units: int, limit: int, add):

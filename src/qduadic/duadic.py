@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import islice
 from math import gcd
 
 from .cyclic import (
+    LENGTH_CACHE_SIZE,
     CosetStructure,
     CyclicCode,
     DefiningSet,
@@ -135,9 +137,11 @@ def _assignments(cs: CosetStructure, a: int):
         yield sides
 
 
+@lru_cache(maxsize=LENGTH_CACHE_SIZE)
 def splitting_by(n: int, q: int, a: int) -> Splitting | None:
     """The canonical splitting given by mu_a, or None when mu_a gives none
-    (see `_assignments`)."""
+    (see `_assignments`).  Cached like the cosets: a survey row reads the
+    splittings of mu_(-1) and mu_(-q) and then builds one of them."""
     cs = cyclotomic_cosets(n, q)
     a %= n
     if gcd(a, n) != 1:

@@ -88,7 +88,7 @@ def _distributions(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,
             "transformed distribution of D0 does not contain that of C0 "
             "(internal bug)")
     odd = min(w for w, c in D.items() if c > C.get(w, 0))
-    # the nonzero words of {c in C0 : c_0 = 0}, which the kernel scans
+    # the nonzero words of {c in C0 : c_(n-1) = 0}, which the kernel scans
     work = C0.q**(C0.k - 1) - 1
     return C, D, DistanceResult.exact(odd, "full_enumeration", work)
 
@@ -134,7 +134,7 @@ def run_suite(q: int, max_n: int, budget: int = DEFAULT_BUDGET,
                       (params.d.value, params.purity.value, params.degenerate)
                       == (d.value, least, "yes" if least < d.value else "no"),
                       f"n={n}")
-            # the engine scans only {c in C0 : c_0 = 0}; a scan of all of
+            # the engine scans only {c in C0 : c_(n-1) = 0}; a scan of all of
             # C0 by the same kernel checks the rebuilt histogram
             if n <= 21:
                 res.check("shortening_matches_full_scan",

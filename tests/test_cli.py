@@ -9,6 +9,7 @@ from math import comb, gcd
 import pytest
 
 import qduadic
+from qduadic import cyclic
 from qduadic.cli import (
     EXIT_ASSERTION,
     EXIT_NONEXISTENT,
@@ -24,6 +25,7 @@ from qduadic.duadic import (
     default_splitting,
     iter_splittings,
     materialize_quartet,
+    splitting_by,
 )
 from qduadic.stabilizer import select_splitting
 
@@ -371,6 +373,30 @@ class TestSurvey:
                     (st[key]["kind"], st[key]["lo"], st[key]["hi"]), (n, key)
             assert row["degenerate"] == st["degenerate"], n
         assert rows[max_n]["d_kind"] == "interval"
+
+    @pytest.mark.parametrize("construction", ["css", "hermitian"])
+    def test_row_finds_each_splitting_once(self, construction):
+        # the row reads the splittings of mu_(-1) and mu_(-q) for two
+        # columns and then builds one of them: two are found, one reused
+        splitting_by.cache_clear()
+        _survey_row(23, 2, construction, DEFAULT_BUDGET)
+        info = splitting_by.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_caches_stay_at_their_bound(self, capsys):
+        # 22 lengths over GF(4), 20 of them with a quartet under the field
+        # cap: more than the per-length caches keep
+        caches = (cyclic.cyclotomic_cosets, cyclic._coset_minpolys,
+                  splitting_by)
+        for cache in caches:
+            cache.cache_clear()
+        code, _, _ = run(capsys, "survey", "--q", "4", "--max-n", "45",
+                         "--budget", "2^10")
+        assert code == EXIT_OK
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.misses > cyclic.LENGTH_CACHE_SIZE
+            assert info.currsize == info.maxsize == cyclic.LENGTH_CACHE_SIZE
 
     def test_bounds_ok_only_where_a_check_ran(self, capsys):
         import csv
@@ -723,36 +749,25 @@ class TestInvariantFailures:
         assert err == ("internal error: no generator found "
                        "(internal error)\n")
 
-    @pytest.mark.parametrize("fault", ["fractional", "too_many_words",
-                                       "row_1_at_coordinate_0"])
+    # doctored subcode histograms of the C0 of length 11 over GF(3), k = 5,
+    # that verify enumerates (builds read no histogram), and the error each
+    # one raises
+    SUBCODE_FAULTS = {
+        # 11 * 1 / (11 - 3) is not an integer
+        "fractional": ({0: 1, 3: 1}, "which no cyclic code"),
+        # rebuilds 1 + 11 * 23 words > 3^5
+        "too_many_words": ({0: 1, 10: 23}, "more than q^k"),
+        # a word of the subcode has c_(n-1) = 0, so its weight is below 11
+        "full_weight": ({0: 1, 11: 1}, "which no cyclic code"),
+    }
+
+    @pytest.mark.parametrize("fault", SUBCODE_FAULTS)
     def test_shortening_invariants_exit_4(self, capsys, monkeypatch, fault):
         import qduadic.distance
-        import qduadic.verify
-        from qduadic.galois import Poly
-        # builds read no histogram, so the doctored histograms go to the
-        # C0 of length 11 over GF(3), k = 5, that verify enumerates
-        argv = ("verify", "--q", "3", "--max-n", "11")
-        if fault == "fractional":  # 11 * 1 / (11 - 3) is not an integer
-            monkeypatch.setattr(qduadic.distance, "_histogram",
-                                lambda C, rows, workers: {0: 1, 3: 1})
-            message = "which no cyclic code"
-        elif fault == "too_many_words":  # rebuilds 1 + 11 * 23 words > 3^5
-            monkeypatch.setattr(qduadic.distance, "_histogram",
-                                lambda C, rows, workers: {0: 1, 10: 23})
-            message = "more than q^k"
-        else:  # g(0) = 0: row 0 is zero at coordinate 0, like row 1
-            message = "g(0) = 0"
-            real = qduadic.verify.materialize_quartet
-
-            def skewed(s):
-                qt = real(s)
-                g = qt.C0.genpoly
-                return dataclasses.replace(qt, C0=dataclasses.replace(
-                    qt.C0, genpoly=Poly.make((0,) + g.coeffs[1:], g.field)))
-
-            monkeypatch.setattr(qduadic.verify, "materialize_quartet", skewed)
-            argv = ("verify", "--q", "2", "--max-n", "7")
-        code, out, err = run(capsys, *argv)
+        hist, message = self.SUBCODE_FAULTS[fault]
+        monkeypatch.setattr(qduadic.distance, "_histogram",
+                            lambda C, rows, workers: dict(hist))
+        code, out, err = run(capsys, "verify", "--q", "3", "--max-n", "11")
         assert code == EXIT_ASSERTION and out == ""
         assert err.startswith("internal error") and message in err
         assert "Traceback" not in err and err.count("\n") == 1
@@ -772,7 +787,7 @@ class TestRobustness:
                         (construction, n, q, err)
 
 
-HELP_SHOWS = ["exists", "build", "survey", "verify"]
+HELP_SHOWS = ["exists", "build", "survey", "verify", "12 lowercase hex digits"]
 
 
 class TestUsage:

@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
 from math import comb, gcd
 
 import numpy as np
@@ -32,7 +31,7 @@ from qduadic.distance import (
     _low_rows,
     _pair_table,
     _scan_range,
-    _shortened_rows,
+    _systematic_rows,
     _unit_multiples,
     _Words,
     brouwer_zimmermann,
@@ -49,7 +48,6 @@ from qduadic.duadic import (
 )
 from qduadic.galois import (
     FIELD_SIZE_CAP,
-    Poly,
     field_from_order,
     make_field,
     ord_mod,
@@ -149,8 +147,8 @@ class TestKnownValues:
         assert sum(hist.values()) == 2**12
 
     def test_work_counts_all_messages(self):
-        # every message of the shortened subcode {c_0 = 0} the kernel scans,
-        # and every word of the search's levels up to where it stops
+        # every message of the shortened subcode {c_(n-1) = 0} the kernel
+        # scans, and every word of the search's levels up to where it stops
         qt = build_quartet(default_splitting(17, 2), make_field(2))
         assert _distributions(qt)[2].work == 2**(qt.C0.k - 1) - 1
         d, least = _searched(qt)
@@ -184,7 +182,7 @@ def _coset_unions(n, q, max_words=2**14, sample=64):
 
 
 class TestShortening:
-    """The kernel scans {c : c_0 = 0} and the histogram is rebuilt by
+    """The kernel scans {c : c_(n-1) = 0} and the histogram is rebuilt by
     cyclic symmetry; the re-encoder scans every message."""
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
@@ -231,7 +229,7 @@ class TestShortening:
     @pytest.mark.parametrize("hist,message", [
         # 7 * 1 / (7 - 3) is not an integer
         ({0: 1, 3: 1}, "which no cyclic code"),
-        # a word of the subcode has c_0 = 0, so its weight is below n
+        # a word of the subcode has c_(n-1) = 0, so its weight is below n
         ({0: 1, 7: 1}, "which no cyclic code"),
         # A_3 = 7 * 12 / 4 = 21 leaves A_7 = 16 - 22 < 0
         ({0: 1, 3: 12}, "more than q\\^k"),
@@ -242,19 +240,6 @@ class TestShortening:
                             lambda C, rows, workers: dict(hist))
         with pytest.raises(DistanceError, match=message):
             weight_distribution(_code(7, 2, [1]))
-
-    @pytest.mark.parametrize("change", ["row0", "row1"])
-    def test_generator_not_in_shift_shape_raises(self, change):
-        # g(0) = 0 leaves no row nonzero at coordinate 0, so rows 1..k-1
-        # would span less than the shortened subcode
-        C = _code(7, 2, [1])
-        g = C.genpoly.coeffs
-        if change == "row0":  # x*g(x): row 0 becomes the old row 1
-            g = (0,) + g
-        else:  # row 0 loses its entry at coordinate 0
-            g = (0,) + g[1:]
-        with pytest.raises(DistanceError, match="g\\(0\\) = 0"):
-            weight_distribution(replace(C, genpoly=Poly.make(g, C.field)))
 
 
 class TestKernelSteps:
@@ -325,7 +310,8 @@ class TestKernelSteps:
         assert _full_scan_distribution(C) == expected  # two high steps
         # the all-ones word in the low block, so its weight 257 is the
         # first of a pair of steps, the one a 16-bit key would wrap
-        rows = [(1,) * 257] + _shortened_rows(C)
+        rows = np.concatenate([np.ones((1, 257, 1), np.int64),
+                               _systematic_rows(C)[:-1, :257]])
         assert _histogram(C, rows, 1) == expected
 
     def test_two_lanes_of_2_bit_cells(self, monkeypatch):
@@ -879,8 +865,9 @@ class TestEdgeCases:
         C = _code(5, 9, [1])
         assert _least_weight(C) == naive_min_weight(C)
 
-    def test_char2_beyond_63_bits(self):
-        # 17 coordinates of 4 bits do not pack: the kernel scans digits
+    def test_char2_two_lanes_of_4_bit_cells(self):
+        # 17 coordinates of 4 bits: one full uint64 lane of 16 cells and
+        # one cell of a second lane
         C = _code(17, 16, [0, 2, 3, 4, 5, 6, 7, 8])  # k = 2
         assert weight_distribution(C) == naive_distribution(C)
         assert enumerable(C, DEFAULT_BUDGET)
