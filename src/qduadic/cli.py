@@ -49,8 +49,6 @@ usage error prints one usage line and one error line.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 import time
@@ -283,11 +281,12 @@ def cmd_survey(args) -> int:
         sys.stderr.write(f"survey n={n}\n")
         rows.append(_survey_row(n, q, args.construction, args.budget))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SURVEY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.output)
+        # every cell is an int, a bool, a kind word or empty (None), so no
+        # cell is quoted; lines end in \r\n, as in the excel dialect
+        table = [SURVEY_COLUMNS] + [[row[c] for c in SURVEY_COLUMNS]
+                                    for row in rows]
+        _emit("".join(",".join("" if v is None else str(v) for v in line)
+                      + "\r\n" for line in table), args.output)
     else:
         doc = {"schema_version": SCHEMA_VERSION, "q": q,
                "construction": args.construction, "rows": rows}

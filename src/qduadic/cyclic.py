@@ -21,9 +21,9 @@ add up to n and the lag products of the generator polynomials vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .galois import (  # ord_mod is re-exported from here
     Field,
@@ -68,26 +68,17 @@ def mu_apply(members, a: int, n: int) -> frozenset[int]:
     return frozenset(a * t % n for t in members)
 
 
-@dataclass(frozen=True)
-class CosetStructure:
+class CosetStructure(NamedTuple):
     """The complete partition of {0,...,n-1} into q-ary cyclotomic cosets,
     ordered by smallest representative."""
 
     n: int
     q: int
     cosets: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _index(self) -> tuple[int, ...]:
-        """Residue -> position of its coset in `cosets`."""
-        index = [0] * self.n
-        for i, c in enumerate(self.cosets):
-            for r in c:
-                index[r] = i
-        return tuple(index)
+    positions: tuple[int, ...]  # residue -> position of its coset in cosets
 
     def coset_of(self, r: int) -> tuple[int, ...]:
-        return self.cosets[self._index[r % self.n]]
+        return self.cosets[self.positions[r % self.n]]
 
     @property
     def nonzero_cosets(self) -> tuple[tuple[int, ...], ...]:
@@ -100,39 +91,61 @@ def cyclotomic_cosets(n: int, q: int) -> CosetStructure:
         raise ValueError("length n must be odd")
     if gcd(n, q) != 1:
         raise ValueError(f"gcd({n}, {q}) != 1")
-    seen = [False] * n
+    positions = [-1] * n
     cosets = []
     for r in range(n):
-        if seen[r]:
+        if positions[r] >= 0:
             continue
         orbit = []
         x = r
-        while not seen[x]:
-            seen[x] = True
+        while positions[x] < 0:
+            positions[x] = len(cosets)
             orbit.append(x)
             x = x * q % n
         cosets.append(tuple(sorted(orbit)))
-    return CosetStructure(n=n, q=q, cosets=tuple(cosets))
+    return CosetStructure(n, q, tuple(cosets), tuple(positions))
 
 
-@dataclass(frozen=True)
 class DefiningSet:
     """A coset-closed residue subset of {0,...,n-1} for q-ary length-n
-    cyclic codes."""
+    cyclic codes: its members reduced mod n and sorted, with len() their
+    number.  Immutable, equal by (n, q, members)."""
 
-    n: int
-    q: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "q", "members")
 
-    def __post_init__(self):
-        mem = tuple(sorted(set(m % self.n for m in self.members)))
-        object.__setattr__(self, "members", mem)
+    def __init__(self, n: int, q: int, members):
+        mem = tuple(sorted(set(m % n for m in members)))
         ms = set(mem)
         for t in mem:
-            if t * self.q % self.n not in ms:
+            if t * q % n not in ms:
                 raise CyclicCodeError(
-                    f"defining set {mem} is not closed under *{self.q} mod {self.n}"
+                    f"defining set {mem} is not closed under *{q} mod {n}"
                 )
+        for name, value in zip(self.__slots__, (n, q, mem)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name} of a DefiningSet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name} of a DefiningSet")
+
+    def _values(self) -> tuple:
+        return (self.n, self.q, self.members)
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return DefiningSet, self._values()
+
+    def __eq__(self, other):
+        if type(other) is not DefiningSet:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"DefiningSet(n={self.n}, q={self.q}, members={self.members})"
 
     def as_set(self) -> frozenset[int]:
         return frozenset(self.members)
@@ -166,8 +179,7 @@ def _sqrt_exact(q: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class CyclicCode:
+class CyclicCode(NamedTuple):
     """A q-ary cyclic code of odd length n given by its defining set, held
     by its generator and check polynomials alone."""
 

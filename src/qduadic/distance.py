@@ -30,9 +30,9 @@ stops), so they are reproducible and independent of the worker count.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,10 +47,7 @@ class DistanceError(ValueError):
     result."""
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    """An exact value or interval for a minimum-weight problem."""
-
+class _DistanceFields(NamedTuple):
     kind: str  # exact | lower_bound | interval
     lo: int | None
     hi: int | None
@@ -58,12 +55,19 @@ class DistanceResult:
     #              | defining_set_theory
     work: int
 
-    def __post_init__(self):
-        if self.kind == "exact" and self.lo != self.hi:
+
+class DistanceResult(_DistanceFields):
+    """An exact value or interval for a minimum-weight problem."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, lo: int | None, hi: int | None, method: str,
+                work: int):
+        if kind == "exact" and lo != hi:
             raise DistanceError("exact result requires lo == hi")
-        if self.kind == "interval" and (self.lo is None or self.hi is None
-                                        or self.lo > self.hi):
+        if kind == "interval" and (lo is None or hi is None or lo > hi):
             raise DistanceError("interval requires lo <= hi")
+        return super().__new__(cls, kind, lo, hi, method, work)
 
     @property
     def is_exact(self) -> bool:
@@ -80,7 +84,7 @@ class DistanceResult:
         return DistanceResult("exact", value, value, method, work)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------

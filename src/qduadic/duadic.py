@@ -9,10 +9,10 @@ and their even-like subcodes C_i (defining set S_i union {0}).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import islice
 from math import gcd
+from typing import NamedTuple
 
 from .cyclic import (
     LENGTH_CACHE_SIZE,
@@ -42,42 +42,50 @@ class SplittingError(ValueError):
     """Invalid splitting or quartet construction."""
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """A splitting {S0, S1, a} of n for q-ary duadic codes."""
+def _splitting_id(n: int, q: int, S0: tuple[int, ...]) -> str:
+    """The id of the splitting of n over GF(q) with side S0, sorted: the
+    first 12 hex digits of the SHA-256 of "n:q:S0" (S0 comma-separated),
+    from CPython's built-in module."""
+    payload = f"{n}:{q}:" + ",".join(map(str, S0))
+    return sha256(payload.encode()).hexdigest()[:12]
 
+
+class _SplittingFields(NamedTuple):
     n: int
     q: int
     S0: tuple[int, ...]
     S1: tuple[int, ...]
     a: int
 
-    def __post_init__(self):
-        n, q = self.n, self.q
-        object.__setattr__(self, "S0", tuple(sorted(self.S0)))
-        object.__setattr__(self, "S1", tuple(sorted(self.S1)))
-        s0, s1 = set(self.S0), set(self.S1)
+
+class Splitting(_SplittingFields):
+    """A splitting {S0, S1, a} of n for q-ary duadic codes, its sides
+    sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, q: int, S0, S1, a: int):
+        S0, S1 = tuple(sorted(S0)), tuple(sorted(S1))
+        s0, s1 = set(S0), set(S1)
         if s0 & s1:
             raise SplittingError("S0 and S1 intersect")
         if s0 | s1 != set(range(1, n)):
             raise SplittingError("S0 and S1 do not cover {1,...,n-1}")
         if len(s0) != len(s1):
             raise SplittingError("S0 and S1 differ in size")
-        if gcd(self.a, n) != 1:
-            raise SplittingError(f"gcd(a={self.a}, {n}) != 1")
-        if mu_apply(s0, self.a, n) != s1 or mu_apply(s1, self.a, n) != s0:
-            raise SplittingError(f"mu_{self.a} does not swap S0 and S1")
+        if gcd(a, n) != 1:
+            raise SplittingError(f"gcd(a={a}, {n}) != 1")
+        if mu_apply(s0, a, n) != s1 or mu_apply(s1, a, n) != s0:
+            raise SplittingError(f"mu_{a} does not swap S0 and S1")
         # a set closed under r -> q*r mod n is a union of q-ary cosets
         if any(r * q % n not in side for side in (s0, s1) for r in side):
             raise SplittingError("sides are not unions of cosets")
+        return super().__new__(cls, n, q, S0, S1, a)
 
     @property
     def splitting_id(self) -> str:
-        """Stable identifier: the first 12 hex digits of the SHA-256 of
-        "n:q:S0" (S0 sorted, comma-separated), from CPython's built-in
-        module."""
-        payload = f"{self.n}:{self.q}:" + ",".join(map(str, self.S0))
-        return sha256(payload.encode()).hexdigest()[:12]
+        """Stable identifier, from `_splitting_id`."""
+        return _splitting_id(self.n, self.q, self.S0)
 
     def is_given_by(self, a: int) -> bool:
         """Whether mu_a also swaps the two sides of this splitting."""
@@ -128,12 +136,15 @@ def _assignments(cs: CosetStructure, a: int):
     orbits = _mu_coset_orbits(cs, a)
     if any(len(o) % 2 for o in orbits):
         return
+    # the residues of each orbit's cosets at even and at odd positions
+    halves = [tuple([r for c in orbit[i::2] for r in c] for i in (0, 1))
+              for orbit in orbits]
     for flips in range(1 << len(orbits)):
         sides: tuple[list[int], list[int]] = ([], [])
-        for bit, orbit in enumerate(orbits):
+        for bit, half in enumerate(halves):
             flip = flips >> bit & 1
-            for i, coset in enumerate(orbit):
-                sides[(i + flip) % 2].extend(coset)
+            sides[0].extend(half[flip])
+            sides[1].extend(half[1 - flip])
         yield sides
 
 
@@ -147,15 +158,13 @@ def splitting_by(n: int, q: int, a: int) -> Splitting | None:
     if gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1")
     for S0, S1 in _assignments(cs, a):
-        return Splitting(n=n, q=q, S0=tuple(S0), S1=tuple(S1), a=a)
+        return Splitting(n, q, S0, S1, a)
     return None
 
 
-def iter_splittings(n: int, q: int) -> Iterator[Splitting]:
-    """All splittings of n, each S0 once, enumerated lazily and
-    deterministically: multipliers a in increasing order, and for each valid
-    a every per-orbit assignment of `_assignments`.  A side that several
-    multipliers swap comes with the first of them."""
+def _sides(n: int, q: int):
+    """(S0, S1, a) of each splitting of `iter_splittings`, in its order, S0
+    sorted; no Splitting is built."""
     cs = cyclotomic_cosets(n, q)
     seen = set()
     for a in range(2, n):
@@ -165,7 +174,23 @@ def iter_splittings(n: int, q: int) -> Iterator[Splitting]:
             side = tuple(sorted(S0))
             if side not in seen:
                 seen.add(side)
-                yield Splitting(n=n, q=q, S0=side, S1=tuple(S1), a=a)
+                yield side, S1, a
+
+
+def iter_splittings(n: int, q: int) -> Iterator[Splitting]:
+    """All splittings of n, each S0 once, enumerated lazily and
+    deterministically: multipliers a in increasing order, and for each valid
+    a every per-orbit assignment of `_assignments`.  A side that several
+    multipliers swap comes with the first of them."""
+    for S0, S1, a in _sides(n, q):
+        yield Splitting(n, q, S0, S1, a)
+
+
+def splitting_with_id(n: int, q: int, splitting_id: str) -> Splitting | None:
+    """The first splitting of `iter_splittings` with this id, or None.
+    Each side is hashed first, and only the match is built."""
+    return next((Splitting(n, q, S0, S1, a) for S0, S1, a in _sides(n, q)
+                 if _splitting_id(n, q, S0) == splitting_id), None)
 
 
 def find_splittings(n: int, q: int, limit: int | None = None) -> list[Splitting]:
@@ -183,8 +208,7 @@ def default_splitting(n: int, q: int) -> Splitting | None:
     return found[0] if found else None
 
 
-@dataclass(frozen=True)
-class DuadicQuartet:
+class DuadicQuartet(NamedTuple):
     """The four cyclic codes attached to a splitting: C_i subset D_i."""
 
     splitting: Splitting
@@ -241,8 +265,7 @@ def materialize_quartet(s: Splitting, on_cap=None) -> DuadicQuartet | None:
 # Degeneracy certificates
 
 
-@dataclass(frozen=True)
-class PrimeLocalData:
+class PrimeLocalData(NamedTuple):
     """Per-prime quantities entering the degeneracy theorems."""
 
     p: int
@@ -255,8 +278,7 @@ class PrimeLocalData:
     purity_term: int  # p^z
 
 
-@dataclass(frozen=True)
-class DegeneracyCertificate:
+class DegeneracyCertificate(NamedTuple):
     """Arithmetic hypotheses of the degenerate-family theorems, evaluated for
     (n, q).  The certificate predicts a purity bound; the degeneracy verdict
     itself always rests on computed distances."""
@@ -274,7 +296,8 @@ class DegeneracyCertificate:
     example_clause_7m: bool  # the 7^m, q=2 family stated with m >= 2
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(),
+                "primes": tuple(pl._asdict() for pl in self.primes)}
 
 
 FACTORIZATION_CAP = 10**6

@@ -15,9 +15,9 @@ ints that hold the operands' digits (Kronecker substitution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 # Hard cap on field cardinality; construction beyond this is refused.  It
 # bounds the trial-division factoring of order - 1 in Field._find_generator,
@@ -312,12 +312,6 @@ class Field:
         self._check(a)
         return tuple(self._digits(a))
 
-    def coeffs_to_element(self, coeffs) -> int:
-        d = list(coeffs) + [0] * (self.m - len(coeffs))
-        if len(d) > self.m or any(not (0 <= c < self.p) for c in d):
-            raise FieldError("coefficient vector does not fit this field")
-        return self._undigits(d)
-
     def _check(self, a: int) -> None:
         if not (0 <= a < self.order):
             raise FieldError(f"{a} is not an element of GF({self.p}^{self.m})")
@@ -441,8 +435,7 @@ def field_from_order(q: int) -> Field:
 # Polynomials over a Field
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple):
     """Polynomial over a Field; coeffs lowest degree first, normalized so the
     leading coefficient is nonzero (the zero polynomial has empty coeffs)."""
 

@@ -30,9 +30,9 @@ compares it with these parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import reduce
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from .duadic import (
     SplittingError,
     default_splitting,
     duadic_exists,
-    iter_splittings,
     splitting_by,
+    splitting_with_id,
 )
 
 
@@ -78,8 +78,7 @@ def select_splitting(n: int, q: int, construction: str,
              else default_splitting(n, q))
         refusal = f"mu_(-q) gives no splitting of {n} over GF({code_q})"
     else:
-        s = next((s for s in iter_splittings(n, code_q)
-                  if s.splitting_id == splitting_id), None)
+        s = splitting_with_id(n, code_q, splitting_id)
         if s is None:
             raise ValueError(f"no splitting with id {splitting_id} found")
         refusal = f"splitting {splitting_id} is not given by mu_(-q)"
@@ -106,8 +105,7 @@ def check_square_root_bound(s: Splitting, d: DistanceResult) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class StabilizerParams:
+class StabilizerParams(NamedTuple):
     """Parameters [[n, k, d]]_q of a duadic quantum code, with purity and
     degeneracy verdicts."""
 
@@ -264,4 +262,5 @@ def degeneracy_verdict(params: StabilizerParams,
                      else "discrepancy")
     else:
         agreement = "not_applicable"
-    return replace(params, certificate=certificate, purity_agreement=agreement)
+    return params._replace(certificate=certificate,
+                           purity_agreement=agreement)

@@ -11,7 +11,6 @@ suite's exhaustive scans."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from math import gcd
 
 from .cyclic import (
@@ -46,10 +45,13 @@ from .stabilizer import (
 )
 
 
-@dataclass
 class SuiteResult:
-    tallies: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    """Per-assertion tallies of passed, failed and skipped checks, and the
+    detail of every failure."""
+
+    def __init__(self):
+        self.tallies: dict = {}
+        self.failures: list = []
 
     def record(self, name: str, outcome: str, detail: str = "") -> None:
         bucket = self.tallies.setdefault(
@@ -68,7 +70,8 @@ class SuiteResult:
             t["passed"] for t in self.tallies.values())
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "all_passed": self.all_passed}
+        return {"tallies": self.tallies, "failures": self.failures,
+                "all_passed": self.all_passed}
 
 
 def _distributions(quartet: DuadicQuartet, budget: int = DEFAULT_BUDGET,

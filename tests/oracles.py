@@ -54,7 +54,8 @@ def enumerate_codewords_naive(C) -> np.ndarray:
     f = C.field
     q = f.order
     digits = [f.element_to_coeffs(a) for a in range(q)]
-    add = np.array([f.coeffs_to_element([(x + y) % f.p for x, y in zip(a, b)])
+    add = np.array([coeffs_to_element(f, [(x + y) % f.p
+                                          for x, y in zip(a, b)])
                     for a in digits for b in digits],
                    dtype=np.uint16)  # add[a*q + b] = a + b
     msgs = np.array(list(itertools.product(range(q), repeat=C.k)),
@@ -348,6 +349,14 @@ def digit_products(f: Field, a, b) -> np.ndarray:
         prod[..., d - m:d + 1] = (prod[..., d - m:d + 1]
                                   - prod[..., d:d + 1] * mod) % p
     return prod[..., :m] @ powers
+
+
+def coeffs_to_element(f: Field, coeffs) -> int:
+    """The element index of the polynomial-basis coefficients `coeffs`,
+    lowest degree first: digit i of the index is the coefficient of x^i."""
+    if len(coeffs) > f.m or any(not 0 <= c < f.p for c in coeffs):
+        raise FieldError("coefficient vector does not fit this field")
+    return sum(c * f.p**i for i, c in enumerate(coeffs))
 
 
 def frobenius(f: Field, x: int, q: int) -> int:

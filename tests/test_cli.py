@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +15,7 @@ from qduadic.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_USAGE,
+    SURVEY_COLUMNS,
     _survey_row,
     main,
     parse_budget,
@@ -146,7 +146,7 @@ class TestBuild:
         # plain scan over each splitting and its swap, `a` included
         first = {}
         for s in iter_splittings(n, q):
-            for cand in (s, dataclasses.replace(s, S0=s.S1, S1=s.S0)):
+            for cand in (s, s._replace(S0=s.S1, S1=s.S0)):
                 first.setdefault(cand.splitting_id, cand)
         for sid, cand in first.items():
             assert select_splitting(n, q, "css", sid) == cand
@@ -163,12 +163,12 @@ class TestBuild:
     ], ids=["empty", "not_hex", "upper_case", "eleven_digits"])
     def test_malformed_splitting_id(self, capsys, monkeypatch, argv, text):
         # refused as a usage error before any splitting is enumerated
-        import qduadic.stabilizer
+        import qduadic.duadic
 
         def enumerated(*args):
             raise AssertionError("splittings enumerated")
 
-        monkeypatch.setattr(qduadic.stabilizer, "iter_splittings", enumerated)
+        monkeypatch.setattr(qduadic.duadic, "_sides", enumerated)
         code, out, err = run(capsys, "build", "css", *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.splitlines()[1] == (
@@ -340,6 +340,27 @@ class TestSurvey:
         for got, want in zip(rows, doc["rows"]):
             for key, val in want.items():
                 assert got[key] == ("" if val is None else str(val))
+
+    @pytest.mark.parametrize("argv", [
+        ("--q", "2", "--max-n", "45"),
+        ("--q", "4", "--max-n", "31"),
+        ("--q", "3", "--max-n", "31", "--construction", "hermitian"),
+    ], ids=["q2", "q4", "hermitian_q3"])
+    def test_csv_bytes_match_dict_writer(self, capsys, tmp_path, argv):
+        # the rows are joined by hand; the csv module's DictWriter, given
+        # the JSON rows, writes the same bytes
+        import csv
+        import io
+        _, doc = run_json(capsys, "survey", *argv)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=SURVEY_COLUMNS)
+        writer.writeheader()
+        writer.writerows(doc["rows"])
+        out = tmp_path / "survey.csv"
+        code, _, _ = run(capsys, "survey", *argv, "--format", "csv",
+                         "--output", str(out))
+        assert code == EXIT_OK
+        assert out.read_bytes() == buf.getvalue().encode()
 
     def test_csv_without_rows_is_header_only(self, capsys):
         code, out, _ = run(capsys, "survey", "--q", "2", "--max-n", "1",
@@ -528,8 +549,8 @@ class TestVerify:
     def test_extremes_check_is_not_vacuous(self, capsys, monkeypatch):
         # a d two above the searched one at n = 17, as if the search had
         # stopped too early: the tally, not an abort, reports it
-        self._doctor_params(monkeypatch, 17, lambda p: dataclasses.replace(
-            p, d=dataclasses.replace(p.d, lo=p.d.lo + 2, hi=p.d.hi + 2)))
+        self._doctor_params(monkeypatch, 17, lambda p: p._replace(
+            d=p.d._replace(lo=p.d.lo + 2, hi=p.d.hi + 2)))
         for q, passed in ((2, 1), (4, 7)):  # 3, 5, ..., 15 over GF(4)
             code, doc = run_json(capsys, "verify", "--q", str(q), "--max-n",
                                  "17")
@@ -553,7 +574,7 @@ class TestVerify:
 
         def distributions(quartet, *args):
             C, D, d0 = real(quartet, *args)
-            return C, D, (dataclasses.replace(d0, lo=d, hi=d)
+            return C, D, (d0._replace(lo=d, hi=d)
                           if quartet.n == n else d0)
 
         monkeypatch.setattr(qduadic.verify, "_distributions", distributions)
@@ -576,7 +597,7 @@ class TestVerify:
         # it with the one the distributions give: [[17,1,5]]_2 of purity 6
         # is not degenerate
         self._doctor_params(monkeypatch, 17,
-                            lambda p: dataclasses.replace(p, degenerate="yes"))
+                            lambda p: p._replace(degenerate="yes"))
         code, doc = run_json(capsys, "verify", "--q", "2", "--max-n", "31")
         assert code == EXIT_ASSERTION
         assert doc["failures"] == [
@@ -591,7 +612,7 @@ class TestVerify:
 
         def doctored(C, result, word, name, odd_like):
             result = real(C, result, word, name, odd_like)
-            return (dataclasses.replace(result, lo=2, hi=2) if odd_like
+            return (result._replace(lo=2, hi=2) if odd_like
                     else result)
 
         monkeypatch.setattr(qduadic.stabilizer, "_checked", doctored)
@@ -651,7 +672,7 @@ class TestInvariantFailures:
                 word = (0,) * C.n
             elif odd_like and claim == (4, 3):
                 word = d1  # D1's least odd-like word: weight 3
-            return dataclasses.replace(result, lo=value, hi=value), word
+            return result._replace(lo=value, hi=value), word
 
         monkeypatch.setattr(qduadic.stabilizer, "brouwer_zimmermann", claimed)
         code, out, err = run(capsys, "build", "css", "7", "2")
@@ -671,7 +692,7 @@ class TestInvariantFailures:
 
         def swapped(*args):
             quartet = real(*args)
-            return dataclasses.replace(quartet, C1=quartet.C0)
+            return quartet._replace(C1=quartet.C0)
 
         monkeypatch.setattr(qduadic.cli, "materialize_quartet", swapped)
         for name in ("support_search_min_weight", "brouwer_zimmermann"):
@@ -934,14 +955,17 @@ class TestLargeQ:
 def test_import_leaves_the_process_pool_out():
     # the pool is imported only when --workers > 1 asks for it; argv is
     # parsed from a table, without argparse and the gettext and locale it
-    # loads; and splitting ids are hashed by CPython's built-in SHA-256, so
-    # neither hashlib nor OpenSSL's libcrypto is loaded
+    # loads; splitting ids are hashed by CPython's built-in SHA-256, so
+    # neither hashlib nor OpenSSL's libcrypto is loaded; the records are
+    # named tuples or plain classes, not dataclasses (which load copy); and
+    # survey rows are joined by hand, without the csv module
     src = os.path.dirname(os.path.dirname(qduadic.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", "import os, sys, qduadic.cli; print(sorted("
          "m for m in ('concurrent.futures', 'multiprocessing', 'argparse', "
-         "'gettext', 'locale', 'hashlib', '_hashlib', '_blake2') "
+         "'gettext', 'locale', 'hashlib', '_hashlib', '_blake2', "
+         "'dataclasses', 'copy', 'csv') "
          "if m in sys.modules), os.path.exists('/proc/self/maps') and "
          "'libcrypto' in open('/proc/self/maps').read())"],
         env=env, capture_output=True, text=True, check=True).stdout

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from math import gcd, isqrt
 
 import pytest
@@ -494,7 +493,7 @@ class TestDuals:
                 shift_C, shift_D, pair = 0, C.k - 1, (C.k - 1, 0)
             else:
                 shift_C, shift_D, pair = D.k - 1, 0, (0, D.k - 1)
-            C2, D2 = (replace(X, genpoly=Poly.make((0,) * shift + (1,), f))
+            C2, D2 = (X._replace(genpoly=Poly.make((0,) * shift + (1,), f))
                       for X, shift in ((C, shift_C), (D, shift_D)))
             assert self._failing_row_pairs(C2, D2, power) == [pair]
             with pytest.raises(CyclicCodeError, match="not orthogonal to C"):
@@ -513,7 +512,7 @@ class TestDuals:
                 if t % 4 == 0:  # a multiple of the dual's g, orthogonal
                     u = rng.randrange(1, f.order)
                     g = [f.mul(u, x) for x in D.genpoly.coeffs]
-                doctored = replace(D, genpoly=Poly.make(g, f))
+                doctored = D._replace(genpoly=Poly.make(g, f))
                 failing = self._failing_row_pairs(C, doctored, power)
                 if failing:
                     with pytest.raises(CyclicCodeError):

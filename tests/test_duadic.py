@@ -244,8 +244,6 @@ class TestQuartet:
     def test_parity_of_g_at_1_is_checked(self, monkeypatch, doctored, message):
         # C0 given g_{D0} (g(1) != 0), or D0 given g_{C0} (g(1) = 0); the
         # dimensions stay right, so only the g(1) checks can catch them
-        import dataclasses
-
         import qduadic.duadic
         s = default_splitting(23, 3)
         real = qduadic.duadic.make_cyclic_code
@@ -257,7 +255,7 @@ class TestQuartet:
         def doctor(n, field, T):
             code = real(n, field, T)
             if T == swap[0].T:
-                code = dataclasses.replace(code, genpoly=swap[1].genpoly)
+                code = code._replace(genpoly=swap[1].genpoly)
             return code
 
         monkeypatch.setattr(qduadic.duadic, "make_cyclic_code", doctor)

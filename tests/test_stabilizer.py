@@ -1,10 +1,9 @@
-from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from oracles import min_weight_diffset, naive_distribution, naive_min_weight
-from qduadic.cyclic import CyclicCodeError, euclidean_dual
+from qduadic.cyclic import CyclicCodeError, cyclotomic_cosets, euclidean_dual
 import qduadic.stabilizer
 from qduadic.distance import (
     DEFAULT_BUDGET,
@@ -190,7 +189,7 @@ class TestHermitian:
         # D1 has the dimension of C_0^{perp_h}, but is not orthogonal to C0
         qt = build_quartet(splitting_by(7, 4, 5), field_from_order(4))
         with pytest.raises(CyclicCodeError, match="not orthogonal"):
-            _params(replace(qt, D0=qt.D1), "hermitian")
+            _params(qt._replace(D0=qt.D1), "hermitian")
 
 
 class TestTheoryOnly:
@@ -229,8 +228,7 @@ class TestVerdictReconciliation:
         cert = degeneracy_certificate(49, 2, "CSS")
         base = _css(49)
         fake = DistanceResult.exact(8, "full_enumeration", 0)
-        from dataclasses import replace
-        out = degeneracy_verdict(replace(base, purity=fake), cert)
+        out = degeneracy_verdict(base._replace(purity=fake), cert)
         assert out.purity_agreement == "discrepancy"
 
     def test_to_dict_shape(self):
@@ -238,6 +236,37 @@ class TestVerdictReconciliation:
         assert d["degenerate"] == "yes"
         assert d["bound_checks"]["mu_minus1_splitting"] is True
         assert d["certificate"]["purity_bound"] == 7
+
+    def test_certificate_to_dict(self):
+        # every field by name, and the primes as a tuple of dicts
+        assert degeneracy_certificate(49, 2, "CSS").to_dict() == {
+            "n": 49, "q": 2, "construction": "CSS",
+            "primes": ({"p": 7, "m": 2, "t": 3, "z": 1,
+                        "q_is_qr_mod_p": True, "m_gt_2z": False,
+                        "p_cong_3_mod_4": True, "purity_term": 7},),
+            "purity_bound": 7, "all_q_qr": True, "all_m_gt_2z": False,
+            "all_p_cong_3_mod_4": True, "ord_n_q_odd": True,
+            "hypotheses_met": False, "example_clause_7m": True}
+
+
+def test_records_are_immutable():
+    # assigning a field of any record, or a new attribute, raises
+    # AttributeError and leaves the record as it was
+    qt = build_quartet(default_splitting(49, 2), field_from_order(2))
+    params = degeneracy_verdict(_params(qt),
+                                degeneracy_certificate(49, 2, "CSS"))
+    records = [
+        (cyclotomic_cosets(49, 2), "cosets"), (qt.C0.T, "members"),
+        (qt.C0, "genpoly"), (qt.C0.genpoly, "coeffs"), (params.d, "lo"),
+        (qt.splitting, "S0"), (qt, "C0"), (params.certificate.primes[0], "p"),
+        (params.certificate, "purity_bound"), (params, "degenerate"),
+    ]
+    for record, name in records:
+        value = getattr(record, name)
+        for attr in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, None)
+        assert getattr(record, name) is value
 
 
 def _oracle_quartets():
@@ -359,11 +388,11 @@ class TestOneEnumeration:
         qt = self._quartet(17)
         for budget in self.BUDGETS:
             with pytest.raises(DistanceError, match="mu_a image"):
-                _params(replace(qt, C1=qt.C0), budget=budget)
+                _params(qt._replace(C1=qt.C0), budget=budget)
 
     def test_c1_from_another_field_is_refused(self):
         qt = self._quartet(7)
         other = build_quartet(default_splitting(7, 4), field_from_order(4))
         for budget in self.BUDGETS:
             with pytest.raises(DistanceError, match="mu_a image"):
-                _params(replace(qt, C1=other.C1), budget=budget)
+                _params(qt._replace(C1=other.C1), budget=budget)
