@@ -119,6 +119,13 @@ def parse_splitting_id(text: str) -> str:
     return text
 
 
+def parse_output(text: str) -> str:
+    """Accepts a nonempty file name."""
+    if not text:
+        raise ValueError("expected a file name, got ''")
+    return text
+
+
 def parse_budget(text: str) -> int:
     """Accepts positive plain integers and the 2^k shorthand, up to 2^64."""
     if "^" in text:
@@ -156,7 +163,7 @@ def _validate_nq(n: int, q: int) -> None:
 
 
 def _emit(payload: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         try:
             with open(output, "w") as fh:
                 fh.write(payload)
@@ -314,9 +321,9 @@ _CONSTRUCTION = ("css", "hermitian")
 _N_Q = {"n": (int, _REQUIRED), "q": (int, _REQUIRED)}
 _RANGE = {"--q": (int, _REQUIRED), "--max-n": (int, _REQUIRED)}
 _RUN = {"--budget": (parse_budget, DEFAULT_BUDGET),
-        "--workers": (positive_int, 1), "--output": (str, None)}
+        "--workers": (positive_int, 1), "--output": (parse_output, None)}
 COMMANDS = {
-    "exists": (cmd_exists, {**_N_Q, "--output": (str, None)}),
+    "exists": (cmd_exists, {**_N_Q, "--output": (parse_output, None)}),
     "build": (cmd_build, {"construction": (_CONSTRUCTION, _REQUIRED), **_N_Q,
                           "--splitting-id": (parse_splitting_id, None), **_RUN}),
     "survey": (cmd_survey, {**_RANGE,

@@ -2,21 +2,23 @@
 weight distributions by exhaustive enumeration, and a support search.
 
 Builds and survey rows take their minimum weights from a Brouwer-Zimmermann
-search over cyclic information sets (`brouwer_zimmermann`): it enumerates
-the words of a systematic generator matrix by their number of nonzero
-message coordinates, and stops once ceil(n*(w+1)/k) after level w reaches
-the least weight found.  The weight histogram is the independent route
-that `verify` compares with, and the MacWilliams transform turns it into
-the histogram of the dual code.  Every GF(p^m) code is reduced to a
-prime-field message space: the rows of the same systematic generator
-matrix are expanded by the polynomial basis of the field, so a
+search over cyclic information sets: a stream of levels (`_levels`), level w
+the words of a systematic generator matrix with w nonzero message
+coordinates, each with its bound ceil(n*(w+1)/k) on the words not yet met
+and the `work` so far, read by `brouwer_zimmermann` until the bound reaches
+the least weight found.  A level that fits one block is held for the next; a
+larger one is extended again from the last level held.  The weight histogram
+is the independent route that `verify` compares with, and the MacWilliams
+transform turns it into the histogram of the dual code.  Every GF(p^m) code
+is reduced to a prime-field message space: the rows of the same systematic
+generator matrix are expanded by the polynomial basis of the field, so a
 k-dimensional code over GF(p^m) becomes a (k*m)-row code over GF(p).  One
 span kernel enumerates it: a numpy block of every combination of the first
 rows, plus one high word per step of a p-ary counter over the rest; the
 weights of two steps are counted by one bincount of joint keys.  It scans
 only the shortened subcode {c_(n-1) = 0}, q^(k-1) words, and the cyclic
-symmetry rebuilds the full histogram from it exactly.  Beyond the budget,
-a low-weight support search bounds the minimum weight, one whole level of
+symmetry rebuilds the full histogram from it exactly.  Beyond the budget, a
+low-weight support search bounds the minimum weight, one whole level of
 weights at a time, by looking for proportional columns of H and by binary
 search for prefix sums in a sorted table of pair sums.
 
@@ -410,81 +412,79 @@ def _extend(blocks, table, units: int, limit: int, add):
                        table.take(index, axis=0)), index // units)
 
 
-def brouwer_zimmermann(C: CyclicCode,
-                       odd_like: bool = False) -> tuple[DistanceResult,
-                                                        tuple[int, ...]]:
-    """The least weight of a nonzero word of C, or with `odd_like` of a word
-    with nonzero coordinate sum, and the first such word found.
+def _levels(C: CyclicCode, odd_like: bool = False):
+    """Levels w = 1, ..., k of a Brouwer-Zimmermann search of C, each as
+    (w, bound, work, blocks), the blocks yielding (weights, words).
 
-    The generator matrix is put in systematic form on the last k
-    coordinates, and level w = 1, 2, ... enumerates the words with w nonzero
-    message coordinates, the first of them 1: comb(k, w)*(q-1)^(w-1) words.
-    Any k cyclically consecutive coordinates of a cyclic code form an
-    information set, and a cyclic shift keeps the weight and the coordinate
-    sum.  A word of weight t has, by averaging over its n windows of k
-    consecutive coordinates, a shift with at most k*t/n nonzero message
-    coordinates, so a word not met up to level w weighs at least
-    ceil(n*(w+1)/k) (Chen, IEEE Trans. IT 16 (1970); Grassl, "Searching
-    for linear codes with large minimum distance", 2006).  Over GF(2) that
-    bound rounds up to odd for odd-like words, and to even in an even-like
-    code (0 in T).  The search stops at the first level whose bound reaches
-    the least weight found; `work` counts the words of levels 1 to w.
-
-    Words are in the `_Words` layout: n cells, and with `odd_like` one more
-    that carries the coordinate sum; ceil(cells/floor(64/m)) uint64 lanes in
-    characteristic 2, where the sum cell is read from the lane that holds
-    it, and cells*m GF(p) digits otherwise.  Blocks hold at most
-    2^_LOW_BLOCK_BITS words, or k*(q-1) if more, and a level is kept for
-    the next one only if it fits one block."""
+    With a generator matrix systematic on the last k coordinates, level w
+    holds the comb(k, w)*(q-1)^(w-1) words with w nonzero message
+    coordinates, the first 1, in the order of `_extend`; `work` sums levels
+    1 to w.  Any k cyclically consecutive coordinates form an information
+    set, and averaged over its n windows of them a word of weight t has a
+    cyclic shift, of the same weight and coordinate sum, with at most k*t/n
+    nonzero message coordinates.  So a word not met up to level w weighs at
+    least `bound` = ceil(n*(w+1)/k) (Chen, IEEE Trans. IT 16 (1970); Grassl,
+    "Searching for linear codes with large minimum distance", 2006), over
+    GF(2) rounded up to odd for odd-like words and to even in an even-like
+    code (0 in T).  With `odd_like` the `_Words` rows have a sum cell after
+    the n cells, and a word of sum 0 weighs n + 1.  Blocks hold at most
+    2^_LOW_BLOCK_BITS words, or k*(q-1) if more.  A level that fits one
+    block is held for the next; a larger one is extended afresh from the
+    last level held."""
     f, n, k, q = C.field, C.n, C.k, C.q
     if k == 0:
         raise DistanceError("zero code has no nonzero word")
-    words = _Words(f, n + odd_like)  # the sum cell only where it is asked
+    words = _Words(f, n + odd_like)
     digits = _systematic_rows(C)[:, :words.cells]  # (k, cells, m)
     rows = words.pack(digits)
-    # u*row_j for every unit u, ordered by j and then u; over GF(q), q > 2,
-    # built only once level 2 needs it
-    table = rows
-    # over GF(2) odd-like weights are odd, and an even-like code's even
+    table = rows  # u*row_j by j, then unit u; over GF(q > 2) from level 2
     parity = int(odd_like) if q == 2 and (odd_like or 0 in C.T.as_set()) \
         else None
     limit = 1 << _LOW_BLOCK_BITS
-    # levels[w]: level w's blocks (words, last row), held while they fit
-    # one block, else None and enumerated again from the last one held
-    levels = [None, [(rows, np.arange(k))]]
 
-    def level(w):
-        held = levels[w] if w < len(levels) else None
-        if held is not None:
-            return iter(held)
-        return _extend(level(w - 1), table, q - 1, limit, words.add)
+    def weigh(block):  # a nonzero sum cell adds 1 to the count of cells
+        weight = words.weights(block)
+        return (np.where(words.cell(block, n), weight - 1, n + 1)
+                if odd_like else weight)
 
-    best, witness, work = n + 1, None, 0
+    held, since, work = [(rows, np.arange(k))], 1, 0  # the last level held
     for w in range(1, k + 1):
         size = comb(k, w) * (q - 1) ** (w - 1)
         if w == 2 and q > 2:  # each unit's rows packed as they are made
             table = np.stack([words.pack(_times(f, u, digits))
                               for u in range(1, q)], axis=1)
             table = table.reshape(-1, words.width)
-        if w > 1:
-            levels.append(list(level(w)) if size <= limit else None)
-        for block, _ in level(w):
-            weight = words.weights(block)
-            if odd_like:  # a nonzero sum cell adds 1 to the weight
-                weight = np.where(words.cell(block, n), weight - 1, n + 1)
-            i = int(np.argmin(weight))
-            if weight[i] < best:
-                best, witness = int(weight[i]), block[i]
+        blocks = iter(held)
+        for _ in range(since, w):
+            blocks = _extend(blocks, table, q - 1, limit, words.add)
+        if size <= limit:
+            held, since = list(blocks), w
+            blocks = held
         work += size
         bound = -(-n * (w + 1) // k)
         if parity is not None and bound % 2 != parity:
             bound += 1
+        yield w, bound, work, ((weigh(b), b) for b, _ in blocks)
+
+
+def brouwer_zimmermann(C: CyclicCode, odd_like: bool = False
+                       ) -> tuple[DistanceResult, tuple[int, ...]]:
+    """The least weight of a nonzero word of C, or with `odd_like` of a word
+    with nonzero coordinate sum, and the first such word: `_levels` read up
+    to the first level whose bound reaches that weight, with its `work`."""
+    best, witness = C.n + 1, None
+    for _, bound, work, blocks in _levels(C, odd_like):
+        for weight, block in blocks:
+            i = int(np.argmin(weight))
+            if weight[i] < best:
+                best, witness = int(weight[i]), block[i]
         if bound >= best:
             break
     if witness is None:
         raise DistanceError("the code has no odd-like word")
-    word = tuple(words.cell(witness, np.arange(n)).tolist())
-    return DistanceResult.exact(best, "brouwer_zimmermann", work), word
+    word = _Words(C.field, C.n + odd_like).cell(witness, np.arange(C.n))
+    return (DistanceResult.exact(best, "brouwer_zimmermann", work),
+            tuple(word.tolist()))
 
 
 def macwilliams(A: dict[int, int], n: int, q: int) -> dict[int, int]:

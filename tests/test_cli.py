@@ -131,8 +131,9 @@ class TestBuild:
             assert doc2["splitting"][key] == doc["splitting"][key]
         assert doc2["stabilizer"] == doc["stabilizer"]
 
-    def test_splitting_id_beyond_the_first_4096(self, capsys):
-        # 88200776026d is splitting #6272 of the 16,640 of 85 over GF(4)
+    def test_splitting_id_late_in_the_enumeration(self, capsys):
+        # 88200776026d is splitting #2,064 (from 0) of the 3,984 of 85 over
+        # GF(4), in the order of `iter_splittings`
         code, doc = run_json(capsys, "build", "css", "85", "4",
                              "--splitting-id", "88200776026d",
                              "--budget", "2^10")
@@ -218,6 +219,19 @@ class TestBuild:
                               "--output", str(out))
         assert code == EXIT_OK and stdout == ""
         assert json.loads(out.read_text())["stabilizer"]["d"]["lo"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("build", "css", "7", "2", "--output="),
+        ("exists", "7", "2", "--output", ""),
+        ("survey", "--q", "2", "--max-n", "9", "--output="),
+        ("verify", "--q", "2", "--max-n", "9", "--output", ""),
+    ], ids=["build", "exists", "survey", "verify"])
+    def test_empty_output(self, capsys, argv):
+        # an empty FILE is a usage error, not stdout
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines()[1:] == [
+            "qduadic: error: argument --output: expected a file name, got ''"]
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "r.json"

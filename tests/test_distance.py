@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from functools import reduce
 from math import comb, gcd
 
 import numpy as np
@@ -26,6 +27,7 @@ from qduadic.distance import (
     DistanceResult,
     _full_scan_distribution,
     _extend,
+    _levels,
     _histogram,
     _digits,
     _low_rows,
@@ -395,12 +397,31 @@ def _search_work(C, odd_like):
         weight[~(digits.sum(axis=1) % p).any(axis=1)] = n + 1
     weight[level == 0] = n + 1  # the zero word
     for w in range(1, k + 1):
-        bound = -(-n * (w + 1) // k)
-        if q == 2 and (odd_like or 0 in C.T.members):
-            bound += (bound - odd_like) % 2
-        if bound >= weight[level <= w].min():
+        if _level_bound(C, w, odd_like) >= weight[level <= w].min():
             break
     return _level_sums(k, q)[w - 1]
+
+
+def _level_bound(C, w, odd_like):
+    """ceil(n*(w+1)/k), over GF(2) made odd for odd-like words and even in
+    an even-like code."""
+    bound = -(-C.n * (w + 1) // C.k)
+    if C.q == 2 and (odd_like or 0 in C.T.members):
+        bound += (bound - odd_like) % 2
+    return bound
+
+
+def _choices(k, q, w):
+    """The message vectors of level w in lexicographic order: every choice
+    of w of k rows in increasing order, the first scaled by 1 and the others
+    by every unit 1, ..., q - 1, sorted by (j_1, u_1, j_2, u_2, ...)."""
+    choices = sorted(
+        ((js, (1,) + us)
+         for js in itertools.combinations(range(k), w)
+         for us in itertools.product(range(1, q), repeat=w - 1)),
+        key=lambda c: [x for pair in zip(*c) for x in pair])
+    return [[dict(zip(js, us)).get(i, 0) for i in range(k)]
+            for js, us in choices]
 
 
 def _is_codeword(C, word) -> bool:
@@ -564,18 +585,40 @@ class TestLevels:
                 blocks = list(_extend(blocks, table, units, limit, add))
             words = np.concatenate([b for b, _ in blocks])
             last = np.concatenate([j for _, j in blocks])
-            # (rows, scalars) sorted by (j_1, u_1, j_2, u_2, ...), u_1 = 1
-            choices = sorted(
-                ((js, (1,) + us)
-                 for js in itertools.combinations(range(k), w)
-                 for us in itertools.product(range(1, p), repeat=w - 1)),
-                key=lambda c: [x for pair in zip(*c) for x in pair])
-            expected = [[dict(zip(js, us)).get(i, 0) for i in range(k)]
-                        for js, us in choices]
+            expected = _choices(k, p, w)
             assert words.tolist() == expected
             assert last.tolist() == [max(np.flatnonzero(x)) for x in expected]
             assert len(expected) == comb(k, w) * units ** (w - 1)
             assert all(len(b) <= max(limit, k * units) for b, _ in blocks)
+
+    @pytest.mark.parametrize("bits", [0, 4, 16])
+    @pytest.mark.parametrize("n,q,leaders,odd_like", [
+        (15, 2, [0, 1], False), (17, 2, [1], True), (11, 3, [1], False),
+        (9, 4, [1], True)], ids=["even-like", "odd-like", "gf3", "gf4"])
+    def test_stream(self, monkeypatch, n, q, leaders, odd_like, bits):
+        # every level of the search's stream, held (it fits one block) or
+        # extended afresh from the last level held: its bound, its running
+        # work, and its words in the order above, each with its weight
+        monkeypatch.setattr(qduadic.distance, "_LOW_BLOCK_BITS", bits)
+        C = _code(n, q, leaders)
+        k, f = C.k, C.field
+        words = _Words(f, n + odd_like)
+        w = 0
+        for w, (level, bound, work, blocks) in enumerate(
+                _levels(C, odd_like), 1):
+            assert (level, work) == (w, _level_sums(k, q)[w - 1])
+            assert bound == _level_bound(C, w, odd_like)
+            blocks = list(blocks)
+            assert all(len(b) <= max(1 << bits, k * (q - 1))
+                       for _, b in blocks)
+            cells = words.cell(np.concatenate([b for _, b in blocks]),
+                               np.arange(n)).tolist()
+            # the message is the last k coordinates, row i being 1 at n-k+i
+            assert [c[n - k:] for c in cells] == _choices(k, q, w)
+            expected = [n + 1 if odd_like and not reduce(f.add, c, 0)
+                        else sum(map(bool, c)) for c in cells]
+            assert np.concatenate([x for x, _ in blocks]).tolist() == expected
+        assert w == k
 
 
 class TestSearch:
